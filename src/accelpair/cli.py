@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -51,8 +49,6 @@ __all__ = [
     "main",
 ]
 
-THREADS_ENV_VAR = "ACCELPAIR_THREADS"
-
 # Cutoff doubling stops here to bound memory; rows that still move are
 # flagged as non-converged instead of silently accepted.
 CUTOFF_CAP = 128
@@ -73,7 +69,6 @@ class SweepConfig:
     csv_path: Path | None = None
     svg_path: Path | None = None
     mu2_grid: bool = False
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -94,8 +89,10 @@ class SweepConfig:
             raise DomainError("scalar mu2 grids require mu2 > 0 everywhere")
         if not self.mu2_grid and self.statistics == "fermion" and self.grid_max > math.pi / 2.0:
             raise DomainError("fermion grids must stay within [0, pi/2]")
-        if self.convergence_tol <= 0.0:
-            raise DomainError("convergence tolerance must be positive")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
+            raise DomainError(f"tolerance must be finite and positive, got {self.convergence_tol}")
+        if not 4 <= self.cutoff <= CUTOFF_CAP:
+            raise DomainError(f"cutoff must lie in [4, {CUTOFF_CAP}], got {self.cutoff}")
 
     @property
     def statistics(self) -> str:
@@ -160,7 +157,7 @@ def _evaluate_scalar_point(cfg: SweepConfig, param: float) -> SweepRow:
     def at_cutoff(n: int):
         return evaluate_scenario(Scenario("scalar", cfg.accelerated, squeeze, cutoff=n))
 
-    cutoff = min(cfg.cutoff, CUTOFF_CAP)
+    cutoff = cfg.cutoff
     res = at_cutoff(cutoff)
     converged = False
     while True:
@@ -181,28 +178,11 @@ def _evaluate_scalar_point(cfg: SweepConfig, param: float) -> SweepRow:
     return SweepRow(param, squeeze, ln, min_pt, None, res.deficit, cutoff, converged)
 
 
-def _worker_count(cfg: SweepConfig) -> int:
-    if cfg.threads is not None:
-        return max(1, cfg.threads)
-    env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepTable:
-    """Evaluate every grid point; deterministic row order regardless of threads."""
+    """Evaluate every grid point, in grid order."""
     grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
     point = _evaluate_fermion_point if cfg.statistics == "fermion" else _evaluate_scalar_point
-    workers = _worker_count(cfg)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: point(cfg, p), grid))
-    else:
-        rows = [point(cfg, p) for p in grid]
+    rows = [point(cfg, p) for p in grid]
     probe = Scenario(cfg.statistics, cfg.accelerated, 0.0)
     systems = tuple(named_bipartitions(probe).keys())
     return SweepTable(cfg, systems, rows)

@@ -44,9 +44,15 @@ __all__ = [
     "fermion_out_one",
     "build_final_state",
     "build_final_state_coords",
+    "CHARGE_SIGNS",
+    "kept_charges",
 ]
 
 _HALF_PI = math.pi / 2.0
+
+# Every scenario state obeys the selection rule (s_p - s_a) = (w_p - w_a):
+# the charge sum(sign * occupation) vanishes on each populated tuple.
+CHARGE_SIGNS = {"s_p": 1, "s_a": -1, "w_p": -1, "w_a": 1}
 
 
 @dataclass(frozen=True)
@@ -244,3 +250,16 @@ def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:
         val = np.concatenate([np.outer(c, c).ravel(), np.outer(d, d).ravel()]) * inv_sqrt2
     populated = val != 0.0  # keep the stored support tight (r = 0, underflow)
     return normalize_coords(CoordKet(layout, occ[populated], val[populated]))
+
+
+def kept_charges(dims: tuple[int, ...], labels: tuple[str, ...], flipped=frozenset()) -> np.ndarray:
+    """Charge of each kept occupation tuple, row-major, with ``flipped`` signs reversed.
+
+    Reduced density matrices of scenario states conserve it; their partial
+    transposes over party A conserve it with party A flipped.
+    """
+    charge = np.zeros((), dtype=np.int64)
+    for dim, label in zip(dims, labels):
+        sign = -CHARGE_SIGNS[label] if label in flipped else CHARGE_SIGNS[label]
+        charge = np.add.outer(charge, sign * np.arange(dim))
+    return charge.ravel()

@@ -42,6 +42,10 @@ def test_config_defaults_resolve_per_scenario():
         dict(scenario="fermion-one", grid_min=1.0, grid_max=0.5),
         dict(scenario="scalar-one", mu2_grid=True, grid_min=0.0, grid_max=2.0),
         dict(scenario="fermion-one", convergence_tol=0.0),
+        dict(scenario="scalar-one", convergence_tol=math.nan),
+        dict(scenario="scalar-one", convergence_tol=math.inf),
+        dict(scenario="scalar-one", cutoff=3),
+        dict(scenario="scalar-one", cutoff=CUTOFF_CAP + 1),
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -84,24 +88,6 @@ def test_scalar_sweep_converges_and_zeroes_antiparticles():
         assert row.converged
         assert row.cutoff <= CUTOFF_CAP
         assert row.ln["s,a"] == pytest.approx(0.0, abs=1e-8)
-
-
-def test_sweep_rows_are_thread_invariant():
-    serial = run_sweep(small_fermion_cfg(threads=1))
-    threaded = run_sweep(small_fermion_cfg(threads=3))
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a.ln == b.ln
-
-
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("ACCELPAIR_THREADS", "2")
-    table = run_sweep(small_fermion_cfg())
-    reference = run_sweep(small_fermion_cfg(threads=1))
-    for a, b in zip(table.rows, reference.rows):
-        assert a.ln == b.ln
-    monkeypatch.setenv("ACCELPAIR_THREADS", "zebra")
-    with pytest.raises(DomainError):
-        run_sweep(small_fermion_cfg())
 
 
 # --- CSV -------------------------------------------------------------------------
@@ -329,6 +315,23 @@ def test_main_exit_code_for_non_convergence(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert all(row["converged"] == "false" for row in rows)
     assert all(int(row["cutoff"]) == CUTOFF_CAP for row in rows)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--tol", "nan"], ["--tol", "inf"], ["--cutoff", "500"], ["--cutoff", "2"]],
+)
+def test_main_rejects_bad_tolerance_and_cutoff(tmp_path, capsys, flags):
+    csv_path = tmp_path / "bad.csv"
+    argv = ["sweep", "--scenario", "scalar-one", "--steps", "3", *flags, "--csv", str(csv_path)]
+    assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_cutoff_range_ends_are_accepted():
+    assert SweepConfig(scenario="scalar-one", cutoff=4).cutoff == 4
+    assert SweepConfig(scenario="scalar-one", cutoff=CUTOFF_CAP).cutoff == CUTOFF_CAP
 
 
 def test_main_convert_reports(capsys):

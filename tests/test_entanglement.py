@@ -257,6 +257,17 @@ def test_scalar_antiparticle_systems_are_ppt():
     assert res.systems["s,a"].min_pt_eigenvalue >= -1e-10
 
 
+def test_ppt_negativity_is_positive_zero():
+    # an empty sum of negative eigenvalues must not come back as -0.0
+    a = Ket.basis_state(SubsystemLayout((fermion_mode("a"),)), (1,))
+    b = Ket.basis_state(SubsystemLayout((fermion_mode("b"),)), (0,))
+    values = [negativity(outer_product(tensor(a, b)), ("a",))]
+    res = evaluate_scenario(Scenario("scalar", "both", 0.5, cutoff=10))
+    values += [res.systems[name].negativity for name in ("p,a", "a,p", "a,a")]
+    for value in values:
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_scalar_particle_entanglement_decreases():
     values = [
         evaluate_scenario(Scenario("scalar", "both", r, cutoff=30)).systems["p,p"].log_negativity

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelpair import (
     Bipartition,
@@ -24,6 +26,9 @@ from accelpair.sparse import (
     reduced_gram,
     schmidt_weights,
 )
+from accelpair.states import kept_charges
+
+from oracles import graph_block_eigenvalues
 
 
 def random_coord_ket(rng, n_entries=10):
@@ -106,8 +111,9 @@ def test_block_eigenvalues_match_dense_solver():
         at += k
     perm = rng.permutation(10)
     full = full[np.ix_(perm, perm)]
-    ours = hermitian_block_eigenvalues(sp.csr_matrix(full))
+    ours = hermitian_block_eigenvalues(sp.csr_matrix(full), np.zeros(10, dtype=int))
     assert np.max(np.abs(ours - np.linalg.eigvalsh(full))) < 1e-12
+    assert np.max(np.abs(ours - graph_block_eigenvalues(sp.csr_matrix(full)))) < 1e-12
     assert len(ours) == 10
     assert ours.sum() == pytest.approx(np.trace(full).real, abs=1e-12)
 
@@ -115,20 +121,59 @@ def test_block_eigenvalues_match_dense_solver():
 def test_block_eigenvalues_keep_purely_imaginary_couplings():
     # a coupling with zero real part must still bind its block together
     m = sp.csr_matrix(np.array([[0.0, 1j], [-1j, 0.0]]))
-    assert np.allclose(hermitian_block_eigenvalues(m), [-1.0, 1.0], atol=1e-14)
+    assert np.allclose(hermitian_block_eigenvalues(m, np.zeros(2)), [-1.0, 1.0], atol=1e-14)
 
 
 def test_block_eigenvalues_count_isolated_states():
     m = sp.csr_matrix((5, 5), dtype=complex)
-    assert np.array_equal(hermitian_block_eigenvalues(m), np.zeros(5))
+    assert np.array_equal(hermitian_block_eigenvalues(m, np.zeros(5)), np.zeros(5))
     m = sp.csr_matrix(np.diag([0.25, 0.0, 0.75]).astype(complex))
-    assert np.allclose(hermitian_block_eigenvalues(m), [0.0, 0.25, 0.75])
+    assert np.allclose(hermitian_block_eigenvalues(m, np.zeros(3)), [0.0, 0.25, 0.75])
 
 
 def test_block_eigenvalues_reject_non_hermitian():
     m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DomainError):
-        hermitian_block_eigenvalues(m)
+        hermitian_block_eigenvalues(m, np.zeros(2))
+
+
+def random_charge_conserving(rng, n, chain):
+    """Random Hermitian matrix, its charges, block-diagonal over charge sectors.
+
+    With ``chain`` each sector couples only neighbours in stable charge order
+    (tridiagonal after sorting); otherwise sectors are dense.  Couplings are
+    complex, and some entries are dropped so sectors split and states go
+    untouched.
+    """
+    charge = rng.integers(-2, 3, size=n)
+    place = np.empty(n, dtype=int)
+    place[np.argsort(charge, kind="stable")] = np.arange(n)
+    same = charge[:, None] == charge[None, :]
+    allowed = np.abs(place[:, None] - place[None, :]) <= 1 if chain else np.ones((n, n), bool)
+    keep = rng.random((n, n)) < 0.7
+    keep = keep & keep.T
+    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mat = np.where(same & allowed & keep, mat + mat.conj().T, 0.0)
+    return mat, charge
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_charge_sectors_match_graph_oracle_and_dense(seed, n, chain):
+    mat, charge = random_charge_conserving(np.random.default_rng(seed), n, chain)
+    ours = hermitian_block_eigenvalues(sp.csr_matrix(mat), charge)
+    assert ours.shape == (n,)
+    assert np.max(np.abs(ours - graph_block_eigenvalues(sp.csr_matrix(mat)))) < 1e-12
+    assert np.max(np.abs(ours - np.linalg.eigvalsh(mat))) < 1e-12
+
+
+def test_block_eigenvalues_reject_coupling_across_sectors():
+    m = sp.csr_matrix(np.array([[0.5, 0.1j, 0.0], [-0.1j, 0.5, 0.0], [0.0, 0.0, 0.0]]))
+    assert np.allclose(hermitian_block_eigenvalues(m, [1, 1, 0]), [0.0, 0.4, 0.6])
+    with pytest.raises(DomainError):
+        hermitian_block_eigenvalues(m, [1, 0, 1])
+    with pytest.raises(LayoutError):
+        hermitian_block_eigenvalues(m, [1, 1])
 
 
 def test_schmidt_weights_of_bell_pair():
@@ -136,7 +181,7 @@ def test_schmidt_weights_of_bell_pair():
     ck = CoordKet(
         layout, np.array([[0, 0], [1, 1]]), np.array([1.0, 1.0]) / math.sqrt(2.0)
     )
-    assert np.allclose(schmidt_weights(ck, ("a",))[:2], [0.5, 0.5], atol=1e-15)
+    assert np.allclose(schmidt_weights(ck, ("a",), np.zeros(2))[:2], [0.5, 0.5], atol=1e-15)
 
 
 def test_scenario_pipeline_sparse_equals_dense():
@@ -157,6 +202,7 @@ def test_scenario_pipeline_sparse_equals_dense():
                 rho, kept_dims, kept_labels = reduced_gram(ck, bp.kept)
                 a_pos = [i for i, lbl in enumerate(kept_labels) if lbl in bp.party_a]
                 ours = hermitian_block_eigenvalues(
-                    partial_transpose_sparse(rho, kept_dims, a_pos)
+                    partial_transpose_sparse(rho, kept_dims, a_pos),
+                    kept_charges(kept_dims, kept_labels, bp.party_a),
                 )
                 assert np.max(np.abs(ours - ref_eigs)) < 1e-12

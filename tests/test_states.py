@@ -15,6 +15,7 @@ from accelpair import (
     scenario_layout,
     tensor,
 )
+from accelpair.states import kept_charges
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -210,3 +211,14 @@ def test_coordinate_states_match_dense_states():
 def test_coordinate_builder_rejects_fermions():
     with pytest.raises(DomainError):
         build_final_state_coords(Scenario("fermion", "one", 0.3))
+
+
+@pytest.mark.parametrize("accelerated", ["one", "both"])
+def test_coordinate_states_carry_zero_charge(accelerated):
+    ck, _ = build_final_state_coords(Scenario("scalar", accelerated, 0.8, cutoff=6))
+    dims, labels = ck.layout.dims, ck.layout.labels
+    charge = kept_charges(dims, labels)
+    assert np.all(charge[np.ravel_multi_index(ck.occupations.T, dims)] == 0)
+    # flipping a label reverses its sign: s_p alone carries +n, flipped -n
+    assert kept_charges((3,), ("s_p",)).tolist() == [0, 1, 2]
+    assert kept_charges((3,), ("s_p",), {"s_p"}).tolist() == [0, -1, -2]
