@@ -92,8 +92,11 @@ class FermionCoefficients:
 
 
 def mu2_from_field(params: FieldParams) -> float:
-    """Dimensionless pair-production parameter mu2 = m^2 / (2 E)."""
-    return params.m**2 / (2.0 * params.E)
+    """Dimensionless pair-production parameter mu2 = m^2 / (2 E); DomainError if it overflows."""
+    mu2 = params.m * params.m / (2.0 * params.E)
+    if not math.isfinite(mu2):
+        raise DomainError(f"mu2 = m^2 / (2 E) overflows for m = {params.m}, E = {params.E}")
+    return mu2
 
 
 def scalar_coefficients(mu2: float) -> ScalarCoefficients:

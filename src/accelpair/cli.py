@@ -91,8 +91,8 @@ class SweepConfig:
             raise DomainError("fermion grids must stay within [0, pi/2]")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise DomainError(f"tolerance must be finite and positive, got {self.convergence_tol}")
-        if not 4 <= self.cutoff <= CUTOFF_CAP:
-            raise DomainError(f"cutoff must lie in [4, {CUTOFF_CAP}], got {self.cutoff}")
+        if not 4 <= self.cutoff < CUTOFF_CAP:  # the ladder must be able to double at least once
+            raise DomainError(f"cutoff must lie in [4, {CUTOFF_CAP - 1}], got {self.cutoff}")
 
     @property
     def statistics(self) -> str:

@@ -6,10 +6,11 @@ occupation basis states once the truncation cutoff grows, so the dense
 This module mirrors the dense operations on a coordinate representation
 (occupation tuples plus amplitudes):
 
-* reduced density matrices as scipy.sparse Gram products,
-* partial transposition as an index permutation of sparse coordinates,
+* reduced density matrices as Gram products on (row, col, value) arrays,
+* partial transposition as an index permutation of those coordinates,
 * Hermitian eigenvalues sector by sector over a conserved integer charge
-  that the caller supplies, with tridiagonal sectors solved in one call.
+  that the caller supplies, with tridiagonal sectors solved in one call,
+* Schmidt spectra from the charge blocks of the amplitude matrix.
 
 Every function here is cross-checked against the dense pipeline in the test
 suite; results agree to machine precision on layouts where both run.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DomainError, LayoutError
@@ -30,6 +30,7 @@ from .fock import DEFAULT_AMPLITUDE_LIMIT, Ket, SubsystemLayout
 
 __all__ = [
     "CoordKet",
+    "CoordMatrix",
     "normalize_coords",
     "reduced_gram",
     "partial_transpose_sparse",
@@ -84,6 +85,30 @@ class CoordKet:
         return np.ravel_multi_index(cols, dims) if cols else np.zeros(len(self.values), np.int64)
 
 
+@dataclass(frozen=True)
+class CoordMatrix:
+    """Matrix stored as unique (row, col) entries; absent entries are zero."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
+def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of ``keys`` and the start of each run of equal keys in it."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(first)
+
+
 def normalize_coords(k: CoordKet) -> tuple[CoordKet, float]:
     """Unit-norm copy plus the norm deficit, as :func:`accelpair.fock.normalize`."""
     n2 = k.norm_squared()
@@ -94,13 +119,15 @@ def normalize_coords(k: CoordKet) -> tuple[CoordKet, float]:
 
 def reduced_gram(
     k: CoordKet, keep: Iterable[str]
-) -> tuple[sp.csr_matrix, tuple[int, ...], tuple[str, ...]]:
-    """Reduced density matrix over ``keep`` as a sparse Gram product.
+) -> tuple[CoordMatrix, tuple[int, ...], tuple[str, ...]]:
+    """Reduced density matrix over ``keep`` as a coordinate Gram product.
 
     Tracing the complement of ``keep`` out of |k><k| is the Gram matrix
     B B^dagger of the amplitude matrix B[kept index, traced index]; the huge
-    outer product is never formed.  Returns (rho, kept dims, kept labels),
-    kept sub-modes in layout order.
+    outer product is never formed.  Each entry of B is paired with every
+    entry sharing its traced index, and the products are summed per
+    (row, col) in ascending traced index.  Returns (rho, kept dims, kept
+    labels), kept sub-modes in layout order.
     """
     keep_set = set(keep)
     if not keep_set:
@@ -110,56 +137,67 @@ def reduced_gram(
     traced_pos = [i for i in range(len(layout.dims)) if i not in keep_pos]
     kept_dims = tuple(layout.dims[p] for p in keep_pos)
     kept_labels = tuple(layout.labels[p] for p in keep_pos)
-    rows = k._ravel(keep_pos)
-    cols = k._ravel(traced_pos)
     n_keep = math.prod(kept_dims)
-    n_traced = math.prod(layout.dims[p] for p in traced_pos) if traced_pos else 1
-    b = sp.coo_matrix((k.values, (rows, cols)), shape=(n_keep, n_traced)).tocsr()
-    rho = (b @ b.conj().T).tocsr()
-    rho.sum_duplicates()
-    return rho, kept_dims, kept_labels
+    order, starts = _key_groups(k._ravel(traced_pos))
+    rows, vals = k._ravel(keep_pos)[order], k.values[order]
+    size = np.diff(starts, append=rows.size)
+    reps = np.repeat(size, size)  # per entry, the size of its traced group
+    left = np.repeat(np.arange(rows.size), reps)
+    # Pair t of entry e has right = group start + (t - first pair of e).
+    right = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps - np.repeat(starts, size), reps)
+    keys = rows[left] * n_keep + rows[right]
+    prods = vals[left] * vals[right].conj()
+    del left, right
+    order, starts = _key_groups(keys)
+    sums = np.add.reduceat(prods[order], starts)
+    gram_rows, gram_cols = np.divmod(keys[order[starts]], n_keep)
+    return CoordMatrix((n_keep, n_keep), gram_rows, gram_cols, sums), kept_dims, kept_labels
 
 
 def partial_transpose_sparse(
-    rho: sp.spmatrix, kept_dims: Sequence[int], a_positions: Sequence[int]
-) -> sp.coo_matrix:
+    rho: CoordMatrix, kept_dims: Sequence[int], a_positions: Sequence[int]
+) -> CoordMatrix:
     """Partial transpose by permuting coordinates; a bijection on entries."""
-    coo = rho.tocoo()
-    row_occ = np.array(np.unravel_index(coo.row, kept_dims))
-    col_occ = np.array(np.unravel_index(coo.col, kept_dims))
+    row_occ = np.array(np.unravel_index(rho.rows, kept_dims))
+    col_occ = np.array(np.unravel_index(rho.cols, kept_dims))
     for p in a_positions:
         row_occ[p], col_occ[p] = col_occ[p].copy(), row_occ[p].copy()
     rows = np.ravel_multi_index(tuple(row_occ), kept_dims)
     cols = np.ravel_multi_index(tuple(col_occ), kept_dims)
-    return sp.coo_matrix((coo.data, (rows, cols)), shape=rho.shape)
+    return CoordMatrix(rho.shape, rows, cols, rho.vals)
 
 
-def hermitian_block_eigenvalues(mat: sp.spmatrix, charge: Sequence[int]) -> np.ndarray:
-    """All eigenvalues, ascending, of a sparse Hermitian matrix conserving ``charge``.
+def hermitian_block_eigenvalues(mat: CoordMatrix, charge: Sequence[int]) -> np.ndarray:
+    """All eigenvalues, ascending, of a Hermitian coordinate matrix conserving ``charge``.
 
     ``charge`` holds one integer per state; an entry coupling two charges is a
     DomainError.  If the charge-sorted matrix is tridiagonal, all sectors go
     to one real tridiagonal solve (|e| is a diagonal unitary similarity);
     otherwise each sector is solved densely over the states it touches.
     """
-    m = mat.tocsr()
-    m.sum_duplicates()
-    n = m.shape[0]
+    n = mat.shape[0]
     charge = np.asarray(charge)
     if charge.shape != (n,):
         raise LayoutError(f"expected {n} charges, got shape {charge.shape}")
-    if m.nnz == 0:
-        return np.zeros(n)
-    scale = max(1.0, float(np.abs(m).max()))
-    defect = float(np.abs(m - m.getH()).max())
+    # Entries of M and of M^H sorted together: per (row, col) the sum of the
+    # two halves is M + M^H, their difference M - M^H.
+    scale = max(1.0, float(np.abs(mat.vals).max(initial=0.0)))
+    keys = np.concatenate([mat.rows * n + mat.cols, mat.cols * n + mat.rows])
+    order, starts = _key_groups(keys)
+    both = np.concatenate([mat.vals, mat.vals.conj()])[order]
+    total = np.add.reduceat(both, starts)
+    np.negative(both, out=both, where=order >= mat.vals.size)
+    defect = float(np.abs(np.add.reduceat(both, starts)).max(initial=0.0))
     if defect > _HERMITICITY_TOL * scale:
         raise DomainError(f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance")
-    m = ((m + m.getH()) * 0.5).tocoo()
+    stored = total != 0
+    rows, cols = np.divmod(keys[order[starts[stored]]], n)
+    vals = total[stored] * 0.5
 
     order = np.argsort(charge, kind="stable")
     place = np.empty(n, dtype=np.int64)
     place[order] = np.arange(n)
-    rows, cols, vals = place[m.row], place[m.col], m.data
+    rows, cols = place[rows], place[cols]
     sector = charge[order]
     if np.any(sector[rows] != sector[cols]):
         raise DomainError("matrix couples states of different charge")
@@ -173,17 +211,47 @@ def hermitian_block_eigenvalues(mat: sp.spmatrix, charge: Sequence[int]) -> np.n
         e[rows[above]] = np.abs(vals[above])
         return eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
 
-    sorted_m = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     touched = np.unique(rows)  # Hermitian storage: every touched column is a touched row
     eigs = [np.zeros(n - touched.size)]  # untouched states are zero rows and columns
     for q in np.unique(sector[touched]):
         states = touched[sector[touched] == q]
-        eigs.append(np.linalg.eigvalsh(sorted_m[states][:, states].toarray()))
+        in_q = sector[rows] == q
+        block = np.zeros((states.size, states.size), dtype=vals.dtype)
+        block[np.searchsorted(states, rows[in_q]), np.searchsorted(states, cols[in_q])] = vals[in_q]
+        eigs.append(np.linalg.eigvalsh(block))
     return np.sort(np.concatenate(eigs))
 
 
 def schmidt_weights(k: CoordKet, party_a: Iterable[str], charge: Sequence[int]) -> np.ndarray:
-    """Eigenvalues of rho over ``party_a`` (one ``charge`` per state), descending, >= 0."""
-    rho_a, _, _ = reduced_gram(k, party_a)
-    lam = hermitian_block_eigenvalues(rho_a, charge)
-    return np.clip(lam, 0.0, None)[::-1]
+    """Eigenvalues of rho over ``party_a``, descending, >= 0, one per party-A state.
+
+    ``charge`` holds one integer per party-A state.  The amplitude matrix
+    B[party-A index, party-B index] is split by party-A charge, and each
+    sector's weights are the eigenvalues of the smaller Gram matrix of its
+    dense block; the rest of the spectrum is zero.  A party-B state that
+    meets two charges would couple sectors of rho: a DomainError.
+    """
+    layout = k.layout
+    a_pos = sorted(layout.position(lbl) for lbl in set(party_a))
+    b_pos = [i for i in range(len(layout.dims)) if i not in a_pos]
+    dim_a = math.prod(layout.dims[p] for p in a_pos)
+    charge = np.asarray(charge)
+    if charge.shape != (dim_a,):
+        raise LayoutError(f"expected {dim_a} charges, got shape {charge.shape}")
+    rows, cols = k._ravel(a_pos), k._ravel(b_pos)
+    q = charge[rows]
+    order, starts = _key_groups(cols)
+    q_by_b = q[order]
+    if np.any(np.maximum.reduceat(q_by_b, starts) != np.minimum.reduceat(q_by_b, starts)):
+        raise DomainError("a party-B state couples two party-A charges")
+    eigs = []
+    for sector in np.unique(q):
+        in_q = q == sector
+        a_states, a_idx = np.unique(rows[in_q], return_inverse=True)
+        b_states, b_idx = np.unique(cols[in_q], return_inverse=True)
+        block = np.zeros((a_states.size, b_states.size), dtype=np.complex128)
+        block[a_idx, b_idx] = k.values[in_q]
+        small = block @ block.conj().T if a_states.size <= b_states.size else block.conj().T @ block
+        eigs.append(np.linalg.eigvalsh(small))
+    eigs.append(np.zeros(dim_a - sum(e.size for e in eigs)))
+    return np.clip(np.sort(np.concatenate(eigs)), 0.0, None)[::-1]

@@ -10,6 +10,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from accelpair.sparse import CoordMatrix
+
+
+def coord_matrix(dense):
+    """The nonzero entries of a dense matrix as a CoordMatrix."""
+    dense = np.asarray(dense)
+    rows, cols = np.nonzero(dense)
+    return CoordMatrix(dense.shape, rows, cols, dense[rows, cols])
+
 
 def jacobi_hermitian_eigenvalues(mat, sweeps=100, tol=1e-14):
     """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi rotations.

@@ -24,6 +24,12 @@ def test_mu2_from_field_values():
     assert mu2_from_field(FieldParams(m=2.0, E=1.0)) == 2.0
 
 
+@pytest.mark.parametrize("m,E", [(1e200, 1e-200), (1.0, 1e-310)])
+def test_mu2_from_field_rejects_overflow(m, E):
+    with pytest.raises(DomainError):
+        mu2_from_field(FieldParams(m=m, E=E))
+
+
 @pytest.mark.parametrize("m,E", [(1.0, 0.0), (1.0, -2.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
 def test_field_params_rejects_bad_inputs(m, E):
     with pytest.raises(DomainError):

@@ -319,7 +319,7 @@ def test_main_exit_code_for_non_convergence(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--tol", "nan"], ["--tol", "inf"], ["--cutoff", "500"], ["--cutoff", "2"]],
+    [["--tol", "nan"], ["--tol", "inf"], ["--cutoff", "500"], ["--cutoff", "2"], ["--cutoff", "128"]],
 )
 def test_main_rejects_bad_tolerance_and_cutoff(tmp_path, capsys, flags):
     csv_path = tmp_path / "bad.csv"
@@ -331,7 +331,9 @@ def test_main_rejects_bad_tolerance_and_cutoff(tmp_path, capsys, flags):
 
 def test_cutoff_range_ends_are_accepted():
     assert SweepConfig(scenario="scalar-one", cutoff=4).cutoff == 4
-    assert SweepConfig(scenario="scalar-one", cutoff=CUTOFF_CAP).cutoff == CUTOFF_CAP
+    assert SweepConfig(scenario="scalar-one", cutoff=CUTOFF_CAP - 1).cutoff == CUTOFF_CAP - 1
+    with pytest.raises(DomainError):
+        SweepConfig(scenario="scalar-one", cutoff=CUTOFF_CAP)  # the ladder could never double
 
 
 def test_main_convert_reports(capsys):
@@ -340,6 +342,13 @@ def test_main_convert_reports(capsys):
     assert "mu2               1" in out
     assert "r_f" in out
     assert "unitarity residual" in out
+
+
+@pytest.mark.parametrize("mass,field", [("1e200", "1e-200"), ("1", "1e-310")])
+def test_main_convert_rejects_overflowing_mu2(capsys, mass, field):
+    assert main(["convert", "--mass", mass, "--field", field]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mu2")
 
 
 def test_main_help_exits_cleanly():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from accelpair import (
@@ -28,7 +28,7 @@ from accelpair.sparse import (
 )
 from accelpair.states import kept_charges
 
-from oracles import graph_block_eigenvalues
+from oracles import coord_matrix, graph_block_eigenvalues
 
 
 def random_coord_ket(rng, n_entries=10):
@@ -80,6 +80,18 @@ def test_reduced_gram_matches_dense_reduced_density():
             assert np.max(np.abs(rho.toarray() - ref.entries)) < 1e-14
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.sets(st.sampled_from("abcd"), min_size=2))
+@settings(max_examples=200, deadline=None)
+def test_coordinate_gram_matches_dense_on_large_traced_groups(seed, n_entries, keep):
+    # 16 basis states: with two or three labels kept, traced groups hold up to 4 or 8 entries
+    ck = random_coord_ket(np.random.default_rng(seed), n_entries)
+    rho, kept_dims, kept_labels = reduced_gram(ck, keep)
+    rest = [lbl for lbl in ck.layout.labels if lbl not in keep]
+    ref = reduced_density(ck.to_ket(), Bipartition({kept_labels[0]}, set(kept_labels[1:]), set(rest)))
+    assert rho.shape == ref.entries.shape
+    assert np.max(np.abs(rho.toarray() - ref.entries)) < 1e-14
+
+
 def test_partial_transpose_sparse_matches_dense():
     rng = np.random.default_rng(29)
     ck = random_coord_ket(rng)
@@ -94,7 +106,7 @@ def test_partial_transpose_sparse_matches_dense():
         # transposed results agree to round-off, not bit-for-bit
         assert np.max(np.abs(ours - theirs)) < 1e-14
         # on identical input data the two transposes are the same permutation
-        same_input = partial_transpose_sparse(sp.csr_matrix(ref.entries), kept_dims, a_pos)
+        same_input = partial_transpose_sparse(coord_matrix(ref.entries), kept_dims, a_pos)
         assert np.array_equal(same_input.toarray(), theirs)
 
 
@@ -111,7 +123,7 @@ def test_block_eigenvalues_match_dense_solver():
         at += k
     perm = rng.permutation(10)
     full = full[np.ix_(perm, perm)]
-    ours = hermitian_block_eigenvalues(sp.csr_matrix(full), np.zeros(10, dtype=int))
+    ours = hermitian_block_eigenvalues(coord_matrix(full), np.zeros(10, dtype=int))
     assert np.max(np.abs(ours - np.linalg.eigvalsh(full))) < 1e-12
     assert np.max(np.abs(ours - graph_block_eigenvalues(sp.csr_matrix(full)))) < 1e-12
     assert len(ours) == 10
@@ -120,21 +132,30 @@ def test_block_eigenvalues_match_dense_solver():
 
 def test_block_eigenvalues_keep_purely_imaginary_couplings():
     # a coupling with zero real part must still bind its block together
-    m = sp.csr_matrix(np.array([[0.0, 1j], [-1j, 0.0]]))
+    m = coord_matrix(np.array([[0.0, 1j], [-1j, 0.0]]))
     assert np.allclose(hermitian_block_eigenvalues(m, np.zeros(2)), [-1.0, 1.0], atol=1e-14)
 
 
 def test_block_eigenvalues_count_isolated_states():
-    m = sp.csr_matrix((5, 5), dtype=complex)
+    m = coord_matrix(np.zeros((5, 5), dtype=complex))
     assert np.array_equal(hermitian_block_eigenvalues(m, np.zeros(5)), np.zeros(5))
-    m = sp.csr_matrix(np.diag([0.25, 0.0, 0.75]).astype(complex))
+    m = coord_matrix(np.diag([0.25, 0.0, 0.75]).astype(complex))
     assert np.allclose(hermitian_block_eigenvalues(m, np.zeros(3)), [0.0, 0.25, 0.75])
 
 
 def test_block_eigenvalues_reject_non_hermitian():
-    m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    m = coord_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DomainError):
         hermitian_block_eigenvalues(m, np.zeros(2))
+
+
+def test_hermiticity_gate_on_entry_without_transposed_partner():
+    # (0, 1) is stored and (1, 0) is not, so the defect there is the entry itself
+    tiny = coord_matrix(np.array([[1.0, 1e-11], [0.0, 1.0]]))
+    ours = hermitian_block_eigenvalues(tiny, np.zeros(2))
+    assert np.allclose(ours, [1.0 - 5e-12, 1.0 + 5e-12], rtol=0.0, atol=1e-15)
+    with pytest.raises(DomainError):
+        hermitian_block_eigenvalues(coord_matrix(np.array([[1.0, 1e-9], [0.0, 1.0]])), np.zeros(2))
 
 
 def random_charge_conserving(rng, n, chain):
@@ -161,14 +182,14 @@ def random_charge_conserving(rng, n, chain):
 @settings(max_examples=200, deadline=None)
 def test_charge_sectors_match_graph_oracle_and_dense(seed, n, chain):
     mat, charge = random_charge_conserving(np.random.default_rng(seed), n, chain)
-    ours = hermitian_block_eigenvalues(sp.csr_matrix(mat), charge)
+    ours = hermitian_block_eigenvalues(coord_matrix(mat), charge)
     assert ours.shape == (n,)
     assert np.max(np.abs(ours - graph_block_eigenvalues(sp.csr_matrix(mat)))) < 1e-12
     assert np.max(np.abs(ours - np.linalg.eigvalsh(mat))) < 1e-12
 
 
 def test_block_eigenvalues_reject_coupling_across_sectors():
-    m = sp.csr_matrix(np.array([[0.5, 0.1j, 0.0], [-0.1j, 0.5, 0.0], [0.0, 0.0, 0.0]]))
+    m = coord_matrix(np.array([[0.5, 0.1j, 0.0], [-0.1j, 0.5, 0.0], [0.0, 0.0, 0.0]]))
     assert np.allclose(hermitian_block_eigenvalues(m, [1, 1, 0]), [0.0, 0.4, 0.6])
     with pytest.raises(DomainError):
         hermitian_block_eigenvalues(m, [1, 0, 1])
@@ -182,6 +203,45 @@ def test_schmidt_weights_of_bell_pair():
         layout, np.array([[0, 0], [1, 1]]), np.array([1.0, 1.0]) / math.sqrt(2.0)
     )
     assert np.allclose(schmidt_weights(ck, ("a",), np.zeros(2))[:2], [0.5, 0.5], atol=1e-15)
+
+
+def test_schmidt_weights_reject_party_b_state_in_two_sectors():
+    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    ck = CoordKet(layout, np.array([[0, 0], [1, 0]]), np.array([0.6, 0.8]))
+    assert np.allclose(schmidt_weights(ck, ("a",), [0, 0]), [1.0, 0.0], atol=1e-15)
+    with pytest.raises(DomainError):
+        schmidt_weights(ck, ("a",), [0, 1])
+    with pytest.raises(LayoutError):
+        schmidt_weights(ck, ("a",), [0])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_sector_schmidt_weights_match_dense_eigvalsh(seed, n_party_a):
+    rng = np.random.default_rng(seed)
+    layout = SubsystemLayout(
+        (boson_mode("a", 3), fermion_mode("b"), boson_mode("c", 3), fermion_mode("d"))
+    )
+    dims = layout.dims
+    a_pos = sorted(rng.choice(len(dims), size=n_party_a, replace=False).tolist())
+    b_pos = [i for i in range(len(dims)) if i not in a_pos]
+    dim_a = math.prod(dims[p] for p in a_pos)
+    dim_b = math.prod(dims[p] for p in b_pos)
+    # populate only (A, B) pairs of equal charge, so every B state sees one A charge
+    charge_a = rng.integers(0, 3, size=dim_a)
+    charge_b = rng.integers(0, 3, size=dim_b)
+    pairs = np.argwhere((charge_a[:, None] == charge_b[None, :]) & (rng.random((dim_a, dim_b)) < 0.6))
+    assume(len(pairs) > 0)
+    occ = np.zeros((len(pairs), len(dims)), dtype=int)
+    occ[:, a_pos] = np.array(np.unravel_index(pairs[:, 0], [dims[p] for p in a_pos])).T
+    occ[:, b_pos] = np.array(np.unravel_index(pairs[:, 1], [dims[p] for p in b_pos])).T
+    val = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
+    ck = CoordKet(layout, occ, val / np.linalg.norm(val))
+    x = ck.to_ket().amplitudes.reshape(dims).transpose(a_pos + b_pos).reshape(dim_a, dim_b)
+    ref = np.clip(np.linalg.eigvalsh(x @ x.conj().T), 0.0, None)[::-1]
+    ours = schmidt_weights(ck, [layout.labels[p] for p in a_pos], charge_a)
+    assert ours.shape == (dim_a,)
+    assert np.max(np.abs(ours - ref)) < 1e-14
 
 
 def test_scenario_pipeline_sparse_equals_dense():
