@@ -16,9 +16,10 @@ that way and reports how well the unitarity relation is satisfied.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -128,49 +129,17 @@ def fermion_coefficients(mu2: float) -> FermionCoefficients:
     return FermionCoefficients(mu2=mu2, alpha_mag=alpha, beta_mag=beta, r_f=math.asin(beta))
 
 
-# Lanczos approximation (Godfrey's 15-term coefficient set, g = 607/128).
-# Relative accuracy is ~5e-14 on the right half-plane; the reflection formula
-# extends it to Re z < 1/2.  Verified against the closed-form identities
-# |Gamma(1/2+iy)|^2 = pi/cosh(pi*y) and |Gamma(iy)|^2 = pi/(y*sinh(pi*y))
-# for y up to 120.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
 def complex_gamma(z: complex) -> complex:
-    """Gamma function on the complex plane, poles excluded.
+    """Gamma function on the complex plane, poles excluded, as exp(loggamma(z))."""
+    # imported here: scipy.special costs each start-up ~3 MB and ~20 ms
+    from scipy.special import loggamma
 
-    Self-contained Lanczos evaluation; no special-function library involved.
-    """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("gamma argument must be finite")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise DomainError(f"gamma pole at non-positive integer {z.real:g}")
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    w = z - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * series
+    return complex(np.exp(loggamma(z)))
 
 
 def gamma_pathway_alpha(mu2: float, statistics: str) -> float:

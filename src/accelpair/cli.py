@@ -124,12 +124,6 @@ class SweepTable:
     rows: list[SweepRow] = field(default_factory=list)
 
     @property
-    def param_label(self) -> str:
-        if self.config.mu2_grid:
-            return "mu2"
-        return "r_f" if self.config.statistics == "fermion" else "r"
-
-    @property
     def all_converged(self) -> bool:
         return all(r.converged for r in self.rows)
 
@@ -142,25 +136,18 @@ def _squeeze_from_param(cfg: SweepConfig, param: float) -> float:
     return scalar_coefficients(param).r
 
 
-def _evaluate_fermion_point(cfg: SweepConfig, param: float) -> SweepRow:
-    squeeze = _squeeze_from_param(cfg, param)
-    res = evaluate_scenario(Scenario("fermion", cfg.accelerated, squeeze))
-    ln = {name: sr.log_negativity for name, sr in res.systems.items()}
-    min_pt = {name: sr.min_pt_eigenvalue for name, sr in res.systems.items()}
-    closed = {name: closed_form_ln(cfg.scenario, name, squeeze) for name in ln}
-    return SweepRow(param, squeeze, ln, min_pt, closed, res.deficit, 0, True)
-
-
-def _evaluate_scalar_point(cfg: SweepConfig, param: float) -> SweepRow:
+def _evaluate_point(cfg: SweepConfig, param: float) -> SweepRow:
+    """One grid point; scalar points climb the cutoff ladder until LN is stable."""
     squeeze = _squeeze_from_param(cfg, param)
 
     def at_cutoff(n: int):
-        return evaluate_scenario(Scenario("scalar", cfg.accelerated, squeeze, cutoff=n))
+        return evaluate_scenario(Scenario(cfg.statistics, cfg.accelerated, squeeze, cutoff=n))
 
     cutoff = cfg.cutoff
     res = at_cutoff(cutoff)
-    converged = False
-    while True:
+    fermion = cfg.statistics == "fermion"  # exact states: no ladder
+    converged = fermion
+    while not converged:
         larger = min(2 * cutoff, CUTOFF_CAP)
         if larger == cutoff:
             break  # cap reached without passing the stability test
@@ -170,19 +157,19 @@ def _evaluate_scalar_point(cfg: SweepConfig, param: float) -> SweepRow:
             for name in res.systems
         )
         cutoff, res = larger, res_larger
-        if delta < cfg.convergence_tol:
-            converged = True
-            break
+        converged = delta < cfg.convergence_tol
     ln = {name: sr.log_negativity for name, sr in res.systems.items()}
     min_pt = {name: sr.min_pt_eigenvalue for name, sr in res.systems.items()}
+    if fermion:
+        closed = {name: closed_form_ln(cfg.scenario, name, squeeze) for name in ln}
+        return SweepRow(param, squeeze, ln, min_pt, closed, res.deficit, 0, True)
     return SweepRow(param, squeeze, ln, min_pt, None, res.deficit, cutoff, converged)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepTable:
     """Evaluate every grid point, in grid order."""
     grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
-    point = _evaluate_fermion_point if cfg.statistics == "fermion" else _evaluate_scalar_point
-    rows = [point(cfg, p) for p in grid]
+    rows = [_evaluate_point(cfg, p) for p in grid]
     probe = Scenario(cfg.statistics, cfg.accelerated, 0.0)
     systems = tuple(named_bipartitions(probe).keys())
     return SweepTable(cfg, systems, rows)

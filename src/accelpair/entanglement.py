@@ -1,16 +1,18 @@
 """Negativity and logarithmic negativity over bipartitions of scenario states.
 
-Conventions: the negativity is the absolute sum of the negative eigenvalues
-of the partial transpose (equivalently (trace norm - 1)/2), and
-LN = log2(2 N + 1).  Eigenvalues above -1e-12 count as zero so that
-truncation and round-off never masquerade as entanglement.  The scalar
-antiparticle bipartitions report an exact 0 without that threshold: their
-partial transposes have no negative eigenvalue (at cutoff 120 and
-r in {0.3, 0.9, 1.2} the smallest is >= 0, e.g. +7.5e-37 for "a,a" at r = 1.2).
+The negativity N is the absolute sum of the partial transpose's negative
+eigenvalues, (trace norm - 1)/2, and LN = log2(2 N + 1).  Eigenvalues above
+-1e-12 count as zero, so round-off never masquerades as entanglement; for
+scalar-one "s,p" that drops 1.0-2.6e-12 of genuine negativity at
+r in {0.3, 0.9, 1.2}.  The scalar antiparticle systems need no threshold:
+their smallest partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 
-Reduced systems carry the conventional names: "s,p" pairs the inert s mode
-with the w particles, "p,p" pairs the particles of both accelerated modes,
-and so on; "full" keeps every sub-mode, split s side vs w side.
+:func:`evaluate_scenario` runs all four scenarios through the two-branch
+pipeline of :mod:`accelpair.sparse`.  The dense functions here are the
+reference route it is tested against.  Reduced systems carry conventional
+names: "s,p" pairs the inert s mode with the w particles, "p,p" pairs the
+particles of both accelerated modes, and so on; "full" keeps every
+sub-mode, split s side vs w side.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .sparse import (
     reduced_gram,
     schmidt_weights,
 )
-from .states import Scenario, build_final_state, build_final_state_coords, kept_charges
+from .states import Scenario, build_final_state_coords, kept_charges
 
 __all__ = [
     "NEGATIVE_EIGENVALUE_TOL",
@@ -260,29 +262,18 @@ def _result_from_eigenvalues(eigs: np.ndarray) -> SystemResult:
 def evaluate_scenario(sc: Scenario) -> ScenarioResult:
     """Build the scenario state and compute LN for each named bipartition.
 
-    Fermionic scenarios run through the dense pipeline (their layouts have at
-    most 16 states).  Scalar scenarios run through the coordinate pipeline so
-    that large truncation cutoffs stay tractable; the two pipelines agree to
-    machine precision (see the test suite).  Pure-state untraced bipartitions
-    ("full") are evaluated from the Schmidt spectrum.
+    All four scenarios run through one two-branch coordinate pipeline
+    (:mod:`accelpair.sparse`): each traced system's partial transpose is
+    solved as charge-sector chains, and the untraced "full" system comes
+    from its Schmidt weights, the two branch norms.  The dense pipeline in
+    this module is the reference it is tested against.
     """
-    systems = named_bipartitions(sc)
-    results: dict[str, SystemResult] = {}
-    if sc.is_fermion:
-        ket, deficit = build_final_state(sc)
-        for name, bp in systems.items():
-            rho = reduced_density(ket, bp)
-            eigs = hermitian_eigenvalues(partial_transpose(rho, bp.party_a))
-            results[name] = _result_from_eigenvalues(eigs)
-        return ScenarioResult(sc, deficit, results)
-
     ck, deficit = build_final_state_coords(sc)
-    for name, bp in systems.items():
+    results: dict[str, SystemResult] = {}
+    for name, bp in named_bipartitions(sc).items():
         bp.check_layout(ck.layout.labels)
         if not bp.traced:
-            a_layout = ck.layout.restricted(bp.party_a)
-            weights = schmidt_weights(ck, bp.party_a, kept_charges(a_layout.dims, a_layout.labels))
-            ln, neg, min_eig = _ln_from_schmidt(weights)
+            ln, neg, min_eig = _ln_from_schmidt(schmidt_weights(ck, bp.party_a))
             results[name] = SystemResult(ln, neg, min_eig)
             continue
         rho, kept_dims, kept_labels = reduced_gram(ck, bp.kept)

@@ -115,9 +115,6 @@ class SubsystemLayout:
                 return i
         raise LayoutError(f"unknown sub-mode label {label!r}; layout has {self.labels}")
 
-    def positions(self, labels: Iterable[str]) -> list[int]:
-        return [self.position(lbl) for lbl in labels]
-
     def restricted(self, labels: Iterable[str]) -> "SubsystemLayout":
         """Sub-layout of the given labels, preserving this layout's order."""
         wanted = set(labels)

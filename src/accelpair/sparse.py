@@ -1,19 +1,14 @@
-"""Coordinate-form state algebra for large bosonic layouts.
+"""Two-branch coordinate algebra for the scenario states.
 
-The scalar scenario states occupy only O(cutoff^2) of the up-to ~10^8 joint
-occupation basis states once the truncation cutoff grows, so the dense
-:mod:`accelpair.fock` objects become wasteful long before they become wrong.
-This module mirrors the dense operations on a coordinate representation
-(occupation tuples plus amplitudes):
-
-* reduced density matrices as Gram products on (row, col, value) arrays,
-* partial transposition as an index permutation of those coordinates,
-* Hermitian eigenvalues sector by sector over a conserved integer charge
-  that the caller supplies, with tridiagonal sectors solved in one call,
-* Schmidt spectra from the charge blocks of the amplitude matrix.
-
-Every function here is cross-checked against the dense pipeline in the test
-suite; results agree to machine precision on layouts where both run.
+Every scenario state is (vacuum branch + one-particle branch)/sqrt(2), each
+branch a product over modes.  A :class:`CoordKet` stores the populated
+occupation tuples with their amplitudes and branches; nothing dense is
+formed.  A traced system's reduced density matrix is a diagonal plus one
+cross term a0 conj(a1) per traced index that both branches populate, so it is
+Hermitian by construction, and its partial transpose permutes the cross terms
+only.  Sorted by a conserved charge, every sector is a chain, and one LAPACK
+``dsterf`` call solves them all.  The untraced system's Schmidt weights are
+the two branch norms.  Input outside this structure is a DomainError.
 """
 
 from __future__ import annotations
@@ -23,14 +18,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 from .errors import DomainError, LayoutError
 from .fock import DEFAULT_AMPLITUDE_LIMIT, Ket, SubsystemLayout
 
 __all__ = [
     "CoordKet",
-    "CoordMatrix",
+    "HermitianCoords",
     "normalize_coords",
     "reduced_gram",
     "partial_transpose_sparse",
@@ -39,29 +34,37 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-_HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class CoordKet:
-    """Pure state stored as distinct occupation tuples with their amplitudes."""
+    """Pure state stored as distinct occupation tuples, amplitudes and branches.
+
+    ``branch`` is 0 (vacuum branch) or 1 (one-particle branch) per entry; the
+    state is the sum of all entries.
+    """
 
     layout: SubsystemLayout
     occupations: np.ndarray  # (nnz, n_modes) integer occupation tuples, unique rows
     values: np.ndarray  # (nnz,) complex amplitudes
+    branch: np.ndarray  # (nnz,) 0 or 1
 
     def __post_init__(self) -> None:
         occ = np.asarray(self.occupations, dtype=np.int64)
         val = np.asarray(self.values, dtype=np.complex128).reshape(-1)
+        branch = np.asarray(self.branch, dtype=np.int64).reshape(-1)
         object.__setattr__(self, "occupations", occ)
         object.__setattr__(self, "values", val)
+        object.__setattr__(self, "branch", branch)
         dims = self.layout.dims
         if occ.ndim != 2 or occ.shape[1] != len(dims):
             raise LayoutError(f"occupation array shape {occ.shape} does not match layout")
-        if occ.shape[0] != val.shape[0]:
-            raise LayoutError("occupations and values disagree on entry count")
+        if not occ.shape[0] == val.shape[0] == branch.shape[0]:
+            raise LayoutError("occupations, values and branches disagree on entry count")
         if occ.size and (occ.min() < 0 or np.any(occ >= np.asarray(dims))):
             raise LayoutError("occupation out of range for its sub-mode dimension")
+        if np.any((branch != 0) & (branch != 1)):
+            raise LayoutError("every entry's branch must be 0 or 1")
         if not (np.all(np.isfinite(val.real)) and np.all(np.isfinite(val.imag))):
             raise DomainError("ket amplitudes must be finite")
         if self.norm_squared() > 1.0 + _NORM_TOL:
@@ -76,37 +79,38 @@ class CoordKet:
         if n > dense_limit:
             raise LayoutError(f"refusing to densify {n} amplitudes (limit {dense_limit})")
         amps = np.zeros(n, dtype=np.complex128)
-        amps[self._ravel(range(len(self.layout.dims)))] = self.values
+        np.add.at(amps, self._ravel(range(len(self.layout.dims))), self.values)
         return Ket(self.layout, amps)
 
     def _ravel(self, positions: Sequence[int]) -> np.ndarray:
-        dims = [self.layout.dims[p] for p in positions]
+        dims = self.layout.dims
         cols = [self.occupations[:, p] for p in positions]
-        return np.ravel_multi_index(cols, dims) if cols else np.zeros(len(self.values), np.int64)
+        if not cols:
+            return np.zeros(len(self.values), np.int64)
+        return np.ravel_multi_index(cols, [dims[p] for p in positions])
 
 
 @dataclass(frozen=True)
-class CoordMatrix:
-    """Matrix stored as unique (row, col) entries; absent entries are zero."""
+class HermitianCoords:
+    """Hermitian matrix diag(diag) + C + C^H, C's entries stored off the diagonal.
 
-    shape: tuple[int, int]
+    C is the list of (row, col, val) cross terms; entries at one position add.
+    """
+
+    diag: np.ndarray  # (n,) real
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diag.size, self.diag.size)
+
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.vals.dtype)
-        out[self.rows, self.cols] = self.vals
+        out = np.diag(self.diag).astype(np.complex128)
+        np.add.at(out, (self.rows, self.cols), self.vals)
+        np.add.at(out, (self.cols, self.rows), self.vals.conj())
         return out
-
-
-def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of ``keys`` and the start of each run of equal keys in it."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return order, np.flatnonzero(first)
 
 
 def normalize_coords(k: CoordKet) -> tuple[CoordKet, float]:
@@ -114,144 +118,111 @@ def normalize_coords(k: CoordKet) -> tuple[CoordKet, float]:
     n2 = k.norm_squared()
     if n2 <= 0.0:
         raise DomainError("cannot normalize a zero ket")
-    return CoordKet(k.layout, k.occupations, k.values / math.sqrt(n2)), 1.0 - n2
+    return CoordKet(k.layout, k.occupations, k.values / math.sqrt(n2), k.branch), 1.0 - n2
+
+
+def _entry_at(k: CoordKet, traced: np.ndarray, branch: int, size: int) -> np.ndarray:
+    """Per traced index, the branch's entry there (-1 where absent); DomainError on two."""
+    entries = np.flatnonzero(k.branch == branch)
+    slot = np.full(size, -1, dtype=np.int64)
+    slot[traced[entries]] = entries
+    if (slot[traced[entries]] != entries).any():
+        raise DomainError(f"branch {branch} has two entries at one traced index")
+    return slot
 
 
 def reduced_gram(
     k: CoordKet, keep: Iterable[str]
-) -> tuple[CoordMatrix, tuple[int, ...], tuple[str, ...]]:
-    """Reduced density matrix over ``keep`` as a coordinate Gram product.
+) -> tuple[HermitianCoords, tuple[int, ...], tuple[str, ...]]:
+    """Reduced density matrix over ``keep``, built from the ket's two branches.
 
-    Tracing the complement of ``keep`` out of |k><k| is the Gram matrix
-    B B^dagger of the amplitude matrix B[kept index, traced index]; the huge
-    outer product is never formed.  Each entry of B is paired with every
-    entry sharing its traced index, and the products are summed per
-    (row, col) in ascending traced index.  Returns (rho, kept dims, kept
-    labels), kept sub-modes in layout order.
+    With at most one entry per branch at each traced index, tracing the
+    complement of ``keep`` out of |k><k| leaves each entry's a conj(a) on the
+    diagonal at its kept index, and a0 conj(a1) at (k0, k1) wherever both
+    branches populate a traced index.  Returns (rho, kept dims, kept labels),
+    kept sub-modes in layout order.
     """
     keep_set = set(keep)
     if not keep_set:
         raise LayoutError("reduced_gram requires a non-empty set of kept labels")
-    layout = k.layout
+    layout, dims = k.layout, k.layout.dims
     keep_pos = sorted(layout.position(lbl) for lbl in keep_set)
-    traced_pos = [i for i in range(len(layout.dims)) if i not in keep_pos]
-    kept_dims = tuple(layout.dims[p] for p in keep_pos)
+    traced_pos = [i for i in range(len(dims)) if i not in keep_pos]
+    kept_dims = tuple(dims[p] for p in keep_pos)
     kept_labels = tuple(layout.labels[p] for p in keep_pos)
-    n_keep = math.prod(kept_dims)
-    order, starts = _key_groups(k._ravel(traced_pos))
-    rows, vals = k._ravel(keep_pos)[order], k.values[order]
-    size = np.diff(starts, append=rows.size)
-    reps = np.repeat(size, size)  # per entry, the size of its traced group
-    left = np.repeat(np.arange(rows.size), reps)
-    # Pair t of entry e has right = group start + (t - first pair of e).
-    right = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps - np.repeat(starts, size), reps)
-    keys = rows[left] * n_keep + rows[right]
-    prods = vals[left] * vals[right].conj()
-    del left, right
-    order, starts = _key_groups(keys)
-    sums = np.add.reduceat(prods[order], starts)
-    gram_rows, gram_cols = np.divmod(keys[order[starts]], n_keep)
-    return CoordMatrix((n_keep, n_keep), gram_rows, gram_cols, sums), kept_dims, kept_labels
+    rows, traced, vals = k._ravel(keep_pos), k._ravel(traced_pos), k.values
+    diag = np.bincount(rows, (vals * vals.conj()).real, math.prod(kept_dims))
+    size = math.prod(dims[p] for p in traced_pos)
+    slot0, slot1 = _entry_at(k, traced, 0, size), _entry_at(k, traced, 1, size)
+    both = (slot0 >= 0) & (slot1 >= 0)
+    first, second = slot0[both], slot1[both]
+    if (rows[first] == rows[second]).any():
+        raise DomainError("the two branches share an occupation tuple")
+    rho = HermitianCoords(diag, rows[first], rows[second], vals[first] * vals[second].conj())
+    return rho, kept_dims, kept_labels
 
 
 def partial_transpose_sparse(
-    rho: CoordMatrix, kept_dims: Sequence[int], a_positions: Sequence[int]
-) -> CoordMatrix:
-    """Partial transpose by permuting coordinates; a bijection on entries."""
+    rho: HermitianCoords, kept_dims: Sequence[int], a_positions: Sequence[int]
+) -> HermitianCoords:
+    """Partial transpose: the diagonal stays, the cross terms swap party A's coordinates."""
     row_occ = np.array(np.unravel_index(rho.rows, kept_dims))
     col_occ = np.array(np.unravel_index(rho.cols, kept_dims))
     for p in a_positions:
         row_occ[p], col_occ[p] = col_occ[p].copy(), row_occ[p].copy()
     rows = np.ravel_multi_index(tuple(row_occ), kept_dims)
     cols = np.ravel_multi_index(tuple(col_occ), kept_dims)
-    return CoordMatrix(rho.shape, rows, cols, rho.vals)
+    return HermitianCoords(rho.diag, rows, cols, rho.vals)
 
 
-def hermitian_block_eigenvalues(mat: CoordMatrix, charge: Sequence[int]) -> np.ndarray:
-    """All eigenvalues, ascending, of a Hermitian coordinate matrix conserving ``charge``.
+def hermitian_block_eigenvalues(mat: HermitianCoords, charge: Sequence[int]) -> np.ndarray:
+    """All eigenvalues, ascending, of a Hermitian matrix whose charge sectors are chains.
 
-    ``charge`` holds one integer per state; an entry coupling two charges is a
-    DomainError.  If the charge-sorted matrix is tridiagonal, all sectors go
-    to one real tridiagonal solve (|e| is a diagonal unitary similarity);
-    otherwise each sector is solved densely over the states it touches.
+    ``charge`` holds one integer per state.  States are stable-sorted by
+    charge; every cross term must then couple two neighbouring states of one
+    sector, else DomainError.  The sorted matrix is tridiagonal, and |e| (a
+    diagonal unitary similarity) goes with the diagonal to one ``dsterf``.
     """
     n = mat.shape[0]
     charge = np.asarray(charge)
     if charge.shape != (n,):
         raise LayoutError(f"expected {n} charges, got shape {charge.shape}")
-    # Entries of M and of M^H sorted together: per (row, col) the sum of the
-    # two halves is M + M^H, their difference M - M^H.
-    scale = max(1.0, float(np.abs(mat.vals).max(initial=0.0)))
-    keys = np.concatenate([mat.rows * n + mat.cols, mat.cols * n + mat.rows])
-    order, starts = _key_groups(keys)
-    both = np.concatenate([mat.vals, mat.vals.conj()])[order]
-    total = np.add.reduceat(both, starts)
-    np.negative(both, out=both, where=order >= mat.vals.size)
-    defect = float(np.abs(np.add.reduceat(both, starts)).max(initial=0.0))
-    if defect > _HERMITICITY_TOL * scale:
-        raise DomainError(f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance")
-    stored = total != 0
-    rows, cols = np.divmod(keys[order[starts[stored]]], n)
-    vals = total[stored] * 0.5
-
     order = np.argsort(charge, kind="stable")
     place = np.empty(n, dtype=np.int64)
     place[order] = np.arange(n)
-    rows, cols = place[rows], place[cols]
+    rows, cols = place[mat.rows], place[mat.cols]
     sector = charge[order]
-    if np.any(sector[rows] != sector[cols]):
+    if (sector[rows] != sector[cols]).any():
         raise DomainError("matrix couples states of different charge")
-
-    if np.all(np.abs(rows - cols) <= 1):
-        d = np.zeros(n)
-        e = np.zeros(n - 1)
-        on = rows == cols
-        d[rows[on]] = vals[on].real
-        above = cols == rows + 1
-        e[rows[above]] = np.abs(vals[above])
-        return eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-
-    touched = np.unique(rows)  # Hermitian storage: every touched column is a touched row
-    eigs = [np.zeros(n - touched.size)]  # untouched states are zero rows and columns
-    for q in np.unique(sector[touched]):
-        states = touched[sector[touched] == q]
-        in_q = sector[rows] == q
-        block = np.zeros((states.size, states.size), dtype=vals.dtype)
-        block[np.searchsorted(states, rows[in_q]), np.searchsorted(states, cols[in_q])] = vals[in_q]
-        eigs.append(np.linalg.eigvalsh(block))
-    return np.sort(np.concatenate(eigs))
+    if (np.abs(rows - cols) != 1).any():
+        raise DomainError("a charge sector is not a chain")
+    if n == 1:
+        return mat.diag.astype(float)
+    upper = np.zeros(n - 1, dtype=np.complex128)
+    np.add.at(upper, np.minimum(rows, cols), np.where(rows < cols, mat.vals, mat.vals.conj()))
+    eigs, info = dsterf(mat.diag[order], np.abs(upper), overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise DomainError(f"dsterf failed to converge (info {info})")
+    return eigs
 
 
-def schmidt_weights(k: CoordKet, party_a: Iterable[str], charge: Sequence[int]) -> np.ndarray:
-    """Eigenvalues of rho over ``party_a``, descending, >= 0, one per party-A state.
+def schmidt_weights(k: CoordKet, party_a: Iterable[str]) -> np.ndarray:
+    """Nonzero eigenvalues of rho over ``party_a``: the two branch norms, descending.
 
-    ``charge`` holds one integer per party-A state.  The amplitude matrix
-    B[party-A index, party-B index] is split by party-A charge, and each
-    sector's weights are the eigenvalues of the smaller Gram matrix of its
-    dense block; the rest of the spectrum is zero.  A party-B state that
-    meets two charges would couple sectors of rho: a DomainError.
+    Each branch must be a product across the cut, as every scenario branch
+    is; then the branches, which share no state on either side of the cut,
+    are the two Schmidt terms and the rest of the spectrum is zero.  A state
+    that both branches populate on one side is a DomainError.
     """
     layout = k.layout
     a_pos = sorted(layout.position(lbl) for lbl in set(party_a))
     b_pos = [i for i in range(len(layout.dims)) if i not in a_pos]
-    dim_a = math.prod(layout.dims[p] for p in a_pos)
-    charge = np.asarray(charge)
-    if charge.shape != (dim_a,):
-        raise LayoutError(f"expected {dim_a} charges, got shape {charge.shape}")
-    rows, cols = k._ravel(a_pos), k._ravel(b_pos)
-    q = charge[rows]
-    order, starts = _key_groups(cols)
-    q_by_b = q[order]
-    if np.any(np.maximum.reduceat(q_by_b, starts) != np.minimum.reduceat(q_by_b, starts)):
-        raise DomainError("a party-B state couples two party-A charges")
-    eigs = []
-    for sector in np.unique(q):
-        in_q = q == sector
-        a_states, a_idx = np.unique(rows[in_q], return_inverse=True)
-        b_states, b_idx = np.unique(cols[in_q], return_inverse=True)
-        block = np.zeros((a_states.size, b_states.size), dtype=np.complex128)
-        block[a_idx, b_idx] = k.values[in_q]
-        small = block @ block.conj().T if a_states.size <= b_states.size else block.conj().T @ block
-        eigs.append(np.linalg.eigvalsh(small))
-    eigs.append(np.zeros(dim_a - sum(e.size for e in eigs)))
-    return np.clip(np.sort(np.concatenate(eigs)), 0.0, None)[::-1]
+    one = k.branch == 1
+    for pos in (a_pos, b_pos):
+        side = k._ravel(pos)
+        seen = np.zeros(math.prod(layout.dims[p] for p in pos), dtype=bool)
+        seen[side[~one]] = True
+        if seen[side[one]].any():
+            raise DomainError("the two branches share a state on one side of the cut")
+    weights = np.bincount(k.branch, np.abs(k.values) ** 2, 2)
+    return np.sort(weights)[::-1]

@@ -19,6 +19,7 @@ the norm deficit is reported; fermionic states are exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +83,17 @@ class Scenario:
             raise DomainError(f"fermion squeeze must be <= pi/2, got {self.squeeze}")
         if not math.isfinite(self.phase):
             raise DomainError("phase must be finite")
-        if self.statistics == "scalar" and self.cutoff < 4:
-            raise DomainError(f"scalar scenarios need cutoff >= 4, got {self.cutoff}")
+        if self.statistics == "scalar":
+            if self.cutoff < 4:
+                raise DomainError(f"scalar scenarios need cutoff >= 4, got {self.cutoff}")
+            _cosh_squared(self.squeeze)  # DomainError where the weights would overflow
 
     @property
     def is_fermion(self) -> bool:
         return self.statistics == "fermion"
 
 
-def _pair_layout(mode: str, cutoff: int, statistics: str, max_amplitudes=None) -> SubsystemLayout:
+def _pair_layout(mode: str, cutoff: int, statistics: str) -> SubsystemLayout:
     # One-particle bosonic amplitudes reach occupation cutoff+1, so the
     # particle sub-mode gets one extra level; sharing the layout between the
     # vacuum and one-particle expansions keeps them superposable.
@@ -98,9 +101,7 @@ def _pair_layout(mode: str, cutoff: int, statistics: str, max_amplitudes=None) -
         modes = (fermion_mode(f"{mode}_p"), fermion_mode(f"{mode}_a"))
     else:
         modes = (boson_mode(f"{mode}_p", cutoff + 1), boson_mode(f"{mode}_a", cutoff))
-    if max_amplitudes is None:
-        return SubsystemLayout(modes)
-    return SubsystemLayout(modes, max_amplitudes=max_amplitudes)
+    return SubsystemLayout(modes)
 
 
 def scenario_layout(sc: Scenario, max_amplitudes: int | None = None) -> SubsystemLayout:
@@ -126,9 +127,17 @@ def _vacuum_weights(r: float, cutoff: int) -> np.ndarray:
     return np.tanh(r) ** n / math.cosh(r)
 
 
+def _cosh_squared(r: float) -> float:
+    """cosh(r)^2; DomainError where it overflows (r above ~355)."""
+    try:
+        return math.cosh(r) ** 2
+    except OverflowError:
+        raise DomainError(f"squeeze r = {r} overflows cosh(r)^2") from None
+
+
 def _one_particle_weights(r: float, cutoff: int) -> np.ndarray:
     n = np.arange(cutoff + 1)
-    return np.sqrt(n + 1.0) * np.tanh(r) ** n / math.cosh(r) ** 2
+    return np.sqrt(n + 1.0) * np.tanh(r) ** n / _cosh_squared(r)
 
 
 def _check_scalar_args(r: float, cutoff: int) -> None:
@@ -136,6 +145,7 @@ def _check_scalar_args(r: float, cutoff: int) -> None:
         raise DomainError(f"squeeze parameter must be finite and >= 0, got {r}")
     if cutoff < 1:
         raise DomainError(f"cutoff must be >= 1, got {cutoff}")
+    _cosh_squared(r)
 
 
 def _scalar_pair_array(weights: np.ndarray, cutoff: int, particle_shift: int) -> np.ndarray:
@@ -213,43 +223,43 @@ def build_final_state(sc: Scenario, max_amplitudes: int | None = None) -> tuple[
 
 
 def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:
-    """Scalar scenario state in coordinate form (no dense allocation).
+    """Scenario state in coordinate form, vacuum branch 0 and one-particle branch 1.
 
-    Holds only the O(cutoff^2) populated occupation tuples, so arbitrary
-    truncation cutoffs stay cheap.  Amplitudes match
-    :func:`build_final_state` exactly where both can run.
+    Holds only the populated occupation tuples (O(cutoff^2) for scalars), so
+    arbitrary truncation cutoffs stay cheap.  Amplitudes and deficit match
+    :func:`build_final_state` where both can run: scalar states are
+    renormalized, fermionic states are exact and keep deficit 0.
     """
-    if sc.is_fermion:
-        raise DomainError("coordinate construction is for scalar scenarios; fermionic layouts are tiny")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    c = _vacuum_weights(sc.squeeze, sc.cutoff)
-    d = _one_particle_weights(sc.squeeze, sc.cutoff)
-    n = np.arange(sc.cutoff + 1)
-    # The amplitude limit guards dense allocations; the coordinate form never
-    # makes one, so size the layout to whatever the cutoff implies.
-    pair_dim = (sc.cutoff + 2) * (sc.cutoff + 1)
-    total = pair_dim * pair_dim if sc.accelerated == "both" else 2 * pair_dim
-    layout = scenario_layout(sc, max_amplitudes=max(total, DEFAULT_AMPLITUDE_LIMIT))
-    if sc.accelerated == "one":
-        zeros = np.zeros_like(n)
-        occ = np.concatenate(
-            [
-                np.stack([zeros, n, n], axis=1),  # |0_s> (x) vacuum branch
-                np.stack([zeros + 1, n + 1, n], axis=1),  # |1_s> (x) one-particle branch
-            ]
-        )
-        val = np.concatenate([c, d]) * inv_sqrt2
+    # vacuum weights c_n of |n_p, n_a>, one-particle weights d_n of |(n+1)_p, n_a>
+    if sc.is_fermion:
+        c = np.array([math.cos(sc.squeeze) * np.exp(-1j * sc.phase), -math.sin(sc.squeeze)])
+        d = np.ones(1)
     else:
-        ns, nw = np.meshgrid(n, n, indexing="ij")
+        c, d = _vacuum_weights(sc.squeeze, sc.cutoff), _one_particle_weights(sc.squeeze, sc.cutoff)
+    nc, nd = np.arange(c.size), np.arange(d.size)
+    # The amplitude limit guards dense allocations, which this form never makes.
+    layout = scenario_layout(sc, max_amplitudes=sys.maxsize)
+    if sc.accelerated == "one":
+        vac, one = c, d
         occ = np.concatenate(
             [
-                np.stack([ns, ns, nw, nw], axis=-1).reshape(-1, 4),
-                np.stack([ns + 1, ns, nw + 1, nw], axis=-1).reshape(-1, 4),
+                np.stack([np.zeros_like(nc), nc, nc], axis=1),  # |0_s> (x) vacuum
+                np.stack([np.ones_like(nd), nd + 1, nd], axis=1),  # |1_s> (x) one particle
             ]
         )
-        val = np.concatenate([np.outer(c, c).ravel(), np.outer(d, d).ravel()]) * inv_sqrt2
+    else:
+        vac, one = np.outer(c, c).ravel(), np.outer(d, d).ravel()
+        cs, cw = np.divmod(np.arange(vac.size), c.size)  # row-major (s, w) index pairs
+        ds, dw = np.divmod(np.arange(one.size), d.size)
+        occ = np.concatenate(
+            [np.stack([cs, cs, cw, cw], axis=1), np.stack([ds + 1, ds, dw + 1, dw], axis=1)]
+        )
+    val = np.concatenate([vac, one]) * inv_sqrt2
+    branch = np.repeat([0, 1], [vac.size, one.size])
     populated = val != 0.0  # keep the stored support tight (r = 0, underflow)
-    return normalize_coords(CoordKet(layout, occ[populated], val[populated]))
+    ck = CoordKet(layout, occ[populated], val[populated], branch[populated])
+    return (ck, 0.0) if sc.is_fermion else normalize_coords(ck)
 
 
 def kept_charges(dims: tuple[int, ...], labels: tuple[str, ...], flipped=frozenset()) -> np.ndarray:

@@ -10,15 +10,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from accelpair.sparse import CoordMatrix
-
-
-def coord_matrix(dense):
-    """The nonzero entries of a dense matrix as a CoordMatrix."""
-    dense = np.asarray(dense)
-    rows, cols = np.nonzero(dense)
-    return CoordMatrix(dense.shape, rows, cols, dense[rows, cols])
-
 
 def jacobi_hermitian_eigenvalues(mat, sweeps=100, tol=1e-14):
     """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi rotations.
@@ -94,6 +85,54 @@ def graph_block_eigenvalues(mat):
         block = m[members][:, members].toarray()
         eigs.extend(np.linalg.eigvalsh(block))
     return np.sort(np.array(eigs))
+
+
+def sparse_pt_eigenvalues(occupations, values, dims, keep, party_a):
+    """Partial-transpose spectrum of a traced pure state, by scipy.sparse.
+
+    ``occupations`` and ``values`` are the populated tuples of the state over
+    ``dims``; ``keep`` lists the kept positions in layout order and
+    ``party_a`` the positions, within ``keep``, of party A.  rho = B B^H with
+    B[kept index, traced index], the partial transpose swaps party A's
+    coordinates of every stored entry, and graph_block_eigenvalues solves it.
+    """
+    occ = np.asarray(occupations)
+    traced = [p for p in range(len(dims)) if p not in keep]
+    kept_dims = [dims[p] for p in keep]
+    traced_dims = [dims[p] for p in traced]
+    b = sp.csr_matrix(
+        (values, (np.ravel_multi_index(occ[:, keep].T, kept_dims),
+                  np.ravel_multi_index(occ[:, traced].T, traced_dims))),
+        shape=(math.prod(kept_dims), math.prod(traced_dims)),
+    )  # fmt: skip
+    rho = (b @ b.conj().T).tocoo()
+    row_occ = np.array(np.unravel_index(rho.row, kept_dims))
+    col_occ = np.array(np.unravel_index(rho.col, kept_dims))
+    row_occ[party_a], col_occ[party_a] = col_occ[party_a], row_occ[party_a]
+    rows = np.ravel_multi_index(tuple(row_occ), kept_dims)
+    cols = np.ravel_multi_index(tuple(col_occ), kept_dims)
+    return graph_block_eigenvalues(sp.coo_matrix((rho.data, (rows, cols)), shape=rho.shape))
+
+
+def scalar_one_sp_negativity(r, terms=4000, threshold=1e-12):
+    """N(s,p) of the untruncated scalar-one state, summed over 2x2 blocks.
+
+    With c_n = tanh^n r / cosh r and d_n = sqrt(n+1) tanh^n r / cosh^2 r,
+    block n of rho^{T_s} couples (1, n) and (0, n+1): diagonal d_{n-1}^2/2
+    and c_{n+1}^2/2, coupling c_n d_n / 2, determinant -tanh^{4n} r /
+    (4 cosh^6 r) (Fuentes-Schuller & Mann, PRL 95, 120404 (2005)).  As in
+    the library, a block's negative eigenvalue above -threshold counts as 0.
+    """
+    n = np.arange(terms + 1)
+    t, ch = math.tanh(r), math.cosh(r)
+    c = t**n / ch
+    d = np.sqrt(n + 1.0) * t**n / ch**2
+    a = np.concatenate([[0.0], d[: terms - 1]]) ** 2 / 2.0
+    b = c[1:] ** 2 / 2.0
+    upper = (a + b) / 2.0 + np.hypot((a - b) / 2.0, c[:terms] * d[:terms] / 2.0)
+    det = -(t ** (4.0 * n[:terms])) / (4.0 * ch**6)
+    lower = np.divide(det, upper, out=np.zeros(terms), where=upper > 0.0)  # 0/0 past underflow
+    return float(-lower[lower < -threshold].sum())
 
 
 def brute_force_partial_transpose(entries, dims, a_positions):

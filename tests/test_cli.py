@@ -329,6 +329,14 @@ def test_main_rejects_bad_tolerance_and_cutoff(tmp_path, capsys, flags):
     assert not csv_path.exists()
 
 
+def test_main_rejects_overflowing_scalar_squeeze(tmp_path, capsys):
+    csv_path = tmp_path / "big.csv"
+    argv = ["sweep", "--scenario", "scalar-one", "--max", "400", "--steps", "2", "--csv", str(csv_path)]
+    assert main(argv) == 1
+    assert "error: squeeze r = 400.0 overflows cosh(r)^2" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_cutoff_range_ends_are_accepted():
     assert SweepConfig(scenario="scalar-one", cutoff=4).cutoff == 4
     assert SweepConfig(scenario="scalar-one", cutoff=CUTOFF_CAP - 1).cutoff == CUTOFF_CAP - 1

@@ -28,7 +28,7 @@ from accelpair import (
     tensor,
 )
 
-from oracles import random_pure_amplitudes, trace_norm_negativity
+from oracles import random_pure_amplitudes, scalar_one_sp_negativity, trace_norm_negativity
 
 HALF_PI = math.pi / 2
 
@@ -255,6 +255,19 @@ def test_scalar_antiparticle_systems_are_ppt():
     res = evaluate_scenario(Scenario("scalar", "one", 0.5, cutoff=25))
     assert res.systems["s,a"].log_negativity == 0.0
     assert res.systems["s,a"].min_pt_eigenvalue >= -1e-10
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9, 1.2])
+def test_scalar_one_matches_infinite_cutoff_series(r):
+    series = scalar_one_sp_negativity(r)
+    at = {n: evaluate_scenario(Scenario("scalar", "one", r, cutoff=n)).systems for n in (30, 60, 120)}
+    assert abs(at[120]["s,p"].negativity - series) < 1e-15
+    if r == 1.2:  # the truncation shows at cutoff 30, so the check has teeth
+        assert abs(at[30]["s,p"].negativity - series) > 1e-6
+    # s,a is PPT at every cutoff: each 2x2 block's determinant is >= 0
+    for systems in at.values():
+        assert systems["s,a"].min_pt_eigenvalue >= 0.0
+        assert systems["s,a"].negativity == 0.0
 
 
 def test_ppt_negativity_is_positive_zero():

@@ -208,9 +208,30 @@ def test_coordinate_states_match_dense_states():
             assert np.max(np.abs(coords.to_ket().amplitudes - dense.amplitudes)) < 1e-15
 
 
-def test_coordinate_builder_rejects_fermions():
-    with pytest.raises(DomainError):
-        build_final_state_coords(Scenario("fermion", "one", 0.3))
+def test_coordinate_fermion_states_match_dense_states():
+    for acc in ("one", "both"):
+        for r_f in (0.0, 0.4, math.pi / 2):
+            for phase in (0.0, 0.7):
+                sc = Scenario("fermion", acc, r_f, phase=phase)
+                dense, _ = build_final_state(sc)
+                coords, deficit = build_final_state_coords(sc)
+                assert deficit == 0.0
+                assert np.max(np.abs(coords.to_ket().amplitudes - dense.amplitudes)) < 1e-15
+                # branch 1 holds the s mode's extra particle
+                occ = coords.occupations
+                excess = occ[:, 0] - occ[:, 1] if acc == "both" else occ[:, 0]
+                assert np.array_equal(excess, coords.branch)
+
+
+def test_scalar_squeeze_overflowing_cosh_squared_is_a_domain_error():
+    Scenario("scalar", "one", 350.0)  # cosh(r)^2 ~ 1e304 is still finite
+    for r in (356.0, 400.0, 800.0):
+        with pytest.raises(DomainError, match="overflows"):
+            Scenario("scalar", "one", r)
+        with pytest.raises(DomainError, match="overflows"):
+            scalar_out_one(r, 4)
+        with pytest.raises(DomainError, match="overflows"):
+            scalar_out_vacuum(r, 4)
 
 
 @pytest.mark.parametrize("accelerated", ["one", "both"])
