@@ -4,8 +4,8 @@
 bipartition of a scenario over a grid of squeeze parameters (or, with
 ``--mu2``, of field parameters mu2 that are first converted to squeeze
 values).  Scalar grid points iterate cutoff doubling until the LN values
-stabilize.  ``accelpair convert`` reports the Bogoliubov data for one (m, E)
-pair.
+stabilize with a truncation deficit below the same tolerance.  ``accelpair
+convert`` reports the Bogoliubov data for one (m, E) pair.
 
 Exit codes: 0 success, 1 domain/configuration error, 2 I/O error,
 3 sweep completed but at least one grid point failed to converge.
@@ -30,7 +30,13 @@ from .bogoliubov import (
     scalar_coefficients,
     verify_unitarity,
 )
-from .entanglement import closed_form_ln, evaluate_scenario, named_bipartitions
+from .entanglement import (
+    SweepPlan,
+    closed_form_ln,
+    evaluate_scenario,
+    named_bipartitions,
+    sweep_plan,
+)
 from .errors import DomainError, LayoutError
 from .states import Scenario
 from .svg import Curve, render_line_plot
@@ -136,12 +142,18 @@ def _squeeze_from_param(cfg: SweepConfig, param: float) -> float:
     return scalar_coefficients(param).r
 
 
-def _evaluate_point(cfg: SweepConfig, param: float) -> SweepRow:
-    """One grid point; scalar points climb the cutoff ladder until LN is stable."""
+def _evaluate_point(cfg: SweepConfig, param: float, plans: dict[int, SweepPlan]) -> SweepRow:
+    """One grid point; scalar points climb the cutoff ladder until LN is stable.
+
+    ``plans`` holds the sweep's plan of each cutoff, and gains those it lacks.
+    """
     squeeze = _squeeze_from_param(cfg, param)
 
     def at_cutoff(n: int):
-        return evaluate_scenario(Scenario(cfg.statistics, cfg.accelerated, squeeze, cutoff=n))
+        sc = Scenario(cfg.statistics, cfg.accelerated, squeeze, cutoff=n)
+        if n not in plans:
+            plans[n] = sweep_plan(sc)
+        return evaluate_scenario(sc, plans[n])
 
     cutoff = cfg.cutoff
     res = at_cutoff(cutoff)
@@ -157,7 +169,8 @@ def _evaluate_point(cfg: SweepConfig, param: float) -> SweepRow:
             for name in res.systems
         )
         cutoff, res = larger, res_larger
-        converged = delta < cfg.convergence_tol
+        # LN also stops moving once the truncation has lost the whole norm
+        converged = delta < cfg.convergence_tol and res.deficit < cfg.convergence_tol
     ln = {name: sr.log_negativity for name, sr in res.systems.items()}
     min_pt = {name: sr.min_pt_eigenvalue for name, sr in res.systems.items()}
     if fermion:
@@ -169,7 +182,8 @@ def _evaluate_point(cfg: SweepConfig, param: float) -> SweepRow:
 def run_sweep(cfg: SweepConfig) -> SweepTable:
     """Evaluate every grid point, in grid order."""
     grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
-    rows = [_evaluate_point(cfg, p) for p in grid]
+    plans: dict[int, SweepPlan] = {}  # by cutoff, for this sweep only
+    rows = [_evaluate_point(cfg, p, plans) for p in grid]
     probe = Scenario(cfg.statistics, cfg.accelerated, 0.0)
     systems = tuple(named_bipartitions(probe).keys())
     return SweepTable(cfg, systems, rows)

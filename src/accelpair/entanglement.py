@@ -8,8 +8,11 @@ r in {0.3, 0.9, 1.2}.  The scalar antiparticle systems need no threshold:
 their smallest partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 
 :func:`evaluate_scenario` runs all four scenarios through the two-branch
-pipeline of :mod:`accelpair.sparse`.  The dense functions here are the
-reference route it is tested against.  Reduced systems carry conventional
+pipeline of :mod:`accelpair.sparse`, on a :class:`SweepPlan` that holds the
+squeeze-independent index structure (its docstring says which checks run
+when the plan is built and which per point).  The per-state functions of
+:mod:`accelpair.sparse` and the dense functions here are the reference
+routes it is tested against.  Reduced systems carry conventional
 names: "s,p" pairs the inert s mode with the w particles, "p,p" pairs the
 particles of both accelerated modes, and so on; "full" keeps every
 sub-mode, split s side vs w side.
@@ -25,13 +28,8 @@ import numpy as np
 
 from .errors import DomainError, LayoutError
 from .fock import DensityMatrix, Ket, hermitian_eigenvalues
-from .sparse import (
-    hermitian_block_eigenvalues,
-    partial_transpose_sparse,
-    reduced_gram,
-    schmidt_weights,
-)
-from .states import Scenario, build_final_state_coords, kept_charges
+from .sparse import ChainPlan, cut_sides, plan_chain
+from .states import Scenario, kept_charges, scenario_amplitudes, scenario_support
 
 __all__ = [
     "NEGATIVE_EIGENVALUE_TOL",
@@ -45,6 +43,8 @@ __all__ = [
     "named_bipartitions",
     "SystemResult",
     "ScenarioResult",
+    "SweepPlan",
+    "sweep_plan",
     "evaluate_scenario",
 ]
 
@@ -259,26 +259,63 @@ def _result_from_eigenvalues(eigs: np.ndarray) -> SystemResult:
     )
 
 
-def evaluate_scenario(sc: Scenario) -> ScenarioResult:
-    """Build the scenario state and compute LN for each named bipartition.
+@dataclass(frozen=True)
+class SweepPlan:
+    """Index structure of one (statistics, accelerated, cutoff): each system's
+    :class:`~accelpair.sparse.ChainPlan`, None for the untraced "full" system,
+    whose Schmidt weights are the norms of the branches in ``branch``."""
 
-    All four scenarios run through one two-branch coordinate pipeline
-    (:mod:`accelpair.sparse`): each traced system's partial transpose is
-    solved as charge-sector chains, and the untraced "full" system comes
-    from its Schmidt weights, the two branch norms.  The dense pipeline in
-    this module is the reference it is tested against.
-    """
-    ck, deficit = build_final_state_coords(sc)
-    results: dict[str, SystemResult] = {}
+    key: tuple[str, str, int | None]
+    branch: np.ndarray
+    systems: Mapping[str, ChainPlan | None]
+
+
+def _plan_key(sc: Scenario) -> tuple[str, str, int | None]:
+    return sc.statistics, sc.accelerated, None if sc.is_fermion else sc.cutoff
+
+
+def sweep_plan(sc: Scenario) -> SweepPlan:
+    """The plan of every scenario with ``sc``'s statistics, accelerated modes and cutoff."""
+    layout, occ, branch = scenario_support(sc)
+    systems: dict[str, ChainPlan | None] = {}
     for name, bp in named_bipartitions(sc).items():
-        bp.check_layout(ck.layout.labels)
+        bp.check_layout(layout.labels)
         if not bp.traced:
-            ln, neg, min_eig = _ln_from_schmidt(schmidt_weights(ck, bp.party_a))
-            results[name] = SystemResult(ln, neg, min_eig)
+            cut_sides(layout, occ, branch, bp.party_a)
+            systems[name] = None
             continue
-        rho, kept_dims, kept_labels = reduced_gram(ck, bp.kept)
-        a_pos = [i for i, lbl in enumerate(kept_labels) if lbl in bp.party_a]
-        pt = partial_transpose_sparse(rho, kept_dims, a_pos)
-        eigs = hermitian_block_eigenvalues(pt, kept_charges(kept_dims, kept_labels, bp.party_a))
-        results[name] = _result_from_eigenvalues(eigs)
+        kept = layout.restricted(bp.kept)
+        charge = kept_charges(kept.dims, kept.labels, bp.party_a)
+        systems[name] = plan_chain(layout, occ, branch, bp.kept, bp.party_a, charge)
+    return SweepPlan(_plan_key(sc), branch, systems)
+
+
+def evaluate_scenario(sc: Scenario, plan: SweepPlan | None = None) -> ScenarioResult:
+    """Compute LN for each named bipartition of the scenario state.
+
+    ``plan`` is :func:`sweep_plan` of ``sc`` (built here if not given); a
+    sweep builds one per cutoff.  Its build runs every structural check once,
+    on the whole support: a branch with two entries at one traced index,
+    branches sharing a tuple, a cross term coupling two charges, a sector
+    that is not a chain, two cross terms on one chain edge, branches sharing
+    a state on one side of the "full" cut.  Per point, the amplitudes are
+    checked (finite, norm at most 1 + 1e-12) and renormalized, the norm
+    summed over the nonzero entries only; zero entries stay in the support
+    and change no sum.  Each traced system then takes one ``bincount``, one
+    gather and one ``dsterf`` (DomainError if it fails), and "full" the two
+    branch norms.
+    """
+    if plan is None:
+        plan = sweep_plan(sc)
+    elif plan.key != _plan_key(sc):
+        raise DomainError(f"plan for {plan.key} does not fit scenario {_plan_key(sc)}")
+    val, deficit = scenario_amplitudes(sc)
+    weights = (val * val.conj()).real
+    results: dict[str, SystemResult] = {}
+    for name, chain in plan.systems.items():
+        if chain is None:
+            norms = np.sort(np.bincount(plan.branch, np.abs(val) ** 2, 2))[::-1]
+            results[name] = SystemResult(*_ln_from_schmidt(norms))
+        else:
+            results[name] = _result_from_eigenvalues(chain.eigenvalues(weights, val))
     return ScenarioResult(sc, deficit, results)

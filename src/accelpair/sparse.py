@@ -9,6 +9,11 @@ Hermitian by construction, and its partial transpose permutes the cross terms
 only.  Sorted by a conserved charge, every sector is a chain, and one LAPACK
 ``dsterf`` call solves them all.  The untraced system's Schmidt weights are
 the two branch norms.  Input outside this structure is a DomainError.
+
+:func:`plan_chain` builds this index structure once per support and runs
+the structural checks there, on every entry, zero amplitudes included; per
+state, :meth:`ChainPlan.eigenvalues` is one bincount, one gather and one
+``dsterf``.  The per-state functions, the reference route, share its helpers.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from .fock import DEFAULT_AMPLITUDE_LIMIT, Ket, SubsystemLayout
 __all__ = [
     "CoordKet",
     "HermitianCoords",
-    "normalize_coords",
+    "ChainPlan",
+    "norm_squared",
+    "plan_chain",
+    "cut_sides",
     "reduced_gram",
     "partial_transpose_sparse",
     "hermitian_block_eigenvalues",
@@ -34,6 +42,31 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+_PRODUCT_TOL = 1e-12  # of the largest entry squared, per 2x2 minor through it
+
+
+def norm_squared(values: np.ndarray) -> float:
+    """Squared norm over the nonzero amplitudes, in order (zeros would regroup
+    the pairwise ``np.sum``); DomainError if non-finite or above 1."""
+    if not np.isfinite(values).all():
+        raise DomainError("ket amplitudes must be finite")
+    n2 = float(np.sum(np.abs(values[values != 0.0]) ** 2))
+    if n2 > 1.0 + _NORM_TOL:
+        raise DomainError("ket norm exceeds 1 beyond tolerance")
+    return n2
+
+
+def _ravel(occupations: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
+    cols = [occupations[:, p] for p in positions]
+    if not cols:
+        return np.zeros(len(occupations), np.int64)
+    return np.ravel_multi_index(cols, [dims[p] for p in positions])
+
+
+def _split(layout: SubsystemLayout, labels: Iterable[str]) -> tuple[list[int], list[int]]:
+    """Layout positions of ``labels``, in layout order, and of the other sub-modes."""
+    pos = sorted(layout.position(lbl) for lbl in set(labels))
+    return pos, [i for i in range(len(layout.dims)) if i not in pos]
 
 
 @dataclass(frozen=True)
@@ -65,13 +98,7 @@ class CoordKet:
             raise LayoutError("occupation out of range for its sub-mode dimension")
         if np.any((branch != 0) & (branch != 1)):
             raise LayoutError("every entry's branch must be 0 or 1")
-        if not (np.all(np.isfinite(val.real)) and np.all(np.isfinite(val.imag))):
-            raise DomainError("ket amplitudes must be finite")
-        if self.norm_squared() > 1.0 + _NORM_TOL:
-            raise DomainError("ket norm exceeds 1 beyond tolerance")
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
+        norm_squared(val)
 
     def to_ket(self, dense_limit: int = DEFAULT_AMPLITUDE_LIMIT) -> Ket:
         """Densify; refuses layouts beyond ``dense_limit`` amplitudes."""
@@ -79,15 +106,9 @@ class CoordKet:
         if n > dense_limit:
             raise LayoutError(f"refusing to densify {n} amplitudes (limit {dense_limit})")
         amps = np.zeros(n, dtype=np.complex128)
-        np.add.at(amps, self._ravel(range(len(self.layout.dims))), self.values)
+        everything = range(len(self.layout.dims))
+        np.add.at(amps, _ravel(self.occupations, self.layout.dims, everything), self.values)
         return Ket(self.layout, amps)
-
-    def _ravel(self, positions: Sequence[int]) -> np.ndarray:
-        dims = self.layout.dims
-        cols = [self.occupations[:, p] for p in positions]
-        if not cols:
-            return np.zeros(len(self.values), np.int64)
-        return np.ravel_multi_index(cols, [dims[p] for p in positions])
 
 
 @dataclass(frozen=True)
@@ -113,22 +134,63 @@ class HermitianCoords:
         return out
 
 
-def normalize_coords(k: CoordKet) -> tuple[CoordKet, float]:
-    """Unit-norm copy plus the norm deficit, as :func:`accelpair.fock.normalize`."""
-    n2 = k.norm_squared()
-    if n2 <= 0.0:
-        raise DomainError("cannot normalize a zero ket")
-    return CoordKet(k.layout, k.occupations, k.values / math.sqrt(n2), k.branch), 1.0 - n2
-
-
-def _entry_at(k: CoordKet, traced: np.ndarray, branch: int, size: int) -> np.ndarray:
+def _entry_at(traced: np.ndarray, branch: np.ndarray, which: int, size: int) -> np.ndarray:
     """Per traced index, the branch's entry there (-1 where absent); DomainError on two."""
-    entries = np.flatnonzero(k.branch == branch)
+    entries = np.flatnonzero(branch == which)
     slot = np.full(size, -1, dtype=np.int64)
     slot[traced[entries]] = entries
     if (slot[traced[entries]] != entries).any():
-        raise DomainError(f"branch {branch} has two entries at one traced index")
+        raise DomainError(f"branch {which} has two entries at one traced index")
     return slot
+
+
+def _cross_terms(layout, occupations, branch, keep) -> tuple:
+    """(kept layout, each entry's kept index, the entry pairs of the cross terms)."""
+    keep = set(keep)
+    kept, (keep_pos, traced_pos) = layout.restricted(keep), _split(layout, keep)
+    rows = _ravel(occupations, layout.dims, keep_pos)
+    traced = _ravel(occupations, layout.dims, traced_pos)
+    size = math.prod(layout.dims[p] for p in traced_pos)
+    slot0, slot1 = _entry_at(traced, branch, 0, size), _entry_at(traced, branch, 1, size)
+    both = (slot0 >= 0) & (slot1 >= 0)
+    first, second = slot0[both], slot1[both]
+    if (rows[first] == rows[second]).any():
+        raise DomainError("the two branches share an occupation tuple")
+    return kept, rows, first, second
+
+
+def _swap(rows, cols, kept_dims: Sequence[int], a_positions: Sequence[int]):
+    """Row and column indices with party A's coordinates exchanged."""
+    row_occ = np.array(np.unravel_index(rows, kept_dims))
+    col_occ = np.array(np.unravel_index(cols, kept_dims))
+    for p in a_positions:
+        row_occ[p], col_occ[p] = col_occ[p].copy(), row_occ[p].copy()
+    return np.ravel_multi_index(row_occ, kept_dims), np.ravel_multi_index(col_occ, kept_dims)
+
+
+def _chain(charge: Sequence[int], n: int, rows, cols) -> tuple[np.ndarray, ...]:
+    """Stable charge order of the n states, each state's place in it, and the
+    couplings' places; DomainError unless each joins neighbours of one sector."""
+    charge = np.asarray(charge)
+    if charge.shape != (n,):
+        raise LayoutError(f"expected {n} charges, got shape {charge.shape}")
+    order = np.argsort(charge, kind="stable")
+    place = np.empty(n, dtype=np.int64)
+    place[order] = np.arange(n)
+    rows, cols = place[rows], place[cols]
+    sector = charge[order]
+    if (sector[rows] != sector[cols]).any():
+        raise DomainError("matrix couples states of different charge")
+    if (np.abs(rows - cols) != 1).any():
+        raise DomainError("a charge sector is not a chain")
+    return order, place, rows, cols
+
+
+def _sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    eigs, info = dsterf(d, e, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise DomainError(f"dsterf failed to converge (info {info})")
+    return eigs
 
 
 def reduced_gram(
@@ -142,37 +204,18 @@ def reduced_gram(
     branches populate a traced index.  Returns (rho, kept dims, kept labels),
     kept sub-modes in layout order.
     """
-    keep_set = set(keep)
-    if not keep_set:
-        raise LayoutError("reduced_gram requires a non-empty set of kept labels")
-    layout, dims = k.layout, k.layout.dims
-    keep_pos = sorted(layout.position(lbl) for lbl in keep_set)
-    traced_pos = [i for i in range(len(dims)) if i not in keep_pos]
-    kept_dims = tuple(dims[p] for p in keep_pos)
-    kept_labels = tuple(layout.labels[p] for p in keep_pos)
-    rows, traced, vals = k._ravel(keep_pos), k._ravel(traced_pos), k.values
-    diag = np.bincount(rows, (vals * vals.conj()).real, math.prod(kept_dims))
-    size = math.prod(dims[p] for p in traced_pos)
-    slot0, slot1 = _entry_at(k, traced, 0, size), _entry_at(k, traced, 1, size)
-    both = (slot0 >= 0) & (slot1 >= 0)
-    first, second = slot0[both], slot1[both]
-    if (rows[first] == rows[second]).any():
-        raise DomainError("the two branches share an occupation tuple")
+    kept, rows, first, second = _cross_terms(k.layout, k.occupations, k.branch, keep)
+    vals = k.values
+    diag = np.bincount(rows, (vals * vals.conj()).real, kept.total_dim)
     rho = HermitianCoords(diag, rows[first], rows[second], vals[first] * vals[second].conj())
-    return rho, kept_dims, kept_labels
+    return rho, kept.dims, kept.labels
 
 
 def partial_transpose_sparse(
     rho: HermitianCoords, kept_dims: Sequence[int], a_positions: Sequence[int]
 ) -> HermitianCoords:
     """Partial transpose: the diagonal stays, the cross terms swap party A's coordinates."""
-    row_occ = np.array(np.unravel_index(rho.rows, kept_dims))
-    col_occ = np.array(np.unravel_index(rho.cols, kept_dims))
-    for p in a_positions:
-        row_occ[p], col_occ[p] = col_occ[p].copy(), row_occ[p].copy()
-    rows = np.ravel_multi_index(tuple(row_occ), kept_dims)
-    cols = np.ravel_multi_index(tuple(col_occ), kept_dims)
-    return HermitianCoords(rho.diag, rows, cols, rho.vals)
+    return HermitianCoords(rho.diag, *_swap(rho.rows, rho.cols, kept_dims, a_positions), rho.vals)
 
 
 def hermitian_block_eigenvalues(mat: HermitianCoords, charge: Sequence[int]) -> np.ndarray:
@@ -184,45 +227,81 @@ def hermitian_block_eigenvalues(mat: HermitianCoords, charge: Sequence[int]) -> 
     diagonal unitary similarity) goes with the diagonal to one ``dsterf``.
     """
     n = mat.shape[0]
-    charge = np.asarray(charge)
-    if charge.shape != (n,):
-        raise LayoutError(f"expected {n} charges, got shape {charge.shape}")
-    order = np.argsort(charge, kind="stable")
-    place = np.empty(n, dtype=np.int64)
-    place[order] = np.arange(n)
-    rows, cols = place[mat.rows], place[mat.cols]
-    sector = charge[order]
-    if (sector[rows] != sector[cols]).any():
-        raise DomainError("matrix couples states of different charge")
-    if (np.abs(rows - cols) != 1).any():
-        raise DomainError("a charge sector is not a chain")
-    if n == 1:
-        return mat.diag.astype(float)
-    upper = np.zeros(n - 1, dtype=np.complex128)
+    order, _, rows, cols = _chain(charge, n, mat.rows, mat.cols)
+    upper = np.zeros(max(n - 1, 1), dtype=np.complex128)  # dsterf wants one even for n = 1
     np.add.at(upper, np.minimum(rows, cols), np.where(rows < cols, mat.vals, mat.vals.conj()))
-    eigs, info = dsterf(mat.diag[order], np.abs(upper), overwrite_d=1, overwrite_e=1)
-    if info != 0:
-        raise DomainError(f"dsterf failed to converge (info {info})")
-    return eigs
+    return _sterf(mat.diag[order].astype(float), np.abs(upper))
+
+
+@dataclass(frozen=True)
+class ChainPlan:
+    """One traced system's partial-transpose structure on a fixed support: per
+    entry, its state's place in charge order (``bins``); per cross term, its
+    entry pair (``first``, ``second``) and its place on the sorted chain's
+    off-diagonal (``edge``).  int32, read-only."""
+
+    size: int
+    bins: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    edge: np.ndarray
+
+    def eigenvalues(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Spectrum for ``values`` on the support; ``weights`` is (values conj(values)).real.
+        Bit for bit the per-state route: zeros add nothing, |z| = |conj(z)|."""
+        e = np.zeros(max(self.size - 1, 1))
+        e[self.edge] = np.abs(values[self.first] * values[self.second].conj())
+        return _sterf(np.bincount(self.bins, weights, self.size), e)
+
+
+def plan_chain(layout, occupations, branch, keep, party_a, charge) -> ChainPlan:
+    """Plan the partial transpose over ``party_a`` of rho over ``keep``, ``charge`` per
+    kept state.  Runs the checks of reduced_gram and hermitian_block_eigenvalues
+    on the whole support; two cross terms on one chain edge are a DomainError."""
+    kept, rows, first, second = _cross_terms(layout, occupations, branch, keep)
+    party_a = frozenset(party_a)
+    a_pos = [i for i, lbl in enumerate(kept.labels) if lbl in party_a]
+    pt = _swap(rows[first], rows[second], kept.dims, a_pos)
+    _, place, *pt = _chain(charge, kept.total_dim, *pt)
+    edge = np.minimum(*pt)
+    if np.unique(edge).size != edge.size:
+        raise DomainError("two cross terms land on one chain edge")
+    index = [a.astype(np.int32) for a in (place[rows], first, second, edge)]
+    for a in index:
+        a.flags.writeable = False
+    return ChainPlan(kept.total_dim, *index)
+
+
+def cut_sides(layout, occupations, branch, party_a: Iterable[str]) -> list[np.ndarray]:
+    """Each entry's party-A and party-B index; DomainError if the branches share one."""
+    one, sides = np.asarray(branch) == 1, []
+    for pos in _split(layout, party_a):
+        sides.append(_ravel(occupations, layout.dims, pos))
+        seen = np.zeros(math.prod(layout.dims[p] for p in pos), dtype=bool)
+        seen[sides[-1][~one]] = True
+        if seen[sides[-1][one]].any():
+            raise DomainError("the two branches share a state on one side of the cut")
+    return sides
 
 
 def schmidt_weights(k: CoordKet, party_a: Iterable[str]) -> np.ndarray:
     """Nonzero eigenvalues of rho over ``party_a``: the two branch norms, descending.
 
-    Each branch must be a product across the cut, as every scenario branch
-    is; then the branches, which share no state on either side of the cut,
-    are the two Schmidt terms and the rest of the spectrum is zero.  A state
-    that both branches populate on one side is a DomainError.
+    Each branch must be a product across the cut (rank one to 1e-12 of its
+    largest entry squared, missing entries zero), as every scenario branch
+    is, and the branches must share no state on either side; then they are
+    the two Schmidt terms.  Anything else is a DomainError.
     """
-    layout = k.layout
-    a_pos = sorted(layout.position(lbl) for lbl in set(party_a))
-    b_pos = [i for i in range(len(layout.dims)) if i not in a_pos]
-    one = k.branch == 1
-    for pos in (a_pos, b_pos):
-        side = k._ravel(pos)
-        seen = np.zeros(math.prod(layout.dims[p] for p in pos), dtype=bool)
-        seen[side[~one]] = True
-        if seen[side[one]].any():
-            raise DomainError("the two branches share a state on one side of the cut")
-    weights = np.bincount(k.branch, np.abs(k.values) ** 2, 2)
-    return np.sort(weights)[::-1]
+    side_a, side_b = cut_sides(k.layout, k.occupations, k.branch, party_a)
+    for which in np.unique(k.branch):
+        mine = k.branch == which
+        rows, ia = np.unique(side_a[mine], return_inverse=True)
+        cols, ib = np.unique(side_b[mine], return_inverse=True)
+        if rows.size * cols.size > DEFAULT_AMPLITUDE_LIMIT:
+            raise LayoutError(f"refusing to densify a {rows.size}x{cols.size} branch")
+        m = np.zeros((rows.size, cols.size), dtype=np.complex128)
+        np.add.at(m, (ia, ib), k.values[mine])
+        i, j = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+        if np.max(np.abs(m * m[i, j] - np.outer(m[:, j], m[i]))) > _PRODUCT_TOL * abs(m[i, j]) ** 2:
+            raise DomainError(f"branch {which} is not a product across the cut")
+    return np.sort(np.bincount(k.branch, np.abs(k.values) ** 2, 2))[::-1]

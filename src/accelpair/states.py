@@ -34,7 +34,7 @@ from .fock import (
     normalize,
     tensor,
 )
-from .sparse import CoordKet, normalize_coords
+from .sparse import CoordKet, norm_squared
 
 __all__ = [
     "Scenario",
@@ -45,6 +45,8 @@ __all__ = [
     "fermion_out_one",
     "build_final_state",
     "build_final_state_coords",
+    "scenario_support",
+    "scenario_amplitudes",
     "CHARGE_SIGNS",
     "kept_charges",
 ]
@@ -222,6 +224,47 @@ def build_final_state(sc: Scenario, max_amplitudes: int | None = None) -> tuple[
     return normalize(Ket(layout, raw))
 
 
+def scenario_support(sc: Scenario) -> tuple[SubsystemLayout, np.ndarray, np.ndarray]:
+    """Layout, tuples and branches (int32, read-only) of every entry a state of
+    ``sc``'s statistics, accelerated modes and cutoff can hold, at any squeeze."""
+    # per accelerated mode: vacuum entries |n_p, n_a>, one-particle entries |(n+1)_p, n_a>
+    n_vac, n_one = (2, 1) if sc.is_fermion else (sc.cutoff + 1, sc.cutoff + 1)
+    nc, nd = np.arange(n_vac, dtype=np.int32), np.arange(n_one, dtype=np.int32)
+    # The amplitude limit guards dense allocations, which this form never makes.
+    layout = scenario_layout(sc, max_amplitudes=sys.maxsize)
+    if sc.accelerated == "one":
+        vac = np.stack([np.zeros_like(nc), nc, nc], axis=1)  # |0_s> (x) vacuum
+        one = np.stack([np.ones_like(nd), nd + 1, nd], axis=1)  # |1_s> (x) one particle
+    else:
+        cs, cw = np.divmod(np.arange(nc.size**2, dtype=np.int32), nc.size)  # row-major (s, w)
+        ds, dw = np.divmod(np.arange(nd.size**2, dtype=np.int32), nd.size)
+        vac, one = np.stack([cs, cs, cw, cw], axis=1), np.stack([ds + 1, ds, dw + 1, dw], axis=1)
+    occ = np.concatenate([vac, one])
+    branch = np.repeat(np.array([0, 1], dtype=np.int32), [len(vac), len(one)])
+    occ.flags.writeable = branch.flags.writeable = False
+    return layout, occ, branch
+
+
+def scenario_amplitudes(sc: Scenario) -> tuple[np.ndarray, float]:
+    """Amplitudes on :func:`scenario_support` (zeros where a weight vanishes or
+    underflows), with the deficit; scalars renormalized, fermions exact."""
+    # vacuum weights c_n of |n_p, n_a>, one-particle weights d_n of |(n+1)_p, n_a>
+    if sc.is_fermion:
+        c = np.array([math.cos(sc.squeeze) * np.exp(-1j * sc.phase), -math.sin(sc.squeeze)])
+        d = np.ones(1)
+    else:
+        c, d = _vacuum_weights(sc.squeeze, sc.cutoff), _one_particle_weights(sc.squeeze, sc.cutoff)
+    if sc.accelerated == "both":
+        c, d = np.outer(c, c).ravel(), np.outer(d, d).ravel()
+    val = np.concatenate([c, d]) * (1.0 / math.sqrt(2.0))
+    n2 = norm_squared(val)
+    if sc.is_fermion:
+        return val, 0.0
+    if n2 <= 0.0:
+        raise DomainError("cannot normalize a zero ket")
+    return val / math.sqrt(n2), 1.0 - n2
+
+
 def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:
     """Scenario state in coordinate form, vacuum branch 0 and one-particle branch 1.
 
@@ -230,36 +273,10 @@ def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:
     :func:`build_final_state` where both can run: scalar states are
     renormalized, fermionic states are exact and keep deficit 0.
     """
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    # vacuum weights c_n of |n_p, n_a>, one-particle weights d_n of |(n+1)_p, n_a>
-    if sc.is_fermion:
-        c = np.array([math.cos(sc.squeeze) * np.exp(-1j * sc.phase), -math.sin(sc.squeeze)])
-        d = np.ones(1)
-    else:
-        c, d = _vacuum_weights(sc.squeeze, sc.cutoff), _one_particle_weights(sc.squeeze, sc.cutoff)
-    nc, nd = np.arange(c.size), np.arange(d.size)
-    # The amplitude limit guards dense allocations, which this form never makes.
-    layout = scenario_layout(sc, max_amplitudes=sys.maxsize)
-    if sc.accelerated == "one":
-        vac, one = c, d
-        occ = np.concatenate(
-            [
-                np.stack([np.zeros_like(nc), nc, nc], axis=1),  # |0_s> (x) vacuum
-                np.stack([np.ones_like(nd), nd + 1, nd], axis=1),  # |1_s> (x) one particle
-            ]
-        )
-    else:
-        vac, one = np.outer(c, c).ravel(), np.outer(d, d).ravel()
-        cs, cw = np.divmod(np.arange(vac.size), c.size)  # row-major (s, w) index pairs
-        ds, dw = np.divmod(np.arange(one.size), d.size)
-        occ = np.concatenate(
-            [np.stack([cs, cs, cw, cw], axis=1), np.stack([ds + 1, ds, dw + 1, dw], axis=1)]
-        )
-    val = np.concatenate([vac, one]) * inv_sqrt2
-    branch = np.repeat([0, 1], [vac.size, one.size])
+    layout, occ, branch = scenario_support(sc)
+    val, deficit = scenario_amplitudes(sc)
     populated = val != 0.0  # keep the stored support tight (r = 0, underflow)
-    ck = CoordKet(layout, occ[populated], val[populated], branch[populated])
-    return (ck, 0.0) if sc.is_fermion else normalize_coords(ck)
+    return CoordKet(layout, occ[populated], val[populated], branch[populated]), deficit
 
 
 def kept_charges(dims: tuple[int, ...], labels: tuple[str, ...], flipped=frozenset()) -> np.ndarray:

@@ -1,13 +1,20 @@
-"""The traced layers named by bench/spans.py exist in the package.
+"""The benchmark's view of the package: traced layers and ladder counts.
 
 The benchmark tracer skips a traced function that no longer exists, so a
 renamed layer would only show up as a missing metric; this catches it here.
+It counts the cutoff ladder from the ``evaluate_scenario`` calls that ``cli``
+makes through its module binding, so a sweep that bypassed that binding
+would report no ladder at all; the ladder test catches that.
 """
 
+import csv
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+from accelpair import cli
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -27,3 +34,23 @@ def test_every_traced_target_is_a_package_callable(monkeypatch):
         module_name, func_name = target.rsplit(".", 1)
         module = importlib.import_module(f"{spans.PACKAGE}.{module_name}")
         assert callable(getattr(module, func_name, None)), target
+
+
+def test_traced_ladder_counts_match_the_cutoff_column(monkeypatch, tmp_path):
+    spans = load_spans(monkeypatch)
+    csv_path = tmp_path / "ladder.csv"
+    # scalar-one rows go on to cutoff 120 from r ~ 0.925
+    argv = ["sweep", "--scenario", "scalar-one", "--min", "0.91", "--max", "0.95", "--steps", "5"]
+    with spans.Tracer() as tracer:
+        assert cli.main([*argv, "--csv", str(csv_path)]) == 0
+    expected = Counter()
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            cutoff = 30  # the default start: one evaluation per rung up to the row's cutoff
+            expected[cutoff] += 1
+            while cutoff < int(row["cutoff"]):
+                cutoff = min(2 * cutoff, cli.CUTOFF_CAP)
+                expected[cutoff] += 1
+    assert expected[60] == 5 and 0 < expected[120] < 5
+    metrics = spans.summarize(tracer.spans, 5, tracer.absent)
+    assert {n: metrics[f"ladder.evals.n{n}"] for n in (30, 60, 120)} == dict(expected)

@@ -317,6 +317,20 @@ def test_main_exit_code_for_non_convergence(tmp_path, capsys):
     assert all(int(row["cutoff"]) == CUTOFF_CAP for row in rows)
 
 
+def test_main_does_not_converge_rows_whose_state_lost_its_norm(tmp_path, capsys):
+    # at r = 177 and 354 the truncated state keeps ~1e-150 of its norm, so LN
+    # is ~1e-15 at every cutoff and stops moving: that is no convergence
+    csv_path = tmp_path / "lost.csv"
+    argv = ["sweep", "--scenario", "scalar-one", "--min", "0", "--max", "354", "--steps", "3"]
+    assert main([*argv, "--csv", str(csv_path)]) == 3
+    assert "converged=false" in capsys.readouterr().err
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["converged"] for row in rows] == ["true", "false", "false"]
+    assert [int(row["cutoff"]) for row in rows] == [60, CUTOFF_CAP, CUTOFF_CAP]
+    assert all(float(row["deficit"]) == pytest.approx(1.0) for row in rows[1:])
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--tol", "nan"], ["--tol", "inf"], ["--cutoff", "500"], ["--cutoff", "2"], ["--cutoff", "128"]],

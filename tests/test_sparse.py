@@ -246,6 +246,27 @@ def test_schmidt_weights_reject_branches_sharing_a_state():
         schmidt_weights(CoordKet(layout, ck.occupations, ck.values, [0, 1]), ("b",))
 
 
+def test_schmidt_weights_reject_a_branch_that_is_not_a_product():
+    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    ck = CoordKet(layout, np.array([[0, 0], [1, 1]]), np.array([0.6, 0.8]), [0, 0])
+    # rho_a has eigenvalues (0.36, 0.64); the branch norms would claim (0, 1)
+    x = ck.to_ket().amplitudes.reshape(2, 2)
+    assert np.allclose(np.linalg.eigvalsh(x @ x.conj().T), [0.36, 0.64], atol=1e-15)
+    with pytest.raises(DomainError, match="not a product"):
+        schmidt_weights(ck, ("a",))
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [Scenario("scalar", acc, r, cutoff=30) for acc in ("one", "both") for r in (0.0, 1e-3, 0.9)]
+    + [Scenario("fermion", acc, r_f) for acc in ("one", "both") for r_f in (0.0, math.pi / 4)],
+)
+def test_scenario_branches_are_products_across_the_full_cut(sc):
+    ck, _ = build_final_state_coords(sc)
+    weights = schmidt_weights(ck, named_bipartitions(sc)["full"].party_a)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 @settings(max_examples=200, deadline=None)
 def test_sector_schmidt_weights_match_dense_eigvalsh(seed, n_party_a):
