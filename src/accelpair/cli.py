@@ -240,7 +240,7 @@ def _legend_label(accelerated: str, system: str) -> str:
     return f"LN({rho})"
 
 
-def emit_plot(table: SweepTable, path: Path, style=None) -> Path:
+def emit_plot(table: SweepTable, path: Path) -> Path:
     """Self-contained SVG of the sweep: one curve per bipartition.
 
     Line-style convention: dot-dashed for the invariant full bipartition,
@@ -263,7 +263,6 @@ def emit_plot(table: SweepTable, path: Path, style=None) -> Path:
         x_label="r_f" if table.config.statistics == "fermion" else "r",
         y_label="logarithmic negativity",
         title=f"{table.config.scenario} sweep",
-        style=style,
     )
     path = Path(path)
     path.write_text(doc, encoding="utf-8")

@@ -10,6 +10,7 @@ canonical basis convention for every operation in the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -54,6 +55,8 @@ class SubModeSpec:
     def __post_init__(self) -> None:
         if not self.label:
             raise LayoutError("sub-mode label must be a non-empty string")
+        if not isinstance(self.dim, numbers.Integral):
+            raise LayoutError(f"sub-mode {self.label!r} dimension must be an integer, got {self.dim!r}")
         if self.statistics == "fermion":
             if self.dim != 2:
                 raise LayoutError(f"fermionic sub-mode {self.label!r} must have dimension 2")

@@ -100,11 +100,11 @@ class CoordKet:
             raise LayoutError("every entry's branch must be 0 or 1")
         norm_squared(val)
 
-    def to_ket(self, dense_limit: int = DEFAULT_AMPLITUDE_LIMIT) -> Ket:
-        """Densify; refuses layouts beyond ``dense_limit`` amplitudes."""
+    def to_ket(self) -> Ket:
+        """Densify; refuses layouts beyond ``DEFAULT_AMPLITUDE_LIMIT`` amplitudes."""
         n = self.layout.total_dim
-        if n > dense_limit:
-            raise LayoutError(f"refusing to densify {n} amplitudes (limit {dense_limit})")
+        if n > DEFAULT_AMPLITUDE_LIMIT:
+            raise LayoutError(f"refusing to densify {n} amplitudes (limit {DEFAULT_AMPLITUDE_LIMIT})")
         amps = np.zeros(n, dtype=np.complex128)
         everything = range(len(self.layout.dims))
         np.add.at(amps, _ravel(self.occupations, self.layout.dims, everything), self.values)

@@ -1,24 +1,25 @@
 """Out-basis expansions of the in-states and the four scenario states.
 
-An accelerated mode's in-vacuum and one-particle states become, in the out
-basis, correlated particle/antiparticle expansions controlled by a squeezing
-parameter:
+Both statistics share one two-mode form: an accelerated mode's in-vacuum
+becomes sum_n c_n |n_p, n_a> and its one-particle state sum_n d_n
+|(n+1)_p, n_a> in the out basis, with
 
-* scalar vacuum:       sum_n tanh(r)^n / cosh(r) |n_p, n_a>
-* scalar one-particle: sum_n sqrt(n+1) tanh(r)^n / cosh(r)^2 |(n+1)_p, n_a>
-* fermion vacuum:      cos(r_f) e^{-i phi} |0_p, 0_a> - sin(r_f) |1_p, 1_a>
-* fermion one-particle: |1_p, 0_a>
+* scalar:  c_n = tanh(r)^n / cosh(r),  d_n = sqrt(n+1) tanh(r)^n / cosh(r)^2
+* fermion: c = (cos(r_f) e^{-i phi}, -sin(r_f)),  d = (1)
 
-A scenario starts from the maximally entangled combination
-(|0_s 0_w> + |1_s 1_w>)/sqrt(2) and substitutes the out expansion for every
-accelerated mode; an unaccelerated mode stays a bare two-level particle
-sub-mode.  Bosonic expansions are truncated at a cutoff, renormalized, and
-the norm deficit is reported; fermionic states are exact.
+:func:`_expansion` is the one statement of these weights; the dense and the
+coordinate route both read them, and :func:`_pair_ket` is the dense route's
+one placement of a pair.  A scenario starts from the maximally entangled
+combination (|0_s 0_w> + |1_s 1_w>)/sqrt(2) and substitutes the out expansion
+for every accelerated mode; an unaccelerated mode stays a bare two-level
+particle sub-mode.  Bosonic expansions are truncated at a cutoff,
+renormalized, and the norm deficit is reported; fermionic states are exact.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from .fock import (
     boson_mode,
     fermion_mode,
     normalize,
-    tensor,
 )
 from .sparse import CoordKet, norm_squared
 
@@ -86,6 +86,7 @@ class Scenario:
         if not math.isfinite(self.phase):
             raise DomainError("phase must be finite")
         if self.statistics == "scalar":
+            _check_integral_cutoff(self.cutoff)
             if self.cutoff < 4:
                 raise DomainError(f"scalar scenarios need cutoff >= 4, got {self.cutoff}")
             _cosh_squared(self.squeeze)  # DomainError where the weights would overflow
@@ -124,11 +125,6 @@ def scenario_layout(sc: Scenario, max_amplitudes: int | None = None) -> Subsyste
     return SubsystemLayout(tuple(modes), max_amplitudes=max_amplitudes)
 
 
-def _vacuum_weights(r: float, cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff + 1)
-    return np.tanh(r) ** n / math.cosh(r)
-
-
 def _cosh_squared(r: float) -> float:
     """cosh(r)^2; DomainError where it overflows (r above ~355)."""
     try:
@@ -137,24 +133,34 @@ def _cosh_squared(r: float) -> float:
         raise DomainError(f"squeeze r = {r} overflows cosh(r)^2") from None
 
 
-def _one_particle_weights(r: float, cutoff: int) -> np.ndarray:
+def _expansion(statistics: str, r: float, phase: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights c_n of |n_p, n_a> (vacuum) and d_n of |(n+1)_p, n_a> (one particle)."""
+    if statistics == "fermion":
+        return np.array([math.cos(r) * np.exp(-1j * phase), -math.sin(r)]), np.ones(1)
     n = np.arange(cutoff + 1)
-    return np.sqrt(n + 1.0) * np.tanh(r) ** n / _cosh_squared(r)
+    return np.tanh(r) ** n / math.cosh(r), np.sqrt(n + 1.0) * np.tanh(r) ** n / _cosh_squared(r)
+
+
+def _pair_ket(pair_layout: SubsystemLayout, weights: np.ndarray, shift: int) -> Ket:
+    """Dense pair state with weight n at |(n + shift)_p, n_a>."""
+    amps = np.zeros(pair_layout.dims, dtype=np.complex128)
+    n = np.arange(len(weights))
+    amps[n + shift, n] = weights
+    return Ket(pair_layout, amps)
+
+
+def _check_integral_cutoff(cutoff) -> None:
+    if not isinstance(cutoff, numbers.Integral):
+        raise DomainError(f"cutoff must be an integer, got {cutoff!r}")
 
 
 def _check_scalar_args(r: float, cutoff: int) -> None:
     if not math.isfinite(r) or r < 0.0:
         raise DomainError(f"squeeze parameter must be finite and >= 0, got {r}")
+    _check_integral_cutoff(cutoff)
     if cutoff < 1:
         raise DomainError(f"cutoff must be >= 1, got {cutoff}")
     _cosh_squared(r)
-
-
-def _scalar_pair_array(weights: np.ndarray, cutoff: int, particle_shift: int) -> np.ndarray:
-    arr = np.zeros((cutoff + 2, cutoff + 1), dtype=np.complex128)
-    n = np.arange(cutoff + 1)
-    arr[n + particle_shift, n] = weights
-    return arr
 
 
 def scalar_out_vacuum(r: float, cutoff: int, mode: str = "w") -> tuple[Ket, float]:
@@ -163,33 +169,32 @@ def scalar_out_vacuum(r: float, cutoff: int, mode: str = "w") -> tuple[Ket, floa
     The reported deficit equals the geometric tail tanh(r)^(2(cutoff+1)).
     """
     _check_scalar_args(r, cutoff)
-    raw = _scalar_pair_array(_vacuum_weights(r, cutoff), cutoff, 0)
-    return normalize(Ket(_pair_layout(mode, cutoff, "scalar"), raw.ravel()))
+    c, _ = _expansion("scalar", r, 0.0, cutoff)
+    return normalize(_pair_ket(_pair_layout(mode, cutoff, "scalar"), c, 0))
 
 
 def scalar_out_one(r: float, cutoff: int, mode: str = "w") -> tuple[Ket, float]:
     """Truncated one-particle expansion |(n+1)_p, n_a>, renormalized with deficit."""
     _check_scalar_args(r, cutoff)
-    raw = _scalar_pair_array(_one_particle_weights(r, cutoff), cutoff, 1)
-    return normalize(Ket(_pair_layout(mode, cutoff, "scalar"), raw.ravel()))
+    _, d = _expansion("scalar", r, 0.0, cutoff)
+    return normalize(_pair_ket(_pair_layout(mode, cutoff, "scalar"), d, 1))
 
 
 def fermion_out_vacuum(r_f: float, phase: float = 0.0, mode: str = "w") -> Ket:
     """Fermionic vacuum in the out basis: cos(r_f) e^{-i phase}|0,0> - sin(r_f)|1,1>."""
     if not 0.0 <= r_f <= _HALF_PI:
         raise DomainError(f"r_f must lie in [0, pi/2], got {r_f}")
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = math.cos(r_f) * np.exp(-1j * phase)
-    amps[3] = -math.sin(r_f)
-    return Ket(_pair_layout(mode, 1, "fermion"), amps)
+    c, _ = _expansion("fermion", r_f, phase, 1)
+    return _pair_ket(_pair_layout(mode, 1, "fermion"), c, 0)
 
 
 def fermion_out_one(mode: str = "w") -> Ket:
     """Fermionic one-particle state in the out basis: exactly |1_p, 0_a>."""
-    return Ket.basis_state(_pair_layout(mode, 1, "fermion"), (1, 0))
+    _, d = _expansion("fermion", 0.0, 0.0, 1)
+    return _pair_ket(_pair_layout(mode, 1, "fermion"), d, 1)
 
 
-def build_final_state(sc: Scenario, max_amplitudes: int | None = None) -> tuple[Ket, float]:
+def build_final_state(sc: Scenario) -> tuple[Ket, float]:
     """Scenario state on the canonical layout, renormalized, with norm deficit.
 
     Fermionic states are exactly unit norm (deficit 0); truncated scalar
@@ -197,31 +202,15 @@ def build_final_state(sc: Scenario, max_amplitudes: int | None = None) -> tuple[
     :func:`build_final_state_coords` for scalar layouts too large to hold
     densely.
     """
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if sc.is_fermion:
-        if sc.accelerated == "one":
-            s_layout = SubsystemLayout((fermion_mode("s_p"),))
-            branch0 = tensor(Ket.basis_state(s_layout, (0,)), fermion_out_vacuum(sc.squeeze, sc.phase, "w"))
-            branch1 = tensor(Ket.basis_state(s_layout, (1,)), fermion_out_one("w"))
-        else:
-            branch0 = tensor(
-                fermion_out_vacuum(sc.squeeze, sc.phase, "s"),
-                fermion_out_vacuum(sc.squeeze, sc.phase, "w"),
-            )
-            branch1 = tensor(fermion_out_one("s"), fermion_out_one("w"))
-        amps = (branch0.amplitudes + branch1.amplitudes) * inv_sqrt2
-        return Ket(branch0.layout, amps), 0.0
-
-    layout = scenario_layout(sc, max_amplitudes)
-    vac = _scalar_pair_array(_vacuum_weights(sc.squeeze, sc.cutoff), sc.cutoff, 0).ravel()
-    one = _scalar_pair_array(_one_particle_weights(sc.squeeze, sc.cutoff), sc.cutoff, 1).ravel()
-    if sc.accelerated == "one":
-        q0 = np.array([1.0, 0.0], dtype=np.complex128)
-        q1 = np.array([0.0, 1.0], dtype=np.complex128)
-        raw = (np.kron(q0, vac) + np.kron(q1, one)) * inv_sqrt2
+    c, d = _expansion(sc.statistics, sc.squeeze, sc.phase, sc.cutoff)
+    pair = _pair_layout("w", sc.cutoff, sc.statistics)
+    vac, one = _pair_ket(pair, c, 0).amplitudes, _pair_ket(pair, d, 1).amplitudes
+    if sc.accelerated == "both":
+        s0, s1 = vac, one  # the s pair carries the same expansion as w
     else:
-        raw = (np.kron(vac, vac) + np.kron(one, one)) * inv_sqrt2
-    return normalize(Ket(layout, raw))
+        s0, s1 = np.eye(2, dtype=np.complex128)  # bare |0_s>, |1_s>
+    ket = Ket(scenario_layout(sc), (np.kron(s0, vac) + np.kron(s1, one)) * (1.0 / math.sqrt(2.0)))
+    return (ket, 0.0) if sc.is_fermion else normalize(ket)
 
 
 def scenario_support(sc: Scenario) -> tuple[SubsystemLayout, np.ndarray, np.ndarray]:
@@ -248,12 +237,7 @@ def scenario_support(sc: Scenario) -> tuple[SubsystemLayout, np.ndarray, np.ndar
 def scenario_amplitudes(sc: Scenario) -> tuple[np.ndarray, float]:
     """Amplitudes on :func:`scenario_support` (zeros where a weight vanishes or
     underflows), with the deficit; scalars renormalized, fermions exact."""
-    # vacuum weights c_n of |n_p, n_a>, one-particle weights d_n of |(n+1)_p, n_a>
-    if sc.is_fermion:
-        c = np.array([math.cos(sc.squeeze) * np.exp(-1j * sc.phase), -math.sin(sc.squeeze)])
-        d = np.ones(1)
-    else:
-        c, d = _vacuum_weights(sc.squeeze, sc.cutoff), _one_particle_weights(sc.squeeze, sc.cutoff)
+    c, d = _expansion(sc.statistics, sc.squeeze, sc.phase, sc.cutoff)
     if sc.accelerated == "both":
         c, d = np.outer(c, c).ravel(), np.outer(d, d).ravel()
     val = np.concatenate([c, d]) * (1.0 / math.sqrt(2.0))

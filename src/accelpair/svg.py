@@ -2,7 +2,8 @@
 
 Hand-rolled on purpose: the plots ship as reproducible artifacts, so the
 bytes must depend only on the data.  No plotting library keeps that promise
-across versions.
+across versions.  The plot has one fixed style: canvas size, margins, font
+and the colour cycle are module constants, and a curve chooses only its dash.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["Curve", "PlotStyle", "render_line_plot"]
+__all__ = ["Curve", "render_line_plot"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -27,18 +28,11 @@ class Curve:
     x: Sequence[float]
     y: Sequence[float]
     dash: str = "solid"  # "solid" | "dashed" | "dotdash"
-    color: str | None = None
 
 
-@dataclass(frozen=True)
-class PlotStyle:
-    width: int = 720
-    height: int = 480
-    margin_left: int = 64
-    margin_right: int = 16
-    margin_top: int = 40
-    margin_bottom: int = 52
-    font: str = "Helvetica, Arial, sans-serif"
+_WIDTH, _HEIGHT = 720, 480
+_MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64, 16, 40, 52
+_FONT = "Helvetica, Arial, sans-serif"
 
 
 def _fmt(v: float) -> str:
@@ -57,10 +51,8 @@ def render_line_plot(
     x_label: str,
     y_label: str,
     title: str,
-    style: PlotStyle | None = None,
 ) -> str:
     """Self-contained SVG document for a set of labeled curves."""
-    st = style or PlotStyle()
     xs = [v for c in curves for v in c.x]
     ys = [v for c in curves for v in c.y]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
@@ -69,23 +61,23 @@ def render_line_plot(
     y_lo = 0.0
     y_hi = max(1.0, max(ys) if ys else 1.0) * 1.06
 
-    px_w = st.width - st.margin_left - st.margin_right
-    px_h = st.height - st.margin_top - st.margin_bottom
+    px_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    px_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        fx = st.margin_left + (x - x_lo) / (x_hi - x_lo) * px_w
-        fy = st.margin_top + (1.0 - (y - y_lo) / (y_hi - y_lo)) * px_h
+        fx = _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * px_w
+        fy = _MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * px_h
         return fx, fy
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{st.width}" height="{st.height}" '
-        f'viewBox="0 0 {st.width} {st.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    parts.append(f'<rect width="{st.width}" height="{st.height}" fill="white"/>')
-    parts.append(f'<g font-family="{st.font}" font-size="13" fill="#222">')
+    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+    parts.append(f'<g font-family="{_FONT}" font-size="13" fill="#222">')
     parts.append(
-        f'<text x="{st.width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>'
+        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>'
     )
 
     # axes frame and ticks
@@ -113,17 +105,17 @@ def render_line_plot(
                 f'stroke="#ddd" stroke-width="0.7"/>'
             )
     parts.append(
-        f'<text x="{st.margin_left + px_w / 2:.1f}" y="{st.height - 12}" '
+        f'<text x="{_MARGIN_LEFT + px_w / 2:.1f}" y="{_HEIGHT - 12}" '
         f'text-anchor="middle">{x_label}</text>'
     )
     parts.append(
-        f'<text x="16" y="{st.margin_top + px_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {st.margin_top + px_h / 2:.1f})">{y_label}</text>'
+        f'<text x="16" y="{_MARGIN_TOP + px_h / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_MARGIN_TOP + px_h / 2:.1f})">{y_label}</text>'
     )
 
     # curves
     for i, c in enumerate(curves):
-        color = c.color or _PALETTE[i % len(_PALETTE)]
+        color = _PALETTE[i % len(_PALETTE)]
         dash = _DASH.get(c.dash)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in zip(c.x, c.y)))
@@ -132,15 +124,15 @@ def render_line_plot(
         )
 
     # legend (top right, inside the frame)
-    lx = st.margin_left + px_w - 170
-    ly = st.margin_top + 12
+    lx = _MARGIN_LEFT + px_w - 170
+    ly = _MARGIN_TOP + 12
     box_h = 20 * len(curves) + 10
     parts.append(
         f'<rect x="{lx - 8}" y="{ly - 6}" width="170" height="{box_h}" fill="white" '
         f'fill-opacity="0.85" stroke="#bbb"/>'
     )
     for i, c in enumerate(curves):
-        color = c.color or _PALETTE[i % len(_PALETTE)]
+        color = _PALETTE[i % len(_PALETTE)]
         dash = _DASH.get(c.dash)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         yy = ly + 10 + 20 * i

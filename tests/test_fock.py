@@ -48,6 +48,9 @@ def test_mode_spec_validation():
         SubModeSpec("x", "fermion", 3)
     with pytest.raises(LayoutError):
         SubModeSpec("x", "majorana", 2)
+    with pytest.raises(LayoutError, match="integer"):
+        SubModeSpec("x", "boson", 2.5)
+    assert SubModeSpec("x", "boson", np.int64(3)).cutoff == 2
 
 
 def test_layout_rejects_duplicates_and_oversize():

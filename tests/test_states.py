@@ -5,9 +5,12 @@ import pytest
 
 from accelpair import (
     DomainError,
+    Ket,
     Scenario,
+    SubsystemLayout,
     build_final_state,
     build_final_state_coords,
+    fermion_mode,
     fermion_out_one,
     fermion_out_vacuum,
     scalar_out_one,
@@ -73,6 +76,8 @@ def test_scalar_builders_reject_bad_args(builder):
         builder(-0.1, 8)
     with pytest.raises(DomainError):
         builder(0.5, 0)
+    with pytest.raises(DomainError, match="integer"):
+        builder(0.5, 4.5)
 
 
 # --- fermion expansions -----------------------------------------------------
@@ -131,6 +136,9 @@ def test_scenario_validation():
         Scenario("scalar", "one", -0.2)
     with pytest.raises(DomainError):
         Scenario("scalar", "one", 0.2, cutoff=3)
+    with pytest.raises(DomainError, match="integer"):
+        Scenario("scalar", "one", 0.5, cutoff=30.0)
+    assert Scenario("scalar", "one", 0.5, cutoff=np.int64(30)).cutoff == 30
 
 
 def test_scenario_layout_order():
@@ -175,13 +183,21 @@ def test_fermion_both_state_matches_hand_expansion_at_balanced_squeeze():
 
 
 def test_fermion_both_product_branch_built_by_tensor():
-    vac_product = tensor(
-        fermion_out_vacuum(math.pi / 4, 0.0, "s"), fermion_out_vacuum(math.pi / 4, 0.0, "w")
-    )
-    one_product = tensor(fermion_out_one("s"), fermion_out_one("w"))
-    ket, _ = build_final_state(Scenario("fermion", "both", math.pi / 4))
-    rebuilt = (vac_product.amplitudes + one_product.amplitudes) * INV_SQRT2
-    assert np.max(np.abs(ket.amplitudes - rebuilt)) < 1e-15
+    # both accelerated: vacuum (x) vacuum + one (x) one; one accelerated: the
+    # bare s particle's basis states stand in for the s expansions
+    s_layout = SubsystemLayout((fermion_mode("s_p"),))
+    for acc in ("one", "both"):
+        for phase in (0.0, 0.7):
+            vac_w, one_w = fermion_out_vacuum(math.pi / 4, phase, "w"), fermion_out_one("w")
+            if acc == "both":
+                vac_s, one_s = fermion_out_vacuum(math.pi / 4, phase, "s"), fermion_out_one("s")
+            else:
+                vac_s, one_s = Ket.basis_state(s_layout, (0,)), Ket.basis_state(s_layout, (1,))
+            vac_product, one_product = tensor(vac_s, vac_w), tensor(one_s, one_w)
+            ket, _ = build_final_state(Scenario("fermion", acc, math.pi / 4, phase=phase))
+            assert ket.layout == vac_product.layout
+            rebuilt = (vac_product.amplitudes + one_product.amplitudes) * INV_SQRT2
+            assert np.max(np.abs(ket.amplitudes - rebuilt)) < 1e-15
 
 
 def test_fermion_states_are_exactly_unit_norm():
