@@ -11,7 +11,6 @@ from .bogoliubov import (
     FermionCoefficients,
     FieldParams,
     ScalarCoefficients,
-    complex_gamma,
     fermion_coefficients,
     mu2_from_field,
     scalar_coefficients,
@@ -36,12 +35,10 @@ from .fock import (
     Ket,
     SubModeSpec,
     SubsystemLayout,
-    basis_index,
     boson_mode,
     fermion_mode,
     hermitian_eigenvalues,
     normalize,
-    occupations_from_index,
     outer_product,
     partial_trace,
     tensor,
@@ -69,7 +66,6 @@ __all__ = [
     "mu2_from_field",
     "scalar_coefficients",
     "fermion_coefficients",
-    "complex_gamma",
     "verify_unitarity",
     "SubModeSpec",
     "SubsystemLayout",
@@ -77,8 +73,6 @@ __all__ = [
     "fermion_mode",
     "Ket",
     "DensityMatrix",
-    "basis_index",
-    "occupations_from_index",
     "tensor",
     "normalize",
     "outer_product",

@@ -10,16 +10,16 @@ beta coefficient has magnitude exp(-pi*mu2):
 
 The magnitudes are produced from the closed exponential forms.  The gamma
 function route (alpha expressed through Gamma(1/2 + i*mu2) or Gamma(i*mu2))
-is kept as an independent cross-check: ``verify_unitarity`` evaluates alpha
-that way and reports how well the unitarity relation is satisfied.
+is kept as an independent cross-check: ``verify_unitarity`` evaluates ln|alpha|
+from ``scipy.special.loggamma``, exponentiates once, and reports how well the
+unitarity relation is satisfied.  Taken in log space the route stays finite
+at every mu2, where |Gamma| itself underflows or overflows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -30,7 +30,6 @@ __all__ = [
     "mu2_from_field",
     "scalar_coefficients",
     "fermion_coefficients",
-    "complex_gamma",
     "gamma_pathway_alpha",
     "verify_unitarity",
 ]
@@ -129,42 +128,38 @@ def fermion_coefficients(mu2: float) -> FermionCoefficients:
     return FermionCoefficients(mu2=mu2, alpha_mag=alpha, beta_mag=beta, r_f=math.asin(beta))
 
 
-def complex_gamma(z: complex) -> complex:
-    """Gamma function on the complex plane, poles excluded, as exp(loggamma(z))."""
-    # imported here: scipy.special costs each start-up ~3 MB and ~20 ms
-    from scipy.special import loggamma
-
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("gamma argument must be finite")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise DomainError(f"gamma pole at non-positive integer {z.real:g}")
-    return complex(np.exp(loggamma(z)))
-
-
 def gamma_pathway_alpha(mu2: float, statistics: str) -> float:
     """|alpha| evaluated directly through the gamma-function expressions.
 
     scalar:  alpha = sqrt(2 pi) e^{-pi mu2/2} / Gamma(1/2 + i mu2)   (phase dropped)
     fermion: alpha = sqrt(2 pi / mu2) e^{-pi mu2/2} / Gamma(i mu2)   (phase dropped)
 
+    ln|alpha| is formed from ``scipy.special.loggamma`` (Re ln Gamma = ln|Gamma|)
+    and exponentiated once, so neither |Gamma| nor 2 pi / mu2 is ever formed:
+    both leave the float range at large or tiny mu2.
+
     This is the slow cross-check route; production code uses the closed
     exponential forms in :func:`scalar_coefficients` / :func:`fermion_coefficients`.
     """
+    # imported here: scipy.special costs each start-up ~3 MB and ~20 ms
+    from scipy.special import loggamma
+
+    if not math.isfinite(mu2):
+        raise DomainError(f"gamma pathway requires a finite mu2, got {mu2}")
     if statistics == "boson":
         if mu2 <= 0.0:
             raise DomainError("bosonic gamma pathway requires mu2 > 0")
-        g = complex_gamma(0.5 + 1j * mu2)
-        return math.sqrt(2.0 * math.pi) * math.exp(-math.pi * mu2 / 2.0) / abs(g)
-    if statistics == "fermion":
+        ln_alpha = 0.5 * math.log(2.0 * math.pi) - loggamma(0.5 + 1j * mu2).real
+    elif statistics == "fermion":
         if mu2 < 0.0:
             raise DomainError("fermionic gamma pathway requires mu2 >= 0")
         if mu2 == 0.0:
             # Limit mu2 -> 0: |alpha|^2 = 2 e^{-pi mu2} sinh(pi mu2) -> 0.
             return 0.0
-        g = complex_gamma(1j * mu2)
-        return math.sqrt(2.0 * math.pi / mu2) * math.exp(-math.pi * mu2 / 2.0) / abs(g)
-    raise DomainError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+        ln_alpha = 0.5 * (math.log(2.0 * math.pi) - math.log(mu2)) - loggamma(1j * mu2).real
+    else:
+        raise DomainError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+    return math.exp(ln_alpha - math.pi * mu2 / 2.0)
 
 
 def verify_unitarity(mu2: float, statistics: str) -> float:

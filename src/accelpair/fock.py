@@ -3,8 +3,9 @@
 States live on an ordered sequence of sub-modes (particle or antiparticle
 species of a named field mode).  A bosonic sub-mode truncated at occupation N
 has local dimension N+1; a fermionic sub-mode always has dimension 2.  Joint
-occupation numbers are flattened row-major in layout order, which fixes one
-canonical basis convention for every operation in the package.
+occupation numbers are flattened row-major in layout order by
+``np.ravel_multi_index``, the one basis convention of every operation in the
+package.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ __all__ = [
     "SubsystemLayout",
     "Ket",
     "DensityMatrix",
-    "basis_index",
-    "occupations_from_index",
     "tensor",
     "normalize",
     "outer_product",
@@ -65,11 +64,6 @@ class SubModeSpec:
                 raise LayoutError(f"bosonic sub-mode {self.label!r} needs cutoff >= 1 (dim >= 2)")
         else:
             raise LayoutError(f"unknown statistics {self.statistics!r}")
-
-    @property
-    def cutoff(self) -> int:
-        """Largest representable occupation number."""
-        return self.dim - 1
 
 
 def boson_mode(label: str, cutoff: int) -> SubModeSpec:
@@ -127,30 +121,6 @@ class SubsystemLayout:
         return SubsystemLayout(kept, max_amplitudes=self.max_amplitudes)
 
 
-def basis_index(layout: SubsystemLayout, occupations: Sequence[int]) -> int:
-    """Row-major index of a joint occupation tuple."""
-    dims = layout.dims
-    if len(occupations) != len(dims):
-        raise IndexError(f"expected {len(dims)} occupations, got {len(occupations)}")
-    idx = 0
-    for occ, dim in zip(occupations, dims):
-        if not 0 <= occ < dim:
-            raise IndexError(f"occupation {occ} out of range for local dimension {dim}")
-        idx = idx * dim + occ
-    return idx
-
-
-def occupations_from_index(layout: SubsystemLayout, index: int) -> tuple[int, ...]:
-    """Inverse of :func:`basis_index`."""
-    if not 0 <= index < layout.total_dim:
-        raise IndexError(f"index {index} out of range for dimension {layout.total_dim}")
-    occs = []
-    for dim in reversed(layout.dims):
-        index, occ = divmod(index, dim)
-        occs.append(occ)
-    return tuple(reversed(occs))
-
-
 @dataclass(frozen=True)
 class Ket:
     """Pure state: complex amplitudes over the layout's joint occupation basis."""
@@ -178,12 +148,12 @@ class Ket:
         return math.sqrt(self.norm_squared())
 
     def amplitude(self, occupations: Sequence[int]) -> complex:
-        return complex(self.amplitudes[basis_index(self.layout, occupations)])
+        return complex(self.amplitudes[np.ravel_multi_index(occupations, self.layout.dims)])
 
     @staticmethod
     def basis_state(layout: SubsystemLayout, occupations: Sequence[int]) -> "Ket":
         amps = np.zeros(layout.total_dim, dtype=np.complex128)
-        amps[basis_index(layout, occupations)] = 1.0
+        amps[np.ravel_multi_index(occupations, layout.dims)] = 1.0
         return Ket(layout, amps)
 
 
@@ -205,10 +175,6 @@ class DensityMatrix:
             raise DomainError("density matrix is not Hermitian within tolerance")
         if abs(complex(np.trace(mat)).real - 1.0) > _UNIT_TRACE_TOL:
             raise DomainError(f"density matrix trace {np.trace(mat)} is not 1 within tolerance")
-
-    @property
-    def dim(self) -> int:
-        return self.layout.total_dim
 
 
 def tensor(a: Ket, b: Ket) -> Ket:

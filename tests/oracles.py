@@ -135,6 +135,23 @@ def scalar_one_sp_negativity(r, terms=4000, threshold=1e-12):
     return float(-lower[lower < -threshold].sum())
 
 
+def scalar_full_ln(accelerated, r, cutoff):
+    """LN(full) of a scalar scenario truncated at ``cutoff``, from its branch norms.
+
+    With x = tanh^2 r, the vacuum branch keeps A = sum_{n<=N} c_n^2 = 1 - x^(N+1)
+    and the one-particle branch B = sum_{n<=N} d_n^2 = 1 - (N+2) x^(N+1) + (N+1)
+    x^(N+2); with both modes accelerated each norm is squared.  The branches are
+    orthogonal on both sides of the cut, so the Schmidt weights are A/(A+B) and
+    B/(A+B), and LN = log2(1 + 2 sqrt(AB) / (A+B)).
+    """
+    x, n = math.tanh(r) ** 2, cutoff
+    a = 1.0 - x ** (n + 1)
+    b = 1.0 - (n + 2) * x ** (n + 1) + (n + 1) * x ** (n + 2)
+    if accelerated == "both":
+        a, b = a * a, b * b
+    return math.log2(1.0 + 2.0 * math.sqrt(a * b) / (a + b))
+
+
 def brute_force_partial_transpose(entries, dims, a_positions):
     """Element-by-element partial transpose over the given mode positions."""
     dims = list(dims)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from accelpair import (
     DomainError,
     FieldParams,
-    complex_gamma,
     fermion_coefficients,
     mu2_from_field,
     scalar_coefficients,
@@ -105,50 +104,36 @@ def test_squeeze_parameters_decrease_with_mu2(a, b):
     assert fermion_coefficients(lo).r_f > fermion_coefficients(hi).r_f
 
 
-def test_gamma_standard_values():
-    assert complex_gamma(1.0) == pytest.approx(1.0, rel=1e-13)
-    assert abs(complex_gamma(0.5)) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert complex_gamma(5.0).real == pytest.approx(24.0, rel=1e-13)
-
-
 def test_gamma_reflection_identity_on_half_line():
-    # |Gamma(1/2 + iy)|^2 = pi / cosh(pi*y) at y = 0.7
-    val = abs(complex_gamma(0.5 + 0.7j)) ** 2
+    # |Gamma(1/2 + iy)|^2 = pi / cosh(pi*y) at y = 0.7, read back from the scalar route
+    val = 2.0 * math.pi * math.exp(-0.7 * math.pi) / gamma_pathway_alpha(0.7, "boson") ** 2
     assert val == pytest.approx(0.688347235723248, rel=1e-10)
 
 
 def test_gamma_reflection_identity_on_imaginary_axis():
-    # |Gamma(iy)|^2 = pi / (y*sinh(pi*y)) at y = 0.7
-    val = abs(complex_gamma(0.7j)) ** 2
+    # |Gamma(iy)|^2 = pi / (y*sinh(pi*y)) at y = 0.7, read back from the fermion route
+    val = 2.0 * math.pi / 0.7 * math.exp(-0.7 * math.pi) / gamma_pathway_alpha(0.7, "fermion") ** 2
     assert val == pytest.approx(1.0078431034129907, rel=1e-10)
 
 
-def test_gamma_identities_across_strip():
-    y = 0.05
-    while y <= 10.0:
-        assert abs(complex_gamma(0.5 + 1j * y)) ** 2 * math.cosh(math.pi * y) == pytest.approx(
-            math.pi, rel=1e-9
-        )
-        assert abs(complex_gamma(1j * y)) ** 2 * y * math.sinh(math.pi * y) == pytest.approx(
-            math.pi, rel=1e-9
-        )
-        y *= 1.22
+# Across the strip, out to large mu2, and down to subnormal mu2, where |Gamma|
+# itself under- or overflows and only the log-space route stays finite.
+UNITARITY_MU2 = [0.05 * 1.22**k for k in range(27)] + [
+    50.0, 100.0, 480.0, 800.0, 5000.0, 1e-308, 5e-309, 5e-321
+]  # fmt: skip
 
 
-@pytest.mark.parametrize("y", [50.0, 100.0])
-def test_gamma_accuracy_extends_to_large_imaginary_parts(y):
-    assert abs(complex_gamma(0.5 + 1j * y)) ** 2 * math.cosh(math.pi * y) == pytest.approx(
-        math.pi, rel=1e-10
-    )
-    assert abs(complex_gamma(1j * y)) ** 2 * y * math.sinh(math.pi * y) == pytest.approx(
-        math.pi, rel=1e-10
-    )
+@pytest.mark.parametrize("mu2", UNITARITY_MU2, ids=lambda mu2: f"{mu2:.3g}")
+def test_verify_unitarity_across_mu2(mu2):
+    assert verify_unitarity(mu2, "boson") < 1e-10
+    assert verify_unitarity(mu2, "fermion") < 1e-10
 
 
-@pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
-def test_gamma_rejects_poles(z):
-    with pytest.raises(DomainError):
-        complex_gamma(z)
+@pytest.mark.parametrize("mu2", [math.nan, math.inf, -math.inf])
+def test_gamma_pathway_rejects_non_finite_mu2(mu2):
+    for statistics in ("boson", "fermion"):
+        with pytest.raises(DomainError):
+            gamma_pathway_alpha(mu2, statistics)
 
 
 def test_verify_unitarity_residuals():

@@ -15,6 +15,8 @@ from accelpair.cli import (
     run_sweep,
 )
 
+from oracles import scalar_one_sp_negativity
+
 HALF_PI = math.pi / 2
 
 
@@ -331,6 +333,21 @@ def test_main_does_not_converge_rows_whose_state_lost_its_norm(tmp_path, capsys)
     assert all(float(row["deficit"]) == pytest.approx(1.0) for row in rows[1:])
 
 
+def test_main_converged_scalar_one_rows_match_infinite_cutoff_series(tmp_path):
+    # the grid's ladders end at cutoffs 60, 120 and 128; a converged row must
+    # sit within --tol of the untruncated LN(s,p) (cutoff 30 at r = 1.2 is 9e-6 off)
+    csv_path = tmp_path / "series.csv"
+    argv = ["sweep", "--scenario", "scalar-one", "--min", "0", "--max", "1.6", "--steps", "17"]
+    assert main([*argv, "--csv", str(csv_path)]) == 0
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 17 and all(row["converged"] == "true" for row in rows)
+    assert {int(row["cutoff"]) for row in rows} == {60, 120, CUTOFF_CAP}
+    for row in rows:
+        series = math.log2(2.0 * scalar_one_sp_negativity(float(row["r"])) + 1.0)
+        assert abs(float(row["ln_sp"]) - series) < 1e-8, row["r"]
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--tol", "nan"], ["--tol", "inf"], ["--cutoff", "500"], ["--cutoff", "2"], ["--cutoff", "128"]],
@@ -364,6 +381,15 @@ def test_main_convert_reports(capsys):
     assert "mu2               1" in out
     assert "r_f" in out
     assert "unitarity residual" in out
+
+
+@pytest.mark.parametrize("statistics", ["scalar", "fermion"])
+@pytest.mark.parametrize("mass", ["31", "1e-154"])
+def test_main_convert_residual_is_finite_at_extreme_mu2(capsys, mass, statistics):
+    # mu2 = 480.5 and 5e-309: |Gamma| itself under- or overflows there
+    assert main(["convert", "--mass", mass, "--field", "1", "--statistics", statistics]) == 0
+    residual = capsys.readouterr().out.splitlines()[-1].split()[-1]
+    assert float(residual) < 1e-10
 
 
 @pytest.mark.parametrize("mass,field", [("1e200", "1e-200"), ("1", "1e-310")])

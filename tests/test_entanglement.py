@@ -28,7 +28,12 @@ from accelpair import (
     tensor,
 )
 
-from oracles import random_pure_amplitudes, scalar_one_sp_negativity, trace_norm_negativity
+from oracles import (
+    random_pure_amplitudes,
+    scalar_full_ln,
+    scalar_one_sp_negativity,
+    trace_norm_negativity,
+)
 
 HALF_PI = math.pi / 2
 
@@ -268,6 +273,17 @@ def test_scalar_one_matches_infinite_cutoff_series(r):
     for systems in at.values():
         assert systems["s,a"].min_pt_eigenvalue >= 0.0
         assert systems["s,a"].negativity == 0.0
+
+
+@pytest.mark.parametrize("accelerated", ["one", "both"])
+@pytest.mark.parametrize("cutoff", [4, 30, 60])
+@pytest.mark.parametrize("r", [0.3, 0.9, 1.2, 2.0])
+def test_scalar_full_ln_matches_branch_norm_closed_form(accelerated, cutoff, r):
+    res = evaluate_scenario(Scenario("scalar", accelerated, r, cutoff=cutoff))
+    expected = scalar_full_ln(accelerated, r, cutoff)
+    assert abs(res.systems["full"].log_negativity - expected) < 1e-13
+    if (accelerated, cutoff, r) == ("both", 4, 2.0):  # truncation shows, so the check has teeth
+        assert expected < 0.5
 
 
 def test_ppt_negativity_is_positive_zero():

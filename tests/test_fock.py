@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,12 +12,10 @@ from accelpair import (
     Ket,
     LayoutError,
     SubsystemLayout,
-    basis_index,
     boson_mode,
     fermion_mode,
     hermitian_eigenvalues,
     normalize,
-    occupations_from_index,
     outer_product,
     partial_trace,
     tensor,
@@ -50,7 +49,7 @@ def test_mode_spec_validation():
         SubModeSpec("x", "majorana", 2)
     with pytest.raises(LayoutError, match="integer"):
         SubModeSpec("x", "boson", 2.5)
-    assert SubModeSpec("x", "boson", np.int64(3)).cutoff == 2
+    assert SubModeSpec("x", "boson", np.int64(3)).dim == 3
 
 
 def test_layout_rejects_duplicates_and_oversize():
@@ -63,35 +62,49 @@ def test_layout_rejects_duplicates_and_oversize():
     assert big.total_dim == 2001 * 2001
 
 
+def row_major_index(occupations, dims):
+    idx = 0
+    for occ, dim in zip(occupations, dims):
+        idx = idx * dim + occ
+    return idx
+
+
 def test_basis_index_examples():
     layout = two_qubits()
-    assert basis_index(layout, (0, 0)) == 0
-    assert basis_index(layout, (1, 0)) == 2
-    assert occupations_from_index(layout, 3) == (1, 1)
+    assert Ket.basis_state(layout, (0, 0)).amplitudes[0] == 1.0
+    assert Ket.basis_state(layout, (1, 0)).amplitudes[2] == 1.0
+    assert bell_ket().amplitude((1, 1)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    assert bell_ket().amplitude((0, 1)) == 0.0
 
 
 def test_basis_index_round_trip_exhaustive():
+    # itertools.product enumerates occupations in row-major order by definition
     layout = SubsystemLayout((boson_mode("a", 2), fermion_mode("b"), boson_mode("c", 3)))
-    for idx in range(layout.total_dim):
-        assert basis_index(layout, occupations_from_index(layout, idx)) == idx
+    occs = list(itertools.product(*(range(d) for d in layout.dims)))
+    assert len(occs) == layout.total_dim
+    for idx, occ in enumerate(occs):
+        ket = Ket.basis_state(layout, occ)
+        assert np.flatnonzero(ket.amplitudes).tolist() == [idx]
+        assert ket.amplitude(occ) == 1.0
 
 
 def test_basis_index_errors():
+    # out of range, too short, too long, and negative (which must not wrap)
     layout = two_qubits()
-    with pytest.raises(IndexError):
-        basis_index(layout, (0, 2))
-    with pytest.raises(IndexError):
-        basis_index(layout, (0,))
-    with pytest.raises(IndexError):
-        occupations_from_index(layout, 4)
+    for occ in [(0, 2), (0,), (0, 0, 0), (-1, 0)]:
+        with pytest.raises(ValueError):
+            Ket.basis_state(layout, occ)
+        with pytest.raises(ValueError):
+            bell_ket().amplitude(occ)
 
 
 @given(st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4), st.data())
 @settings(max_examples=50, deadline=None)
 def test_basis_index_bijection_property(dims, data):
     layout = SubsystemLayout(tuple(boson_mode(f"m{i}", d - 1) for i, d in enumerate(dims)))
-    idx = data.draw(st.integers(min_value=0, max_value=layout.total_dim - 1))
-    assert basis_index(layout, occupations_from_index(layout, idx)) == idx
+    occ = tuple(data.draw(st.integers(min_value=0, max_value=d - 1)) for d in dims)
+    ket = Ket.basis_state(layout, occ)
+    assert np.flatnonzero(ket.amplitudes).tolist() == [row_major_index(occ, dims)]
 
 
 # --- kets, tensor, normalize ---------------------------------------------

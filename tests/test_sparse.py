@@ -23,6 +23,7 @@ from accelpair import (
     partial_transpose,
     reduced_density,
 )
+from accelpair.entanglement import NEGATIVE_EIGENVALUE_TOL, sweep_plan
 from accelpair.fock import hermitian_eigenvalues
 from accelpair.sparse import (
     CoordKet,
@@ -341,6 +342,7 @@ def test_traced_scalar_systems_match_sparse_oracle_at_cutoff_120(accelerated):
     # dense cannot run here: p,p alone has 14,884 states
     sc = Scenario("scalar", accelerated, 1.1, cutoff=120)
     ck, _ = build_final_state_coords(sc)
+    planned = evaluate_scenario(sc, sweep_plan(sc))  # the route a sweep runs
     for name, bp in named_bipartitions(sc).items():
         if not bp.traced:
             continue
@@ -353,3 +355,6 @@ def test_traced_scalar_systems_match_sparse_oracle_at_cutoff_120(accelerated):
         keep = sorted(ck.layout.position(lbl) for lbl in bp.kept)
         ref = sparse_pt_eigenvalues(ck.occupations, ck.values, ck.layout.dims, keep, a_pos)
         assert np.max(np.abs(ours - ref)) < 1e-12, name
+        ref_negativity = -ref[ref < -NEGATIVE_EIGENVALUE_TOL].sum()
+        assert abs(planned.systems[name].negativity - ref_negativity) < 1e-12, name
+        assert abs(planned.systems[name].min_pt_eigenvalue - ref[0]) < 1e-12, name
