@@ -36,6 +36,8 @@ __all__ = [
 
 _COEFF_TOL = 1e-12
 
+_B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # Bernoulli B_2 ... B_10, for Stirling
+
 
 @dataclass(frozen=True)
 class FieldParams:
@@ -136,7 +138,9 @@ def gamma_pathway_alpha(mu2: float, statistics: str) -> float:
 
     ln|alpha| is formed from ``scipy.special.loggamma`` (Re ln Gamma = ln|Gamma|)
     and exponentiated once, so neither |Gamma| nor 2 pi / mu2 is ever formed:
-    both leave the float range at large or tiny mu2.
+    both leave the float range at large or tiny mu2.  For the scalar at
+    mu2 >= 20, Re ln Gamma(1/2 + i mu2) + pi mu2/2 comes from the Stirling
+    series (DLMF 5.11.1), free of the cancellation between two terms ~pi mu2/2.
 
     This is the slow cross-check route; production code uses the closed
     exponential forms in :func:`scalar_coefficients` / :func:`fermion_coefficients`.
@@ -149,6 +153,10 @@ def gamma_pathway_alpha(mu2: float, statistics: str) -> float:
     if statistics == "boson":
         if mu2 <= 0.0:
             raise DomainError("bosonic gamma pathway requires mu2 > 0")
+        if mu2 >= 20.0:
+            z = 0.5 + 1j * mu2
+            tail = sum(b / (2 * k * (2 * k - 1) * z ** (2 * k - 1)) for k, b in enumerate(_B2K, 1))
+            return math.exp(0.5 - mu2 * math.atan(0.5 / mu2) - tail.real)
         ln_alpha = 0.5 * math.log(2.0 * math.pi) - loggamma(0.5 + 1j * mu2).real
     elif statistics == "fermion":
         if mu2 < 0.0:

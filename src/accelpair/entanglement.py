@@ -10,11 +10,13 @@ their smallest partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 :func:`evaluate_scenario` runs all four scenarios through the two-branch
 pipeline of :mod:`accelpair.sparse`, on a :class:`SweepPlan` that holds the
 squeeze-independent index structure (its docstring says which checks run
-when the plan is built and which per point).  The per-state functions of
-:mod:`accelpair.sparse` and the dense functions here are the reference
-routes it is tested against.  Reduced systems carry conventional
-names: "s,p" pairs the inert s mode with the w particles, "p,p" pairs the
-particles of both accelerated modes, and so on; "full" keeps every
+when the plan is built and which per point).  Only the negative eigenvalues
+are computed: in closed form where a system's chains are 2-state pairs
+(:func:`pair_spectra`), by bisection otherwise (:func:`chain_spectrum`).  The
+per-state functions of :mod:`accelpair.sparse` and the dense functions here
+are the reference routes it is tested against.  Reduced systems carry
+conventional names: "s,p" pairs the inert s mode with the w particles, "p,p"
+pairs the particles of both accelerated modes, and so on; "full" keeps every
 sub-mode, split s side vs w side.
 """
 
@@ -43,13 +45,18 @@ __all__ = [
     "named_bipartitions",
     "SystemResult",
     "ScenarioResult",
+    "pair_spectra",
+    "chain_spectrum",
     "SweepPlan",
     "sweep_plan",
     "evaluate_scenario",
 ]
 
-# Partial-transpose eigenvalues in [-1e-12, 0) are treated as zero.
+# Partial-transpose eigenvalues in [-1e-12, 0) are treated as zero; a chain
+# with none at or below -1e-14 is certified PPT.
 NEGATIVE_EIGENVALUE_TOL = 1e-12
+_CERTIFIED_TOL = 1e-14
+_TINY = np.finfo(float).tiny
 
 # Schmidt weights below this are discarded before taking square roots, so the
 # sqrt of eigensolver noise cannot accumulate across large layouts.
@@ -130,18 +137,14 @@ def partial_transpose(rho: DensityMatrix, party_a: Iterable[str]) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(rho.entries.shape))
 
 
-def _negativity_from_eigenvalues(eigs: np.ndarray) -> float:
-    # abs, not negation: an empty sum must give 0.0, never -0.0
-    return float(np.abs(eigs[eigs < -NEGATIVE_EIGENVALUE_TOL]).sum())
-
-
 def negativity(rho: DensityMatrix, party_a: Iterable[str]) -> float:
     """Absolute sum of the negative partial-transpose eigenvalues.
 
     Equals (||rho^{T_A}||_1 - 1)/2 for unit-trace input.
     """
     eigs = hermitian_eigenvalues(partial_transpose(rho, party_a))
-    return _negativity_from_eigenvalues(eigs)
+    # abs, not negation: an empty sum must give 0.0, never -0.0
+    return float(np.abs(eigs[eigs < -NEGATIVE_EIGENVALUE_TOL]).sum())
 
 
 def log_negativity(rho: DensityMatrix, party_a: Iterable[str]) -> float:
@@ -234,11 +237,18 @@ def named_bipartitions(sc: Scenario) -> dict[str, Bipartition]:
 
 @dataclass(frozen=True)
 class SystemResult:
-    """Entanglement figures for one named reduced system."""
+    """Entanglement figures for one named reduced system.
+
+    ``negative_count`` counts the partial-transpose eigenvalues below -1e-12.
+    ``min_pt_eigenvalue`` is the smallest, exactly, for "full" and for pairs.
+    For longer chains it is the smallest below -1e-14, or 0.0 to certify that
+    none lies there (a PPT chain has thousands within 1e-14 of zero).
+    """
 
     log_negativity: float
     negativity: float
     min_pt_eigenvalue: float
+    negative_count: int
 
 
 @dataclass(frozen=True)
@@ -250,24 +260,61 @@ class ScenarioResult:
     systems: Mapping[str, SystemResult]
 
 
-def _result_from_eigenvalues(eigs: np.ndarray) -> SystemResult:
-    neg = _negativity_from_eigenvalues(eigs)
-    return SystemResult(
-        log_negativity=math.log2(2.0 * neg + 1.0),
-        negativity=neg,
-        min_pt_eigenvalue=float(eigs[0]) if eigs.size else 0.0,
-    )
+def _system_result(negativity, min_pt, count) -> SystemResult:
+    neg = float(negativity)
+    return SystemResult(math.log2(2.0 * neg + 1.0), neg, float(min_pt), int(count))
+
+
+def pair_spectra(d, lo, c, system, starts) -> tuple[np.ndarray, ...]:
+    """Negativity, smallest eigenvalue and count below -1e-12 per system of
+    symmetric tridiagonals (d >= 0, couplings c >= 0 at (lo, lo + 1)) whose
+    couplings join disjoint pairs of states.  System i is
+    d[starts[i]:starts[i + 1]] with the pairs marked i in ``system``."""
+    a, b = d.take(lo), d[1:].take(lo)
+    plus = (a + b) / 2 + np.hypot((a - b) / 2, c)
+    # det / plus has none of (a + b)/2 - hypot's cancellation; plus < tiny only
+    # where a, b, c < tiny, and there det underflows to 0
+    minus = (a * b - c * c) / np.maximum(plus, _TINY)
+    low = d.copy()
+    low.put(lo, np.minimum(a, minus))
+    neg, n = minus < -NEGATIVE_EIGENVALUE_TOL, starts.size - 1
+    negativity = np.bincount(system, -minus * neg, n)  # -0.0 terms add nothing
+    return negativity, np.minimum.reduceat(low, starts[:-1]), np.bincount(system, neg, n)
+
+
+def chain_spectrum(d, lo, c) -> tuple[float, float, int]:
+    """Negativity, smallest eigenvalue as :class:`SystemResult` certifies it,
+    and count below -1e-12 of one symmetric tridiagonal (d, couplings c >= 0
+    at (lo, lo + 1)).  One LAPACK ``dstebz`` bisects for the eigenvalues in
+    (Gershgorin bound, -1e-14], if any can lie there."""
+    pad = np.zeros(d.size + 1)
+    pad[lo + 1] = c
+    bound = float(np.min(d - pad[:-1] - pad[1:]))
+    if bound >= -_CERTIFIED_TOL:  # also keeps LAPACK from an empty interval
+        return 0.0, 0.0, 0
+    from scipy.linalg.lapack import dstebz  # only chains load scipy.linalg (~270 ms)
+
+    m, w, _, _, info = dstebz(d, pad[1:-1], 1, 2 * bound, -_CERTIFIED_TOL, 0, 0, 0.0, b"E")
+    if info != 0:
+        raise DomainError(f"dstebz failed (info {info})")
+    w = w[:m]
+    neg = w[w < -NEGATIVE_EIGENVALUE_TOL]
+    return float(np.abs(neg).sum()), float(w.min(initial=0.0)), neg.size
 
 
 @dataclass(frozen=True)
 class SweepPlan:
     """Index structure of one (statistics, accelerated, cutoff): each system's
     :class:`~accelpair.sparse.ChainPlan`, None for the untraced "full" system,
-    whose Schmidt weights are the norms of the branches in ``branch``."""
+    whose Schmidt weights are the norms of the branches in ``branch``.  The
+    systems whose chains are all 2-state ``pairs`` are also joined, in order,
+    into one plan, ``batch``; each point solves them together."""
 
     key: tuple[str, str, int | None]
     branch: np.ndarray
     systems: Mapping[str, ChainPlan | None]
+    pairs: tuple[str, ...]
+    batch: ChainPlan | None
 
 
 def _plan_key(sc: Scenario) -> tuple[str, str, int | None]:
@@ -287,7 +334,15 @@ def sweep_plan(sc: Scenario) -> SweepPlan:
         kept = layout.restricted(bp.kept)
         charge = kept_charges(kept.dims, kept.labels, bp.party_a)
         systems[name] = plan_chain(layout, occ, branch, bp.kept, bp.party_a, charge)
-    return SweepPlan(_plan_key(sc), branch, systems)
+    pairs = tuple(n for n, p in systems.items() if p is not None and (np.diff(p.edge) > 1).all())
+    if not pairs:
+        return SweepPlan(_plan_key(sc), branch, systems, pairs, None)
+    # one plan for the pairs: each system's bins run over the support once more
+    starts = np.cumsum([0] + [systems[n].starts[-1] for n in pairs])
+    parts = zip((systems[n] for n in pairs), starts, range(len(pairs)))
+    joined = [(p.bins + s, p.first, p.second, p.edge + s, p.system + i) for p, s, i in parts]
+    batch = ChainPlan(*map(np.concatenate, zip(*joined)), starts)
+    return SweepPlan(_plan_key(sc), branch, systems, pairs, batch)
 
 
 def evaluate_scenario(sc: Scenario, plan: SweepPlan | None = None) -> ScenarioResult:
@@ -301,8 +356,9 @@ def evaluate_scenario(sc: Scenario, plan: SweepPlan | None = None) -> ScenarioRe
     a state on one side of the "full" cut.  Per point, the amplitudes are
     checked (finite, norm at most 1 + 1e-12) and renormalized, the norm
     summed over the nonzero entries only; zero entries stay in the support
-    and change no sum.  Each traced system then takes one ``bincount``, one
-    gather and one ``dsterf`` (DomainError if it fails), and "full" the two
+    and change no sum.  The systems of pairs then take one ``bincount``, one
+    gather and :func:`pair_spectra` together, each longer-chained system one
+    ``bincount``, one gather and :func:`chain_spectrum`, and "full" the two
     branch norms.
     """
     if plan is None:
@@ -311,11 +367,19 @@ def evaluate_scenario(sc: Scenario, plan: SweepPlan | None = None) -> ScenarioRe
         raise DomainError(f"plan for {plan.key} does not fit scenario {_plan_key(sc)}")
     val, deficit = scenario_amplitudes(sc)
     weights = (val * val.conj()).real
+    paired, batch = {}, plan.batch
+    if batch is not None:
+        tiled = np.concatenate([weights] * len(plan.pairs))
+        spectra = pair_spectra(*batch.entries(tiled, val), batch.system, batch.starts)
+        paired = dict(zip(plan.pairs, map(_system_result, *spectra)))
     results: dict[str, SystemResult] = {}
     for name, chain in plan.systems.items():
         if chain is None:
             norms = np.sort(np.bincount(plan.branch, np.abs(val) ** 2, 2))[::-1]
-            results[name] = SystemResult(*_ln_from_schmidt(norms))
+            ln, neg, low = _ln_from_schmidt(norms)  # of two weights: one negative, -sqrt(w0 w1)
+            results[name] = SystemResult(ln, neg, low, int(low < -NEGATIVE_EIGENVALUE_TOL))
+        elif name in paired:
+            results[name] = paired[name]
         else:
-            results[name] = _result_from_eigenvalues(chain.eigenvalues(weights, val))
+            results[name] = _system_result(*chain_spectrum(*chain.entries(weights, val)))
     return ScenarioResult(sc, deficit, results)

@@ -6,24 +6,23 @@ occupation tuples with their amplitudes and branches; nothing dense is
 formed.  A traced system's reduced density matrix is a diagonal plus one
 cross term a0 conj(a1) per traced index that both branches populate, so it is
 Hermitian by construction, and its partial transpose permutes the cross terms
-only.  Sorted by a conserved charge, every sector is a chain, and one LAPACK
-``dsterf`` call solves them all.  The untraced system's Schmidt weights are
-the two branch norms.  Input outside this structure is a DomainError.
+only.  Sorted by a conserved charge, every sector is a chain: the matrix is
+one symmetric tridiagonal (d, |e|).  The untraced system's Schmidt weights
+are the two branch norms.  Input outside this structure is a DomainError.
 
 :func:`plan_chain` builds this index structure once per support and runs
 the structural checks there, on every entry, zero amplitudes included; per
-state, :meth:`ChainPlan.eigenvalues` is one bincount, one gather and one
-``dsterf``.  The per-state functions, the reference route, share its helpers.
+state, :meth:`ChainPlan.entries` is one bincount and one gather.  The
+per-state functions, the reference route, share its helpers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsterf
 
 from .errors import DomainError, LayoutError
 from .fock import DEFAULT_AMPLITUDE_LIMIT, Ket, SubsystemLayout
@@ -37,6 +36,7 @@ __all__ = [
     "cut_sides",
     "reduced_gram",
     "partial_transpose_sparse",
+    "tridiagonal",
     "hermitian_block_eigenvalues",
     "schmidt_weights",
 ]
@@ -186,13 +186,6 @@ def _chain(charge: Sequence[int], n: int, rows, cols) -> tuple[np.ndarray, ...]:
     return order, place, rows, cols
 
 
-def _sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    eigs, info = dsterf(d, e, overwrite_d=1, overwrite_e=1)
-    if info != 0:
-        raise DomainError(f"dsterf failed to converge (info {info})")
-    return eigs
-
-
 def reduced_gram(
     k: CoordKet, keep: Iterable[str]
 ) -> tuple[HermitianCoords, tuple[int, ...], tuple[str, ...]]:
@@ -218,46 +211,66 @@ def partial_transpose_sparse(
     return HermitianCoords(rho.diag, *_swap(rho.rows, rho.cols, kept_dims, a_positions), rho.vals)
 
 
-def hermitian_block_eigenvalues(mat: HermitianCoords, charge: Sequence[int]) -> np.ndarray:
-    """All eigenvalues, ascending, of a Hermitian matrix whose charge sectors are chains.
+def tridiagonal(mat: HermitianCoords, charge: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """(d, |e|, edges) of a Hermitian matrix whose charge sectors are chains.
 
     ``charge`` holds one integer per state.  States are stable-sorted by
     charge; every cross term must then couple two neighbouring states of one
     sector, else DomainError.  The sorted matrix is tridiagonal, and |e| (a
-    diagonal unitary similarity) goes with the diagonal to one ``dsterf``.
+    diagonal unitary similarity) is its off-diagonal, with ``edges`` each
+    cross term's place there.
     """
     n = mat.shape[0]
     order, _, rows, cols = _chain(charge, n, mat.rows, mat.cols)
+    edges = np.minimum(rows, cols)
     upper = np.zeros(max(n - 1, 1), dtype=np.complex128)  # dsterf wants one even for n = 1
-    np.add.at(upper, np.minimum(rows, cols), np.where(rows < cols, mat.vals, mat.vals.conj()))
-    return _sterf(mat.diag[order].astype(float), np.abs(upper))
+    np.add.at(upper, edges, np.where(rows < cols, mat.vals, mat.vals.conj()))
+    return mat.diag[order].astype(float), np.abs(upper), edges
+
+
+def hermitian_block_eigenvalues(mat: HermitianCoords, charge: Sequence[int]) -> np.ndarray:
+    """All eigenvalues, ascending, of :func:`tridiagonal`'s (d, |e|), from one ``dsterf``."""
+    from scipy.linalg.lapack import dsterf  # the reference route only: sweeps never load it
+
+    eigs, info = dsterf(*tridiagonal(mat, charge)[:2], overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise DomainError(f"dsterf failed to converge (info {info})")
+    return eigs
 
 
 @dataclass(frozen=True)
 class ChainPlan:
-    """One traced system's partial-transpose structure on a fixed support: per
-    entry, its state's place in charge order (``bins``); per cross term, its
-    entry pair (``first``, ``second``) and its place on the sorted chain's
-    off-diagonal (``edge``).  int32, read-only."""
+    """Partial-transpose structure of traced systems on a fixed support: per
+    entry, its state's place in charge order (``bins``); per cross term, in
+    ``edge`` order, its entry pair (``first``, ``second``), its place on the
+    sorted chains' off-diagonal (``edge``) and its ``system``; the systems'
+    first states (``starts``, then the total).  int32, read-only."""
 
-    size: int
     bins: np.ndarray
     first: np.ndarray
     second: np.ndarray
     edge: np.ndarray
+    system: np.ndarray
+    starts: np.ndarray
 
-    def eigenvalues(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Spectrum for ``values`` on the support; ``weights`` is (values conj(values)).real.
-        Bit for bit the per-state route: zeros add nothing, |z| = |conj(z)|."""
-        e = np.zeros(max(self.size - 1, 1))
-        e[self.edge] = np.abs(values[self.first] * values[self.second].conj())
-        return _sterf(np.bincount(self.bins, weights, self.size), e)
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            index = np.array(getattr(self, f.name), dtype=np.int32)
+            index.flags.writeable = False
+            object.__setattr__(self, f.name, index)
+
+    def entries(self, weights: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(d, edge, |e| on it) for ``values`` on the support; ``weights`` is
+        (values conj(values)).real, repeated once per system.  Bit for bit the
+        per-state route: zeros add nothing, |z| = |conj(z)|."""
+        d = np.bincount(self.bins, weights, self.starts[-1])
+        return d, self.edge, np.abs(values.take(self.first) * values.take(self.second).conj())
 
 
 def plan_chain(layout, occupations, branch, keep, party_a, charge) -> ChainPlan:
     """Plan the partial transpose over ``party_a`` of rho over ``keep``, ``charge`` per
-    kept state.  Runs the checks of reduced_gram and hermitian_block_eigenvalues
-    on the whole support; two cross terms on one chain edge are a DomainError."""
+    kept state.  Runs the checks of reduced_gram and tridiagonal on the
+    whole support; two cross terms on one chain edge are a DomainError."""
     kept, rows, first, second = _cross_terms(layout, occupations, branch, keep)
     party_a = frozenset(party_a)
     a_pos = [i for i, lbl in enumerate(kept.labels) if lbl in party_a]
@@ -266,10 +279,9 @@ def plan_chain(layout, occupations, branch, keep, party_a, charge) -> ChainPlan:
     edge = np.minimum(*pt)
     if np.unique(edge).size != edge.size:
         raise DomainError("two cross terms land on one chain edge")
-    index = [a.astype(np.int32) for a in (place[rows], first, second, edge)]
-    for a in index:
-        a.flags.writeable = False
-    return ChainPlan(kept.total_dim, *index)
+    by = np.argsort(edge)
+    one_system = np.zeros_like(by), [0, kept.total_dim]
+    return ChainPlan(place[rows], first[by], second[by], edge[by], *one_system)
 
 
 def cut_sides(layout, occupations, branch, party_a: Iterable[str]) -> list[np.ndarray]:

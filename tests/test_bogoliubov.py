@@ -116,10 +116,11 @@ def test_gamma_reflection_identity_on_imaginary_axis():
     assert val == pytest.approx(1.0078431034129907, rel=1e-10)
 
 
-# Across the strip, out to large mu2, and down to subnormal mu2, where |Gamma|
-# itself under- or overflows and only the log-space route stays finite.
+# Across the strip, out to large mu2 (the scalar by Stirling from 20 on), and
+# down to subnormal mu2, where |Gamma| itself under- or overflows and only the
+# log-space route stays finite.
 UNITARITY_MU2 = [0.05 * 1.22**k for k in range(27)] + [
-    50.0, 100.0, 480.0, 800.0, 5000.0, 1e-308, 5e-309, 5e-321
+    50.0, 100.0, 480.0, 800.0, 5000.0, 5e5, 1e6, 1e-308, 5e-309, 5e-321
 ]  # fmt: skip
 
 

@@ -1,5 +1,6 @@
 """Sweep plans: the squeeze-independent index structure against the per-point route."""
 
+import dataclasses
 import math
 import random
 
@@ -22,39 +23,67 @@ from accelpair import entanglement
 from accelpair.entanglement import (
     SystemResult,
     _ln_from_schmidt,
-    _result_from_eigenvalues,
+    _system_result,
+    chain_spectrum,
+    pair_spectra,
     sweep_plan,
 )
 from accelpair.sparse import (
     CoordKet,
     cut_sides,
-    hermitian_block_eigenvalues,
     partial_transpose_sparse,
     plan_chain,
     reduced_gram,
     schmidt_weights,
+    tridiagonal,
 )
 from accelpair.states import kept_charges, scenario_layout, scenario_support
 
 SCENARIOS = [(stat, acc) for stat in ("scalar", "fermion") for acc in ("one", "both")]
 
 
-def reference_result(sc):
-    """(deficit, systems) of sc through the per-point coordinate route."""
-    ck, deficit = build_final_state_coords(sc)
-    systems = {}
+def traced_tridiagonals(ck, sc):
+    """(d, |e|, edges) of each traced system's partial transpose, per-point route."""
+    out = {}
     for name, bp in named_bipartitions(sc).items():
-        if not bp.traced:
-            systems[name] = SystemResult(*_ln_from_schmidt(schmidt_weights(ck, bp.party_a)))
-            continue
-        rho, kept_dims, kept_labels = reduced_gram(ck, bp.kept)
-        a_pos = [i for i, lbl in enumerate(kept_labels) if lbl in bp.party_a]
-        eigs = hermitian_block_eigenvalues(
-            partial_transpose_sparse(rho, kept_dims, a_pos),
-            kept_charges(kept_dims, kept_labels, bp.party_a),
+        if bp.traced:
+            rho, kept_dims, kept_labels = reduced_gram(ck, bp.kept)
+            a_pos = [i for i, lbl in enumerate(kept_labels) if lbl in bp.party_a]
+            pt = partial_transpose_sparse(rho, kept_dims, a_pos)
+            out[name] = tridiagonal(pt, kept_charges(kept_dims, kept_labels, bp.party_a))
+    return out
+
+
+def reference_result(sc):
+    """(deficit, systems) of sc through the per-point coordinate route.
+
+    The chain edges, and so pairs or chains, are read off the support at
+    r = 0.5, where no amplitude vanishes: a plan keeps zero amplitudes.  The
+    systems of pairs are joined into one batch, in order, as a plan joins them.
+    """
+    ck, deficit = build_final_state_coords(sc)
+    generic = dataclasses.replace(sc, squeeze=0.5)
+    structure = traced_tridiagonals(build_final_state_coords(generic)[0], generic)
+    lo = {name: np.sort(edges) for name, (_, _, edges) in structure.items()}
+    pairs = [name for name, at in lo.items() if (np.diff(at) > 1).all()]
+    traced = traced_tridiagonals(ck, sc)
+    systems = {}
+    if pairs:
+        starts = np.cumsum([0] + [traced[name][0].size for name in pairs])
+        spectra = pair_spectra(
+            np.concatenate([traced[name][0] for name in pairs]),
+            np.concatenate([lo[name] + s for name, s in zip(pairs, starts)]),
+            np.concatenate([traced[name][1][lo[name]] for name in pairs]),
+            np.repeat(np.arange(len(pairs)), [lo[name].size for name in pairs]),
+            starts,
         )
-        systems[name] = _result_from_eigenvalues(eigs)
-    return deficit, systems
+        systems.update(zip(pairs, map(_system_result, *spectra)))
+    for name, (d, e, _) in traced.items():
+        if name not in systems:
+            systems[name] = _system_result(*chain_spectrum(d, lo[name], e[lo[name]]))
+    ln, neg, low = _ln_from_schmidt(schmidt_weights(ck, named_bipartitions(sc)["full"].party_a))
+    systems["full"] = SystemResult(ln, neg, low, int(low < -1e-12))
+    return deficit, {name: systems[name] for name in named_bipartitions(sc)}
 
 
 squeezes = st.one_of(
@@ -95,9 +124,9 @@ def test_shuffled_grid_through_one_plan_matches_fresh_plans(kind):
 def test_plan_arrays_are_read_only_int32(kind):
     plan = sweep_plan(Scenario(*kind, 0.3, cutoff=6))
     arrays = [plan.branch, *scenario_support(Scenario(*kind, 0.3, cutoff=6))[1:]]
-    for chain in plan.systems.values():
+    for chain in [*plan.systems.values(), plan.batch]:
         if chain is not None:
-            arrays += [chain.bins, chain.first, chain.second, chain.edge]
+            arrays += [chain.bins, chain.first, chain.second, chain.edge, chain.system, chain.starts]
     for a in arrays:
         assert a.dtype == np.int32
         assert not a.flags.writeable
@@ -145,9 +174,11 @@ def test_chain_plan_matches_reference_on_a_valid_support():
     values = np.array([0.6, 0.48j, -0.64]).astype(complex)
     ck = CoordKet(TRIPLE, occ, values, branch)
     rho, kept_dims, _ = reduced_gram(ck, ("a", "b"))
-    ref = hermitian_block_eigenvalues(partial_transpose_sparse(rho, kept_dims, [0]), SUM_CHARGE)
-    ours = plan.eigenvalues((values * values.conj()).real, values)
-    assert np.array_equal(ours, ref)
+    d, e, edges = tridiagonal(partial_transpose_sparse(rho, kept_dims, [0]), SUM_CHARGE)
+    ours = plan.entries((values * values.conj()).real, values)
+    assert not plan.system.any() and np.array_equal(plan.starts, [0, 9])  # one system
+    assert np.array_equal(ours[0], d)
+    assert np.array_equal(ours[1], np.sort(edges)) and np.array_equal(ours[2], e[ours[1]])
 
 
 def test_cut_check_rejects_branches_sharing_a_state():
