@@ -47,10 +47,6 @@ from .states import (
     Scenario,
     build_final_state,
     build_final_state_coords,
-    fermion_out_one,
-    fermion_out_vacuum,
-    scalar_out_one,
-    scalar_out_vacuum,
     scenario_layout,
 )
 
@@ -80,10 +76,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "Scenario",
     "scenario_layout",
-    "scalar_out_vacuum",
-    "scalar_out_one",
-    "fermion_out_vacuum",
-    "fermion_out_one",
     "build_final_state",
     "build_final_state_coords",
     "Bipartition",

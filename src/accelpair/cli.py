@@ -99,6 +99,9 @@ class SweepConfig:
             raise DomainError(f"tolerance must be finite and positive, got {self.convergence_tol}")
         if not 4 <= self.cutoff < CUTOFF_CAP:  # the ladder must be able to double at least once
             raise DomainError(f"cutoff must lie in [4, {CUTOFF_CAP - 1}], got {self.cutoff}")
+        if self.svg_path is not None and self.csv_path is not None:
+            if Path(self.svg_path).resolve() == Path(self.csv_path).resolve():
+                raise DomainError(f"the CSV and SVG outputs are the same file: {self.svg_path}")
 
     @property
     def statistics(self) -> str:

@@ -2,10 +2,11 @@
 
 The negativity N is the absolute sum of the partial transpose's negative
 eigenvalues, (trace norm - 1)/2, and LN = log2(2 N + 1).  Eigenvalues above
--1e-12 count as zero, so round-off never masquerades as entanglement; for
-scalar-one "s,p" that drops 1.0-2.6e-12 of genuine negativity at
-r in {0.3, 0.9, 1.2}.  The scalar antiparticle systems need no threshold:
-their smallest partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
+-1e-12 count as zero, so round-off never masquerades as entanglement; at
+r in {0.3, 0.9, 1.2} that drops 1.0-2.6e-12 of genuine negativity from
+scalar-one "s,p" and 2.0-5.2e-12 from scalar-both "p,p" (up to 1.5e-11 of
+LN).  The scalar antiparticle systems need no threshold: their smallest
+partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 
 :func:`evaluate_scenario` runs all four scenarios through the two-branch
 pipeline of :mod:`accelpair.sparse`, on a :class:`SweepPlan` that holds the

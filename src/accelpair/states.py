@@ -39,10 +39,6 @@ from .sparse import CoordKet, norm_squared
 __all__ = [
     "Scenario",
     "scenario_layout",
-    "scalar_out_vacuum",
-    "scalar_out_one",
-    "fermion_out_vacuum",
-    "fermion_out_one",
     "build_final_state",
     "build_final_state_coords",
     "scenario_support",
@@ -86,7 +82,8 @@ class Scenario:
         if not math.isfinite(self.phase):
             raise DomainError("phase must be finite")
         if self.statistics == "scalar":
-            _check_integral_cutoff(self.cutoff)
+            if not isinstance(self.cutoff, numbers.Integral):
+                raise DomainError(f"cutoff must be an integer, got {self.cutoff!r}")
             if self.cutoff < 4:
                 raise DomainError(f"scalar scenarios need cutoff >= 4, got {self.cutoff}")
             _cosh_squared(self.squeeze)  # DomainError where the weights would overflow
@@ -147,51 +144,6 @@ def _pair_ket(pair_layout: SubsystemLayout, weights: np.ndarray, shift: int) -> 
     n = np.arange(len(weights))
     amps[n + shift, n] = weights
     return Ket(pair_layout, amps)
-
-
-def _check_integral_cutoff(cutoff) -> None:
-    if not isinstance(cutoff, numbers.Integral):
-        raise DomainError(f"cutoff must be an integer, got {cutoff!r}")
-
-
-def _check_scalar_args(r: float, cutoff: int) -> None:
-    if not math.isfinite(r) or r < 0.0:
-        raise DomainError(f"squeeze parameter must be finite and >= 0, got {r}")
-    _check_integral_cutoff(cutoff)
-    if cutoff < 1:
-        raise DomainError(f"cutoff must be >= 1, got {cutoff}")
-    _cosh_squared(r)
-
-
-def scalar_out_vacuum(r: float, cutoff: int, mode: str = "w") -> tuple[Ket, float]:
-    """Truncated two-mode squeezed vacuum |n_p, n_a>, renormalized.
-
-    The reported deficit equals the geometric tail tanh(r)^(2(cutoff+1)).
-    """
-    _check_scalar_args(r, cutoff)
-    c, _ = _expansion("scalar", r, 0.0, cutoff)
-    return normalize(_pair_ket(_pair_layout(mode, cutoff, "scalar"), c, 0))
-
-
-def scalar_out_one(r: float, cutoff: int, mode: str = "w") -> tuple[Ket, float]:
-    """Truncated one-particle expansion |(n+1)_p, n_a>, renormalized with deficit."""
-    _check_scalar_args(r, cutoff)
-    _, d = _expansion("scalar", r, 0.0, cutoff)
-    return normalize(_pair_ket(_pair_layout(mode, cutoff, "scalar"), d, 1))
-
-
-def fermion_out_vacuum(r_f: float, phase: float = 0.0, mode: str = "w") -> Ket:
-    """Fermionic vacuum in the out basis: cos(r_f) e^{-i phase}|0,0> - sin(r_f)|1,1>."""
-    if not 0.0 <= r_f <= _HALF_PI:
-        raise DomainError(f"r_f must lie in [0, pi/2], got {r_f}")
-    c, _ = _expansion("fermion", r_f, phase, 1)
-    return _pair_ket(_pair_layout(mode, 1, "fermion"), c, 0)
-
-
-def fermion_out_one(mode: str = "w") -> Ket:
-    """Fermionic one-particle state in the out basis: exactly |1_p, 0_a>."""
-    _, d = _expansion("fermion", 0.0, 0.0, 1)
-    return _pair_ket(_pair_layout(mode, 1, "fermion"), d, 1)
 
 
 def build_final_state(sc: Scenario) -> tuple[Ket, float]:

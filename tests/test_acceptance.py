@@ -16,17 +16,18 @@ from accelpair import (
     Scenario,
     SubsystemLayout,
     boson_mode,
+    build_final_state,
     closed_form_ln,
     evaluate_scenario,
     fermion_mode,
     negativity,
     partial_transpose,
     reduced_density,
-    scalar_out_vacuum,
     verify_unitarity,
 )
 from accelpair.bogoliubov import fermion_coefficients, gamma_pathway_alpha, scalar_coefficients
 from accelpair.cli import SweepConfig, run_sweep
+from accelpair.states import scenario_amplitudes
 
 from oracles import brute_force_partial_transpose, random_pure_amplitudes, trace_norm_negativity
 
@@ -187,10 +188,18 @@ def test_criterion_5_negativity_oracle_equivalence():
 
 
 def test_criterion_6_truncation_law():
+    # deficit 1 - (A + B)/2 of the truncated vacuum (A) and one-particle (B)
+    # expansions, each squared when both modes are accelerated; x = tanh(r)^2
     worst = 0.0
+    x = math.tanh(0.5) ** 2
     for cutoff in (5, 10, 20):
-        _, deficit = scalar_out_vacuum(0.5, cutoff)
-        worst = max(worst, abs(deficit - math.tanh(0.5) ** (2 * (cutoff + 1))))
+        a = 1.0 - x ** (cutoff + 1)
+        b = 1.0 - (cutoff + 2) * x ** (cutoff + 1) + (cutoff + 1) * x ** (cutoff + 2)
+        for acc, power in (("one", 1), ("both", 2)):
+            expected = 1.0 - (a**power + b**power) / 2.0
+            sc = Scenario("scalar", acc, 0.5, cutoff=cutoff)
+            for deficit in (build_final_state(sc)[1], scenario_amplitudes(sc)[1]):
+                worst = max(worst, abs(deficit - expected))
     ok = worst < 1e-14
     _report(6, "truncation deficit follows the geometric tail", ok, f"worst {worst:.2e}")
     assert worst < 1e-14

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from accelpair import DomainError
+from accelpair import DomainError, Scenario, evaluate_scenario
 from accelpair.cli import (
     CUTOFF_CAP,
     ConversionReport,
@@ -14,6 +14,7 @@ from accelpair.cli import (
     main,
     run_sweep,
 )
+from accelpair.entanglement import sweep_plan
 
 from oracles import scalar_one_sp_negativity
 
@@ -272,6 +273,18 @@ def test_main_exit_code_for_bad_grid(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("svg", ["./same.csv", "sub/../same.csv", "link.csv"])
+def test_main_rejects_csv_and_svg_naming_one_file(tmp_path, monkeypatch, capsys, svg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "same.csv")
+    argv = ["sweep", "--scenario", "fermion-one", "--steps", "3", "--csv", "same.csv"]
+    assert main(argv + ["--svg", svg]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "same.csv").exists()
+
+
 def test_main_exit_code_for_unparsable_arguments():
     assert main(["sweep", "--scenario", "not-a-scenario", "--csv", "x.csv"]) == 1
 
@@ -346,6 +359,19 @@ def test_main_converged_scalar_one_rows_match_infinite_cutoff_series(tmp_path):
     for row in rows:
         series = math.log2(2.0 * scalar_one_sp_negativity(float(row["r"])) + 1.0)
         assert abs(float(row["ln_sp"]) - series) < 1e-8, row["r"]
+
+
+def test_default_scalar_both_rows_match_cutoff_240():
+    # the row set is fixed by rule, not by result: every row whose ladder
+    # reached cutoff 120, and every 5th row of the default 101-point grid
+    table = run_sweep(SweepConfig(scenario="scalar-both"))
+    picked = [row for i, row in enumerate(table.rows) if row.cutoff == 120 or i % 5 == 0]
+    assert sum(row.cutoff == 120 for row in table.rows) == 22 and len(picked) == 38
+    plan = sweep_plan(Scenario("scalar", "both", 0.0, cutoff=240))
+    for row in picked:
+        ref = evaluate_scenario(Scenario("scalar", "both", row.squeeze, cutoff=240), plan)
+        for name, sr in ref.systems.items():
+            assert abs(row.ln[name] - sr.log_negativity) < 1e-8, (row.squeeze, name)
 
 
 @pytest.mark.parametrize(

@@ -5,121 +5,167 @@ import pytest
 
 from accelpair import (
     DomainError,
-    Ket,
     Scenario,
-    SubsystemLayout,
     build_final_state,
     build_final_state_coords,
-    fermion_mode,
-    fermion_out_one,
-    fermion_out_vacuum,
-    scalar_out_one,
-    scalar_out_vacuum,
     scenario_layout,
-    tensor,
 )
-from accelpair.states import kept_charges
+from accelpair.states import kept_charges, scenario_amplitudes, scenario_support
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def sweep_amplitude(sc, occ):
+    """Amplitude of :func:`scenario_amplitudes` at one occupation tuple, with the deficit."""
+    _, support, _ = scenario_support(sc)
+    val, deficit = scenario_amplitudes(sc)
+    (i,) = np.flatnonzero((support == occ).all(axis=1))
+    return val[i], deficit
+
+
+def branch_tuples(support, branch, which):
+    return {tuple(t) for t in support[branch == which]}
+
+
+def tail_deficit(accelerated, r, cutoff):
+    """1 - (A + B)/2 with A = sum_{n<=N} c_n^2 and B = sum_{n<=N} d_n^2, squared
+    when both modes are accelerated; x = tanh(r)^2, N = cutoff."""
+    x, n = math.tanh(r) ** 2, cutoff
+    a = 1.0 - x ** (n + 1)
+    b = 1.0 - (n + 2) * x ** (n + 1) + (n + 1) * x ** (n + 2)
+    if accelerated == "both":
+        a, b = a * a, b * b
+    return 1.0 - (a + b) / 2.0
 
 
 # --- scalar expansions ------------------------------------------------------
 
 
 def test_scalar_vacuum_at_zero_squeeze_is_ground_state():
-    ket, deficit = scalar_out_vacuum(0.0, 8)
-    assert deficit == 0.0
-    assert ket.amplitude((0, 0)) == 1.0
-    assert np.count_nonzero(ket.amplitudes) == 1
+    # at r = 0 the sweep's vacuum branch is c_0 = 1 on |0_p, 0_a> and nothing
+    # else, weighted exactly as the one-particle branch's d_0 = 1
+    for acc in ("one", "both"):
+        sc = Scenario("scalar", acc, 0.0, cutoff=8)
+        _, _, branch = scenario_support(sc)
+        val, deficit = scenario_amplitudes(sc)
+        assert deficit == pytest.approx(0.0, abs=1e-15)
+        vac = val[branch == 0]
+        assert vac[0] == val[branch == 1][0] == pytest.approx(INV_SQRT2, abs=1e-15)
+        assert np.count_nonzero(vac) == 1
 
 
 def test_scalar_vacuum_term_value():
-    # raw n = 2 weight is tanh(0.5)^2 / cosh(0.5), frozen from direct evaluation
-    ket, deficit = scalar_out_vacuum(0.5, 10)
-    raw = ket.amplitude((2, 2)).real * math.sqrt(1.0 - deficit)
-    assert raw == pytest.approx(0.18938218312043545, abs=1e-15)
+    # raw n = 2 weight c_2 = tanh(0.5)^2 / cosh(0.5), frozen from direct evaluation
+    sc = Scenario("scalar", "one", 0.5, cutoff=10)
+    ket, deficit = build_final_state(sc)
+    val, sweep_deficit = sweep_amplitude(sc, (0, 2, 2))
+    for amp, dfc in ((ket.amplitude((0, 2, 2)), deficit), (val, sweep_deficit)):
+        raw = amp.real * math.sqrt(2.0) * math.sqrt(1.0 - dfc)
+        assert raw == pytest.approx(0.18938218312043545, abs=1e-15)
 
 
 @pytest.mark.parametrize("cutoff", [5, 10, 20])
 def test_scalar_vacuum_deficit_is_geometric_tail(cutoff):
-    _, deficit = scalar_out_vacuum(0.5, cutoff)
-    assert abs(deficit - math.tanh(0.5) ** (2 * (cutoff + 1))) < 1e-14
+    for acc in ("one", "both"):
+        for r in (0.5, 1.2):
+            sc = Scenario("scalar", acc, r, cutoff=cutoff)
+            expected = tail_deficit(acc, r, cutoff)
+            assert abs(build_final_state(sc)[1] - expected) < 1e-14
+            assert abs(scenario_amplitudes(sc)[1] - expected) < 1e-14
 
 
 def test_scalar_vacuum_deficit_vanishes_with_cutoff():
-    _, deficit = scalar_out_vacuum(0.5, 40)
+    _, deficit = build_final_state(Scenario("scalar", "one", 0.5, cutoff=40))
     assert abs(deficit) < 1e-12
 
 
 def test_scalar_one_at_zero_squeeze():
-    ket, deficit = scalar_out_one(0.0, 8)
-    assert deficit == pytest.approx(0.0, abs=1e-15)
-    assert ket.amplitude((1, 0)) == 1.0
+    # at r = 0 the sweep's one-particle branch is d_0 = 1 on |1_p, 0_a> and nothing else
+    for acc in ("one", "both"):
+        sc = Scenario("scalar", acc, 0.0, cutoff=8)
+        _, support, branch = scenario_support(sc)
+        val, _ = scenario_amplitudes(sc)
+        one = val[branch == 1]
+        assert one[0] == pytest.approx(INV_SQRT2, abs=1e-15) and np.count_nonzero(one) == 1
+        assert tuple(support[branch == 1][0]) == tuple(
+            1 if lbl.endswith("_p") else 0 for lbl in scenario_layout(sc).labels
+        )
 
 
 def test_scalar_one_term_value():
-    # raw n = 1 weight is sqrt(2) tanh(0.5) / cosh(0.5)^2
-    ket, deficit = scalar_out_one(0.5, 10)
-    raw = ket.amplitude((2, 1)).real * math.sqrt(1.0 - deficit)
-    assert raw == pytest.approx(0.5139690360230247, abs=1e-15)
+    # raw n = 1 weight d_1 = sqrt(2) tanh(0.5) / cosh(0.5)^2
+    sc = Scenario("scalar", "one", 0.5, cutoff=10)
+    ket, deficit = build_final_state(sc)
+    val, sweep_deficit = sweep_amplitude(sc, (1, 2, 1))
+    for amp, dfc in ((ket.amplitude((1, 2, 1)), deficit), (val, sweep_deficit)):
+        raw = amp.real * math.sqrt(2.0) * math.sqrt(1.0 - dfc)
+        assert raw == pytest.approx(0.5139690360230247, abs=1e-15)
 
 
 def test_scalar_expansions_are_orthogonal():
-    vac, _ = scalar_out_vacuum(0.8, 12)
-    one, _ = scalar_out_one(0.8, 12)
-    assert np.vdot(vac.amplitudes, one.amplitudes) == 0.0
-
-
-@pytest.mark.parametrize("builder", [scalar_out_vacuum, scalar_out_one])
-def test_scalar_builders_reject_bad_args(builder):
-    with pytest.raises(DomainError):
-        builder(-0.1, 8)
-    with pytest.raises(DomainError):
-        builder(0.5, 0)
-    with pytest.raises(DomainError, match="integer"):
-        builder(0.5, 4.5)
+    # the vacuum and one-particle branches share no occupation tuple
+    for acc in ("one", "both"):
+        _, support, branch = scenario_support(Scenario("scalar", acc, 0.8, cutoff=12))
+        vac, one = branch_tuples(support, branch, 0), branch_tuples(support, branch, 1)
+        assert len(vac) + len(one) == len(support)  # no tuple repeats within a branch
+        assert not vac & one
 
 
 # --- fermion expansions -----------------------------------------------------
 
 
+def check_fermion_one_amplitudes(r_f):
+    # (0_s, 0_p, 0_a) = cos r e^{-i phi}/sqrt 2, (0_s, 1_p, 1_a) = -sin r/sqrt 2,
+    # (1_s, 1_p, 0_a) = 1/sqrt 2, on the dense and the sweep route
+    for phi in (0.0, 0.83):
+        sc = Scenario("fermion", "one", r_f, phase=phi)
+        ket, _ = build_final_state(sc)
+        expected = {
+            (0, 0, 0): math.cos(r_f) * np.exp(-1j * phi) * INV_SQRT2,
+            (0, 1, 1): -math.sin(r_f) * INV_SQRT2,
+            (1, 1, 0): INV_SQRT2,
+        }
+        for occ, amp in expected.items():
+            assert abs(ket.amplitude(occ) - amp) < 1e-15
+            assert abs(sweep_amplitude(sc, occ)[0] - amp) < 1e-15
+
+
 def test_fermion_vacuum_endpoints():
-    k0 = fermion_out_vacuum(0.0)
-    assert k0.amplitude((0, 0)) == 1.0
-    k1 = fermion_out_vacuum(math.pi / 2)
-    assert k1.amplitude((1, 1)) == pytest.approx(-1.0, abs=1e-15)
-    assert abs(k1.amplitude((0, 0))) < 1e-15
+    check_fermion_one_amplitudes(0.0)
+    check_fermion_one_amplitudes(math.pi / 2)
 
 
 def test_fermion_vacuum_balanced_point():
-    k = fermion_out_vacuum(math.pi / 4)
-    assert k.amplitude((0, 0)).real == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert k.amplitude((1, 1)).real == pytest.approx(-INV_SQRT2, abs=1e-15)
-    assert k.norm() == pytest.approx(1.0, abs=1e-15)
+    check_fermion_one_amplitudes(math.pi / 4)
+    ket, _ = build_final_state(Scenario("fermion", "one", math.pi / 4))
+    assert ket.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_fermion_vacuum_carries_phase():
     phi = 0.83
-    k = fermion_out_vacuum(0.6, phase=phi)
-    assert k.amplitude((0, 0)) == pytest.approx(math.cos(0.6) * np.exp(-1j * phi), abs=1e-15)
+    val, _ = sweep_amplitude(Scenario("fermion", "both", 0.6, phase=phi), (0, 0, 0, 0))
+    assert abs(val - (math.cos(0.6) * np.exp(-1j * phi)) ** 2 * INV_SQRT2) < 1e-15
 
 
 def test_fermion_vacuum_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        fermion_out_vacuum(-0.01)
-    with pytest.raises(DomainError):
-        fermion_out_vacuum(math.pi / 2 + 0.01)
+    for acc in ("one", "both"):
+        with pytest.raises(DomainError):
+            Scenario("fermion", acc, -0.01)
+        with pytest.raises(DomainError):
+            Scenario("fermion", acc, math.pi / 2 + 0.01)
 
 
 def test_fermion_one_particle_state():
-    one = fermion_out_one()
-    assert one.norm() == 1.0
-    basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    occupation = sum(abs(one.amplitudes[i]) ** 2 * occ[0] for i, occ in enumerate(basis))
-    assert occupation == 1.0
-    for r_f in np.linspace(0, math.pi / 2, 7):
-        vac = fermion_out_vacuum(float(r_f))
-        assert np.vdot(vac.amplitudes, one.amplitudes) == 0.0
+    # branch 1 is one w particle and no w antiparticle, on tuples branch 0 never holds
+    for acc in ("one", "both"):
+        for r_f in np.linspace(0, math.pi / 2, 7):
+            sc = Scenario("fermion", acc, float(r_f))
+            layout, support, branch = scenario_support(sc)
+            val, _ = scenario_amplitudes(sc)
+            w_p, w_a = (layout.labels.index(lbl) for lbl in ("w_p", "w_a"))
+            assert np.all(support[branch == 1, w_p] - support[branch == 1, w_a] == 1)
+            assert np.sum(np.abs(val[branch == 1]) ** 2) == pytest.approx(0.5, abs=1e-15)
+            assert not branch_tuples(support, branch, 0) & branch_tuples(support, branch, 1)
 
 
 # --- scenario states ---------------------------------------------------------
@@ -184,20 +230,18 @@ def test_fermion_both_state_matches_hand_expansion_at_balanced_squeeze():
 
 def test_fermion_both_product_branch_built_by_tensor():
     # both accelerated: vacuum (x) vacuum + one (x) one; one accelerated: the
-    # bare s particle's basis states stand in for the s expansions
-    s_layout = SubsystemLayout((fermion_mode("s_p"),))
+    # bare s particle's basis states stand in for the s expansions.  Pair
+    # vectors are row-major over (p, a): |00>, |01>, |10>, |11>.
+    r_f = math.pi / 4
+    one = np.array([0.0, 0.0, 1.0, 0.0])
     for acc in ("one", "both"):
         for phase in (0.0, 0.7):
-            vac_w, one_w = fermion_out_vacuum(math.pi / 4, phase, "w"), fermion_out_one("w")
-            if acc == "both":
-                vac_s, one_s = fermion_out_vacuum(math.pi / 4, phase, "s"), fermion_out_one("s")
-            else:
-                vac_s, one_s = Ket.basis_state(s_layout, (0,)), Ket.basis_state(s_layout, (1,))
-            vac_product, one_product = tensor(vac_s, vac_w), tensor(one_s, one_w)
-            ket, _ = build_final_state(Scenario("fermion", acc, math.pi / 4, phase=phase))
-            assert ket.layout == vac_product.layout
-            rebuilt = (vac_product.amplitudes + one_product.amplitudes) * INV_SQRT2
-            assert np.max(np.abs(ket.amplitudes - rebuilt)) < 1e-15
+            vac = np.array([math.cos(r_f) * np.exp(-1j * phase), 0.0, 0.0, -math.sin(r_f)])
+            vac_s, one_s = (vac, one) if acc == "both" else (np.array([1, 0]), np.array([0, 1]))
+            expected = (np.kron(vac_s, vac) + np.kron(one_s, one)) * INV_SQRT2
+            ket, _ = build_final_state(Scenario("fermion", acc, r_f, phase=phase))
+            assert ket.layout.dims == (2,) * (4 if acc == "both" else 3)
+            assert np.max(np.abs(ket.amplitudes.ravel() - expected)) < 1e-15
 
 
 def test_fermion_states_are_exactly_unit_norm():
@@ -244,10 +288,6 @@ def test_scalar_squeeze_overflowing_cosh_squared_is_a_domain_error():
     for r in (356.0, 400.0, 800.0):
         with pytest.raises(DomainError, match="overflows"):
             Scenario("scalar", "one", r)
-        with pytest.raises(DomainError, match="overflows"):
-            scalar_out_one(r, 4)
-        with pytest.raises(DomainError, match="overflows"):
-            scalar_out_vacuum(r, 4)
 
 
 @pytest.mark.parametrize("accelerated", ["one", "both"])
