@@ -6,13 +6,15 @@ has local dimension N+1; a fermionic sub-mode always has dimension 2.  Joint
 occupation numbers are flattened row-major in layout order by
 ``np.ravel_multi_index``, the one basis convention of every operation in the
 package.
+Dense amplitude vectors are refused where they are made (:func:`check_dense`),
+not when a layout is described: a layout only names its modes.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import DomainError, LayoutError
 
 __all__ = [
     "DEFAULT_AMPLITUDE_LIMIT",
+    "check_dense",
     "SubModeSpec",
     "boson_mode",
     "fermion_mode",
@@ -34,8 +37,8 @@ __all__ = [
     "hermitian_eigenvalues",
 ]
 
-# Refuse to allocate dense amplitude vectors larger than this unless the
-# caller raises the layout's limit explicitly.
+# Dense amplitude vectors larger than this are refused where they are made;
+# the coordinate route never makes one, whatever the layout's dimension.
 DEFAULT_AMPLITUDE_LIMIT = 1 << 20
 
 _NORM_TOL = 1e-12
@@ -66,6 +69,12 @@ class SubModeSpec:
             raise LayoutError(f"unknown statistics {self.statistics!r}")
 
 
+def check_dense(n: int) -> None:
+    """LayoutError if ``n`` dense amplitudes exceed the limit; call before allocating."""
+    if n > DEFAULT_AMPLITUDE_LIMIT:
+        raise LayoutError(f"refusing to allocate {n} dense amplitudes (limit {DEFAULT_AMPLITUDE_LIMIT})")
+
+
 def boson_mode(label: str, cutoff: int) -> SubModeSpec:
     return SubModeSpec(label, "boson", cutoff + 1)
 
@@ -79,7 +88,6 @@ class SubsystemLayout:
     """Ordered sub-modes defining the row-major joint occupation basis."""
 
     modes: tuple[SubModeSpec, ...]
-    max_amplitudes: int = field(default=DEFAULT_AMPLITUDE_LIMIT, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -88,11 +96,6 @@ class SubsystemLayout:
         labels = [m.label for m in self.modes]
         if len(set(labels)) != len(labels):
             raise LayoutError(f"duplicate sub-mode labels in layout: {labels}")
-        if self.total_dim > self.max_amplitudes:
-            raise LayoutError(
-                f"layout dimension {self.total_dim} exceeds the amplitude limit "
-                f"{self.max_amplitudes}; raise max_amplitudes to allow it"
-            )
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -118,7 +121,7 @@ class SubsystemLayout:
         for lbl in wanted:
             self.position(lbl)  # raises on unknown labels
         kept = tuple(m for m in self.modes if m.label in wanted)
-        return SubsystemLayout(kept, max_amplitudes=self.max_amplitudes)
+        return SubsystemLayout(kept)
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        check_dense(self.layout.total_dim)
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape[0] != self.layout.total_dim:
@@ -152,6 +156,7 @@ class Ket:
 
     @staticmethod
     def basis_state(layout: SubsystemLayout, occupations: Sequence[int]) -> "Ket":
+        check_dense(layout.total_dim)
         amps = np.zeros(layout.total_dim, dtype=np.complex128)
         amps[np.ravel_multi_index(occupations, layout.dims)] = 1.0
         return Ket(layout, amps)
@@ -182,10 +187,8 @@ def tensor(a: Ket, b: Ket) -> Ket:
     overlap = set(a.layout.labels) & set(b.layout.labels)
     if overlap:
         raise LayoutError(f"tensor factors share sub-mode labels {sorted(overlap)}")
-    layout = SubsystemLayout(
-        a.layout.modes + b.layout.modes,
-        max_amplitudes=max(a.layout.max_amplitudes, b.layout.max_amplitudes),
-    )
+    layout = SubsystemLayout(a.layout.modes + b.layout.modes)
+    check_dense(layout.total_dim)
     return Ket(layout, np.kron(a.amplitudes, b.amplitudes))
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, LayoutError
-from .fock import DEFAULT_AMPLITUDE_LIMIT, Ket, SubsystemLayout
+from .fock import Ket, SubsystemLayout, check_dense
 
 __all__ = [
     "CoordKet",
@@ -101,11 +101,9 @@ class CoordKet:
         norm_squared(val)
 
     def to_ket(self) -> Ket:
-        """Densify; refuses layouts beyond ``DEFAULT_AMPLITUDE_LIMIT`` amplitudes."""
-        n = self.layout.total_dim
-        if n > DEFAULT_AMPLITUDE_LIMIT:
-            raise LayoutError(f"refusing to densify {n} amplitudes (limit {DEFAULT_AMPLITUDE_LIMIT})")
-        amps = np.zeros(n, dtype=np.complex128)
+        """Densify; LayoutError beyond ``DEFAULT_AMPLITUDE_LIMIT`` amplitudes."""
+        check_dense(self.layout.total_dim)
+        amps = np.zeros(self.layout.total_dim, dtype=np.complex128)
         everything = range(len(self.layout.dims))
         np.add.at(amps, _ravel(self.occupations, self.layout.dims, everything), self.values)
         return Ket(self.layout, amps)
@@ -229,10 +227,14 @@ def tridiagonal(mat: HermitianCoords, charge: Sequence[int]) -> tuple[np.ndarray
 
 
 def hermitian_block_eigenvalues(mat: HermitianCoords, charge: Sequence[int]) -> np.ndarray:
-    """All eigenvalues, ascending, of :func:`tridiagonal`'s (d, |e|), from one ``dsterf``."""
+    """All eigenvalues, ascending, of :func:`tridiagonal`'s (d, |e|), from one ``dsterf``.
+    It squares the couplings, and a subnormal square moves the spectrum (1e-159 beside
+    2/19 moved it by 1.4e-9), so couplings below sqrt(tiny) are zeroed (Weyl: <= 3e-154)."""
     from scipy.linalg.lapack import dsterf  # the reference route only: sweeps never load it
 
-    eigs, info = dsterf(*tridiagonal(mat, charge)[:2], overwrite_d=1, overwrite_e=1)
+    d, e = tridiagonal(mat, charge)[:2]
+    e[e < math.sqrt(np.finfo(float).tiny)] = 0.0
+    eigs, info = dsterf(d, e, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise DomainError(f"dsterf failed to converge (info {info})")
     return eigs
@@ -309,8 +311,7 @@ def schmidt_weights(k: CoordKet, party_a: Iterable[str]) -> np.ndarray:
         mine = k.branch == which
         rows, ia = np.unique(side_a[mine], return_inverse=True)
         cols, ib = np.unique(side_b[mine], return_inverse=True)
-        if rows.size * cols.size > DEFAULT_AMPLITUDE_LIMIT:
-            raise LayoutError(f"refusing to densify a {rows.size}x{cols.size} branch")
+        check_dense(rows.size * cols.size)
         m = np.zeros((rows.size, cols.size), dtype=np.complex128)
         np.add.at(m, (ia, ib), k.values[mine])
         i, j = np.unravel_index(np.argmax(np.abs(m)), m.shape)

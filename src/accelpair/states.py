@@ -20,20 +20,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .fock import (
-    DEFAULT_AMPLITUDE_LIMIT,
-    Ket,
-    SubsystemLayout,
-    boson_mode,
-    fermion_mode,
-    normalize,
-)
+from .fock import Ket, SubsystemLayout, boson_mode, check_dense, fermion_mode, normalize
 from .sparse import CoordKet, norm_squared
 
 __all__ = [
@@ -104,7 +96,7 @@ def _pair_layout(mode: str, cutoff: int, statistics: str) -> SubsystemLayout:
     return SubsystemLayout(modes)
 
 
-def scenario_layout(sc: Scenario, max_amplitudes: int | None = None) -> SubsystemLayout:
+def scenario_layout(sc: Scenario) -> SubsystemLayout:
     """Canonical layout (s_p, s_a, w_p, w_a), omitting absent sub-modes."""
     modes: list = []
     for mode in ("s", "w"):
@@ -117,9 +109,7 @@ def scenario_layout(sc: Scenario, max_amplitudes: int | None = None) -> Subsyste
             modes.append(
                 fermion_mode(f"{mode}_p") if sc.is_fermion else boson_mode(f"{mode}_p", 1)
             )
-    if max_amplitudes is None:
-        max_amplitudes = DEFAULT_AMPLITUDE_LIMIT
-    return SubsystemLayout(tuple(modes), max_amplitudes=max_amplitudes)
+    return SubsystemLayout(tuple(modes))
 
 
 def _cosh_squared(r: float) -> float:
@@ -154,6 +144,8 @@ def build_final_state(sc: Scenario) -> tuple[Ket, float]:
     :func:`build_final_state_coords` for scalar layouts too large to hold
     densely.
     """
+    layout = scenario_layout(sc)
+    check_dense(layout.total_dim)
     c, d = _expansion(sc.statistics, sc.squeeze, sc.phase, sc.cutoff)
     pair = _pair_layout("w", sc.cutoff, sc.statistics)
     vac, one = _pair_ket(pair, c, 0).amplitudes, _pair_ket(pair, d, 1).amplitudes
@@ -161,7 +153,7 @@ def build_final_state(sc: Scenario) -> tuple[Ket, float]:
         s0, s1 = vac, one  # the s pair carries the same expansion as w
     else:
         s0, s1 = np.eye(2, dtype=np.complex128)  # bare |0_s>, |1_s>
-    ket = Ket(scenario_layout(sc), (np.kron(s0, vac) + np.kron(s1, one)) * (1.0 / math.sqrt(2.0)))
+    ket = Ket(layout, (np.kron(s0, vac) + np.kron(s1, one)) * (1.0 / math.sqrt(2.0)))
     return (ket, 0.0) if sc.is_fermion else normalize(ket)
 
 
@@ -171,8 +163,7 @@ def scenario_support(sc: Scenario) -> tuple[SubsystemLayout, np.ndarray, np.ndar
     # per accelerated mode: vacuum entries |n_p, n_a>, one-particle entries |(n+1)_p, n_a>
     n_vac, n_one = (2, 1) if sc.is_fermion else (sc.cutoff + 1, sc.cutoff + 1)
     nc, nd = np.arange(n_vac, dtype=np.int32), np.arange(n_one, dtype=np.int32)
-    # The amplitude limit guards dense allocations, which this form never makes.
-    layout = scenario_layout(sc, max_amplitudes=sys.maxsize)
+    layout = scenario_layout(sc)
     if sc.accelerated == "one":
         vac = np.stack([np.zeros_like(nc), nc, nc], axis=1)  # |0_s> (x) vacuum
         one = np.stack([np.ones_like(nd), nd + 1, nd], axis=1)  # |1_s> (x) one particle

@@ -27,23 +27,24 @@ class Curve:
     label: str
     x: Sequence[float]
     y: Sequence[float]
-    dash: str = "solid"  # "solid" | "dashed" | "dotdash"
+    dash: str  # "solid" | "dashed" | "dotdash"
 
 
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64, 16, 40, 52
 _FONT = "Helvetica, Arial, sans-serif"
+_TICKS = 5  # per axis, both ends included
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _tick_values(lo: float, hi: float, n: int = 5) -> list[float]:
+def _tick_values(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
 def render_line_plot(

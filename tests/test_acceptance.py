@@ -10,24 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from accelpair import (
-    Bipartition,
-    Ket,
-    Scenario,
-    SubsystemLayout,
-    boson_mode,
-    build_final_state,
-    closed_form_ln,
-    evaluate_scenario,
-    fermion_mode,
-    negativity,
-    partial_transpose,
-    reduced_density,
-    verify_unitarity,
-)
+from accelpair import Scenario, closed_form_ln, evaluate_scenario, verify_unitarity
 from accelpair.bogoliubov import fermion_coefficients, gamma_pathway_alpha, scalar_coefficients
 from accelpair.cli import SweepConfig, run_sweep
-from accelpair.states import scenario_amplitudes
+from accelpair.entanglement import Bipartition, negativity, partial_transpose, reduced_density
+from accelpair.fock import Ket, SubsystemLayout, boson_mode, fermion_mode
+from accelpair.states import build_final_state, scenario_amplitudes
 
 from oracles import brute_force_partial_transpose, random_pure_amplitudes, trace_norm_negativity
 

@@ -4,29 +4,33 @@ import numpy as np
 import pytest
 
 from accelpair import (
-    Bipartition,
-    DensityMatrix,
     DomainError,
-    Ket,
     LayoutError,
     Scenario,
-    SubsystemLayout,
-    boson_mode,
-    build_final_state,
     closed_form_ln,
     evaluate_scenario,
-    fermion_mode,
-    hermitian_eigenvalues,
+    named_bipartitions,
+)
+from accelpair.entanglement import (
+    Bipartition,
     log_negativity,
     log_negativity_pure,
-    named_bipartitions,
     negativity,
-    outer_product,
-    partial_trace,
     partial_transpose,
     reduced_density,
+)
+from accelpair.fock import (
+    DensityMatrix,
+    Ket,
+    SubsystemLayout,
+    boson_mode,
+    fermion_mode,
+    hermitian_eigenvalues,
+    outer_product,
+    partial_trace,
     tensor,
 )
+from accelpair.states import build_final_state
 
 from oracles import (
     random_pure_amplitudes,

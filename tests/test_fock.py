@@ -1,16 +1,16 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelpair import (
+from accelpair import DomainError, LayoutError
+from accelpair.fock import (
     DensityMatrix,
-    DomainError,
     Ket,
-    LayoutError,
     SubsystemLayout,
     boson_mode,
     fermion_mode,
@@ -20,6 +20,8 @@ from accelpair import (
     partial_trace,
     tensor,
 )
+from accelpair.sparse import CoordKet
+from accelpair.states import Scenario, build_final_state
 
 from oracles import jacobi_hermitian_eigenvalues, random_pure_amplitudes
 
@@ -39,7 +41,7 @@ def bell_ket():
 
 
 def test_mode_spec_validation():
-    from accelpair import SubModeSpec
+    from accelpair.fock import SubModeSpec
 
     with pytest.raises(LayoutError):
         boson_mode("x", 0)  # cutoff must be >= 1
@@ -55,11 +57,51 @@ def test_mode_spec_validation():
 def test_layout_rejects_duplicates_and_oversize():
     with pytest.raises(LayoutError):
         SubsystemLayout((fermion_mode("a"), fermion_mode("a")))
-    with pytest.raises(LayoutError):
-        SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
-    # explicit limit raise admits it
-    big = SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)), max_amplitudes=2 << 22)
+    # a layout only describes modes; its dense vector is refused where it is made
+    big = SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
     assert big.total_dim == 2001 * 2001
+    with pytest.raises(LayoutError):
+        Ket.basis_state(big, (0, 0))
+
+
+def big_square():
+    return SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
+
+
+def level_ket(label, levels):
+    return Ket.basis_state(SubsystemLayout((boson_mode(label, levels - 1),)), (0,))
+
+
+@pytest.mark.parametrize(
+    "make_args, densify",
+    [
+        (lambda: (big_square(),), lambda layout: Ket.basis_state(layout, (0, 0))),
+        # 1101^2 = 1,212,201 amplitudes
+        (lambda: (level_ket("a", 1101), level_ket("b", 1101)), tensor),
+        (lambda: (CoordKet(big_square(), [[0, 0]], [1.0], [0]),), CoordKet.to_ket),
+        # 33 * 32 * 33 * 32 = 1,115,136 states
+        (lambda: (Scenario("scalar", "both", 0.5, cutoff=31),), build_final_state),
+    ],
+    ids=["basis_state", "tensor", "to_ket", "build_final_state"],
+)
+def test_dense_guard_refuses_before_allocating(make_args, densify):
+    args = make_args()
+    tracemalloc.start()
+    try:
+        with pytest.raises(LayoutError, match="refusing to allocate"):
+            densify(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # bytes; the refused vectors would take 17-64 MB
+
+
+def test_dense_guard_admits_the_limit():
+    # cutoff 30: 32 * 31 * 32 * 31 = 984,064 states, under 2^20
+    ket, deficit = build_final_state(Scenario("scalar", "both", 0.5, cutoff=30))
+    assert ket.amplitudes.size == 984_064
+    assert ket.norm() == pytest.approx(1.0, abs=1e-12)
+    assert abs(deficit) < 1e-6
 
 
 def row_major_index(occupations, dims):

@@ -9,16 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelpair import (
-    DomainError,
-    Scenario,
-    SubsystemLayout,
-    boson_mode,
-    build_final_state_coords,
-    evaluate_scenario,
-    fermion_mode,
-    named_bipartitions,
-)
+from accelpair import DomainError, Scenario, evaluate_scenario, named_bipartitions
 from accelpair import entanglement
 from accelpair.entanglement import (
     SystemResult,
@@ -28,6 +19,7 @@ from accelpair.entanglement import (
     pair_spectra,
     sweep_plan,
 )
+from accelpair.fock import SubsystemLayout, boson_mode, fermion_mode
 from accelpair.sparse import (
     CoordKet,
     cut_sides,
@@ -37,7 +29,12 @@ from accelpair.sparse import (
     schmidt_weights,
     tridiagonal,
 )
-from accelpair.states import kept_charges, scenario_layout, scenario_support
+from accelpair.states import (
+    build_final_state_coords,
+    kept_charges,
+    scenario_layout,
+    scenario_support,
+)
 
 SCENARIOS = [(stat, acc) for stat in ("scalar", "fermion") for acc in ("one", "both")]
 

@@ -1,12 +1,23 @@
-"""Every ```python block of README.md runs against the package as it stands."""
+"""Every ```python block and every ``accelpair`` command of README.md runs
+against the package as it stands."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from accelpair.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)
+SH_LINES = [
+    line.strip()
+    for block in re.findall(r"^```sh\n(.*?)^```$", TEXT, re.M | re.S)
+    for line in block.replace("\\\n", " ").splitlines()
+]
+COMMANDS = [shlex.split(line)[1:] for line in SH_LINES if line.startswith("accelpair ")]
 
 
 def test_readme_has_python_blocks():
@@ -16,3 +27,16 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_has_cli_commands():
+    assert len(COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[:4]))
+def test_readme_cli_command_runs(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--csv", "--svg"):
+            assert (tmp_path / value).is_file(), value

@@ -6,25 +6,17 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from accelpair import (
+from accelpair import DomainError, LayoutError, Scenario, evaluate_scenario, named_bipartitions
+from accelpair.entanglement import (
+    NEGATIVE_EIGENVALUE_TOL,
     Bipartition,
-    DomainError,
-    LayoutError,
-    Scenario,
-    SubsystemLayout,
-    boson_mode,
-    build_final_state,
-    build_final_state_coords,
-    evaluate_scenario,
-    fermion_mode,
     log_negativity,
     log_negativity_pure,
-    named_bipartitions,
     partial_transpose,
     reduced_density,
+    sweep_plan,
 )
-from accelpair.entanglement import NEGATIVE_EIGENVALUE_TOL, sweep_plan
-from accelpair.fock import hermitian_eigenvalues
+from accelpair.fock import SubsystemLayout, boson_mode, fermion_mode, hermitian_eigenvalues
 from accelpair.sparse import (
     CoordKet,
     HermitianCoords,
@@ -33,7 +25,7 @@ from accelpair.sparse import (
     reduced_gram,
     schmidt_weights,
 )
-from accelpair.states import kept_charges
+from accelpair.states import build_final_state, build_final_state_coords, kept_charges
 
 from oracles import brute_force_partial_transpose, graph_block_eigenvalues, sparse_pt_eigenvalues
 
@@ -89,9 +81,7 @@ def test_to_ket_round_trip_and_dense_guard():
     for occ, val in zip(ck.occupations, ck.values):
         assert dense.amplitude(tuple(occ)) == val
     assert np.count_nonzero(dense.amplitudes) == len(ck.values)
-    big = SubsystemLayout(
-        (boson_mode("a", 2000), boson_mode("b", 2000)), max_amplitudes=1 << 24
-    )
+    big = SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
     tiny = CoordKet(big, np.array([[0, 0]]), np.array([1.0]), [0])
     with pytest.raises(LayoutError):
         tiny.to_ket()
@@ -181,6 +171,14 @@ def test_block_eigenvalues_keep_purely_imaginary_couplings():
     # a coupling with zero real part must still bind its chain together
     m = HermitianCoords(np.zeros(2), np.array([0]), np.array([1]), np.array([1j]))
     assert np.allclose(hermitian_block_eigenvalues(m, np.zeros(2)), [-1.0, 1.0], atol=1e-14)
+
+
+def test_block_eigenvalues_survive_a_subnormal_squared_coupling():
+    # dsterf squares couplings; 1e-159 squared is subnormal and moved 2/19 by 1.4e-9
+    diag = np.array([0.0, 0.0, 0.0, 1.0])
+    m = HermitianCoords(diag, np.array([0, 1]), np.array([1, 2]), np.array([1e-159, 2 / 19]))
+    eigs = hermitian_block_eigenvalues(m, np.zeros(4))
+    assert np.max(np.abs(eigs - [-2 / 19, 0.0, 2 / 19, 1.0])) < 1e-15
 
 
 def test_block_eigenvalues_count_isolated_states():

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from accelpair import (
-    DomainError,
-    Scenario,
+from accelpair import DomainError, Scenario
+from accelpair.states import (
     build_final_state,
     build_final_state_coords,
+    kept_charges,
+    scenario_amplitudes,
     scenario_layout,
+    scenario_support,
 )
-from accelpair.states import kept_charges, scenario_amplitudes, scenario_support
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -197,6 +198,14 @@ def test_scenario_layout_order():
     )
     layout = scenario_layout(Scenario("scalar", "both", 0.3, cutoff=10))
     assert layout.dims == (12, 11, 12, 11)
+
+
+def test_scenario_layout_of_any_cutoff_is_only_modes():
+    # far past the dense amplitude limit; the coordinate route never densifies it
+    layout = scenario_layout(Scenario("scalar", "both", 0.3, cutoff=120))
+    assert layout.dims == (122, 121, 122, 121)
+    assert layout.total_dim == 217_916_644
+    assert scenario_support(Scenario("scalar", "both", 0.3, cutoff=120))[0] == layout
 
 
 @pytest.mark.parametrize("statistics", ["fermion", "scalar"])
