@@ -409,6 +409,49 @@ def test_main_convert_reports(capsys):
     assert "unitarity residual" in out
 
 
+CONVERT_STDOUT = {
+    "--mass 1 --field 0.5 --statistics fermion": """\
+statistics        fermion
+mu2               1
+|alpha|           0.999065842309
+|beta|            0.0432139182638
+r_f               0.0432273794986
+unitarity residual 5.440e-15
+""",
+    "--mass 1 --field 1 --statistics scalar": """\
+statistics        scalar
+mu2               0.5
+|alpha|           1.02137844028
+|beta|            0.207879576351
+r                 0.206410748849
+unitarity residual 0.000e+00
+""",
+    "--mass 0 --field 1 --statistics fermion": """\
+statistics        fermion
+mu2               0
+|alpha|           0
+|beta|            1
+r_f               1.57079632679
+unitarity residual 0.000e+00
+""",
+    "--mass 31 --field 1 --statistics scalar": """\
+statistics        scalar
+mu2               480.5
+|alpha|           1
+|beta|            0
+r                 0
+unitarity residual 0.000e+00
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(CONVERT_STDOUT))
+def test_main_convert_stdout_is_pinned(capsys, args):
+    assert main(["convert", *args.split()]) == 0
+    out, err = capsys.readouterr()
+    assert out == CONVERT_STDOUT[args] and err == ""
+
+
 @pytest.mark.parametrize("statistics", ["scalar", "fermion"])
 @pytest.mark.parametrize("mass", ["31", "1e-154"])
 def test_main_convert_residual_is_finite_at_extreme_mu2(capsys, mass, statistics):
