@@ -8,15 +8,7 @@ truncation.  The top level holds what a sweep calls; the dense reference
 route is imported from its modules.
 """
 
-from .bogoliubov import (
-    FermionCoefficients,
-    FieldParams,
-    ScalarCoefficients,
-    fermion_coefficients,
-    mu2_from_field,
-    scalar_coefficients,
-    verify_unitarity,
-)
+from .bogoliubov import Coefficients, FieldParams, coefficients, mu2_from_field, verify_unitarity
 from .entanglement import (
     ScenarioResult,
     SystemResult,
@@ -34,11 +26,9 @@ __all__ = [
     "DomainError",
     "LayoutError",
     "FieldParams",
-    "ScalarCoefficients",
-    "FermionCoefficients",
+    "Coefficients",
     "mu2_from_field",
-    "scalar_coefficients",
-    "fermion_coefficients",
+    "coefficients",
     "verify_unitarity",
     "Scenario",
     "closed_form_ln",

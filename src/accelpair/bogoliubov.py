@@ -2,11 +2,13 @@
 
 A charged particle of mass m in a uniform electric field E undergoes pair
 production; the mixing between in- and out-quantizations is controlled by the
-single dimensionless combination mu2 = m^2 / (2 E).  For both statistics the
-beta coefficient has magnitude exp(-pi*mu2):
+single dimensionless combination mu2 = m^2 / (2 E).  Both statistics share one
+transformation, held in one record, :class:`Coefficients`: the beta
+coefficient has magnitude exp(-pi*mu2), and |alpha|^2 + sigma |beta|^2 = 1
+with the sign sigma of the statistics:
 
-* scalar field:  |alpha|^2 - |beta|^2 = 1,  alpha = cosh(r),  beta = sinh(r)
-* fermion field: |alpha|^2 + |beta|^2 = 1,  alpha = cos(r_f), beta = sin(r_f)
+* scalar field:  sigma = -1,  alpha = cosh(r),   beta = sinh(r)
+* fermion field: sigma = +1,  alpha = cos(r_f),  beta = sin(r_f)
 
 The magnitudes are produced from the closed exponential forms.  The gamma
 function route (alpha expressed through Gamma(1/2 + i*mu2) or Gamma(i*mu2))
@@ -25,11 +27,9 @@ from .errors import DomainError
 
 __all__ = [
     "FieldParams",
-    "ScalarCoefficients",
-    "FermionCoefficients",
+    "Coefficients",
     "mu2_from_field",
-    "scalar_coefficients",
-    "fermion_coefficients",
+    "coefficients",
     "gamma_pathway_alpha",
     "verify_unitarity",
 ]
@@ -37,6 +37,18 @@ __all__ = [
 _COEFF_TOL = 1e-12
 
 _B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # Bernoulli B_2 ... B_10, for Stirling
+
+# statistics -> (sigma, alpha(squeeze), beta(squeeze), squeeze(beta))
+_RELATIONS = {
+    "scalar": (-1.0, math.cosh, math.sinh, math.asinh),
+    "fermion": (1.0, math.cos, math.sin, math.asin),
+}
+
+
+def _relations(statistics: str):
+    if statistics not in _RELATIONS:
+        raise DomainError(f"statistics must be 'scalar' or 'fermion', got {statistics!r}")
+    return _RELATIONS[statistics]
 
 
 @dataclass(frozen=True)
@@ -56,41 +68,30 @@ class FieldParams:
 
 
 @dataclass(frozen=True)
-class ScalarCoefficients:
-    """Scalar (bosonic) coefficient magnitudes with |alpha|^2 - |beta|^2 = 1."""
+class Coefficients:
+    """Coefficient magnitudes with |alpha|^2 + sigma |beta|^2 = 1.
 
+    ``squeeze`` is r for the scalar (sigma = -1) and r_f in [0, pi/2] for the
+    fermion (sigma = +1).
+    """
+
+    statistics: str
     mu2: float
     alpha_mag: float
     beta_mag: float
-    r: float
+    squeeze: float
 
     def __post_init__(self) -> None:
-        if abs(self.alpha_mag**2 - self.beta_mag**2 - 1.0) > _COEFF_TOL:
-            raise DomainError("scalar coefficients violate |alpha|^2 - |beta|^2 = 1")
-        if abs(self.alpha_mag - math.cosh(self.r)) > _COEFF_TOL or abs(
-            self.beta_mag - math.sinh(self.r)
+        name = self.statistics
+        sigma, alpha_of, beta_of, _ = _relations(name)
+        if abs(self.alpha_mag**2 + sigma * self.beta_mag**2 - 1.0) > _COEFF_TOL:
+            raise DomainError(f"{name} coefficients violate |alpha|^2 + sigma |beta|^2 = 1")
+        if name == "fermion" and not 0.0 <= self.squeeze <= math.pi / 2:
+            raise DomainError(f"r_f must lie in [0, pi/2], got {self.squeeze}")
+        if abs(self.alpha_mag - alpha_of(self.squeeze)) > _COEFF_TOL or abs(
+            self.beta_mag - beta_of(self.squeeze)
         ) > _COEFF_TOL:
-            raise DomainError("scalar squeeze parameter inconsistent with magnitudes")
-
-
-@dataclass(frozen=True)
-class FermionCoefficients:
-    """Fermionic coefficient magnitudes with |alpha|^2 + |beta|^2 = 1, r_f in [0, pi/2]."""
-
-    mu2: float
-    alpha_mag: float
-    beta_mag: float
-    r_f: float
-
-    def __post_init__(self) -> None:
-        if abs(self.alpha_mag**2 + self.beta_mag**2 - 1.0) > _COEFF_TOL:
-            raise DomainError("fermion coefficients violate |alpha|^2 + |beta|^2 = 1")
-        if not 0.0 <= self.r_f <= math.pi / 2:
-            raise DomainError(f"r_f must lie in [0, pi/2], got {self.r_f}")
-        if abs(self.alpha_mag - math.cos(self.r_f)) > _COEFF_TOL or abs(
-            self.beta_mag - math.sin(self.r_f)
-        ) > _COEFF_TOL:
-            raise DomainError("fermion squeeze parameter inconsistent with magnitudes")
+            raise DomainError(f"{name} squeeze parameter inconsistent with magnitudes")
 
 
 def mu2_from_field(params: FieldParams) -> float:
@@ -101,33 +102,27 @@ def mu2_from_field(params: FieldParams) -> float:
     return mu2
 
 
-def scalar_coefficients(mu2: float) -> ScalarCoefficients:
-    """Scalar coefficient magnitudes from mu2 > 0.
+def coefficients(mu2: float, statistics: str) -> Coefficients:
+    """Coefficient magnitudes of one statistics from mu2.
 
-    beta = exp(-pi*mu2), alpha = sqrt(1 + beta^2), r = arsinh(beta).  Smaller
-    mu2 (stronger field relative to mass) gives larger r.  mu2 = 0 is rejected:
-    the magnitudes stay finite there, but it has no preimage (m, E) with finite
-    E at fixed m > 0, and the field-parameter pathway would silently break.
+    beta = exp(-pi*mu2) and alpha = sqrt(1 - sigma beta^2); the squeeze is
+    r = arsinh(beta) for the scalar and r_f = arcsin(beta) for the fermion, so
+    smaller mu2 (stronger field relative to mass) gives a larger squeeze.
+
+    The fermion takes mu2 >= 0: the massless/infinite-acceleration edge
+    mu2 = 0 gives r_f = pi/2 (complete mode conversion).  The scalar takes
+    mu2 > 0: its magnitudes stay finite at 0, but mu2 = 0 has no preimage
+    (m, E) with finite E at fixed m > 0, and the field-parameter pathway would
+    silently break.
     """
-    if not math.isfinite(mu2) or mu2 <= 0.0:
-        raise DomainError(f"scalar coefficients require mu2 > 0, got {mu2}")
+    sigma, _, _, squeeze_of = _relations(statistics)
+    scalar = statistics == "scalar"
+    if not (math.isfinite(mu2) and (mu2 > 0.0 if scalar else mu2 >= 0.0)):
+        bound = "> 0" if scalar else ">= 0"
+        raise DomainError(f"{statistics} coefficients require mu2 {bound}, got {mu2}")
     beta = math.exp(-math.pi * mu2)
-    alpha = math.sqrt(1.0 + beta * beta)
-    return ScalarCoefficients(mu2=mu2, alpha_mag=alpha, beta_mag=beta, r=math.asinh(beta))
-
-
-def fermion_coefficients(mu2: float) -> FermionCoefficients:
-    """Fermion coefficient magnitudes from mu2 >= 0.
-
-    beta = exp(-pi*mu2), alpha = sqrt(1 - beta^2), r_f = arcsin(beta).  The
-    massless/infinite-acceleration edge mu2 = 0 is allowed and gives
-    r_f = pi/2 (complete mode conversion).
-    """
-    if not math.isfinite(mu2) or mu2 < 0.0:
-        raise DomainError(f"fermion coefficients require mu2 >= 0, got {mu2}")
-    beta = math.exp(-math.pi * mu2)
-    alpha = math.sqrt(max(0.0, 1.0 - beta * beta))
-    return FermionCoefficients(mu2=mu2, alpha_mag=alpha, beta_mag=beta, r_f=math.asin(beta))
+    alpha = math.sqrt(max(0.0, 1.0 - sigma * beta * beta))
+    return Coefficients(statistics, mu2, alpha, beta, squeeze_of(beta))
 
 
 def gamma_pathway_alpha(mu2: float, statistics: str) -> float:
@@ -143,41 +138,38 @@ def gamma_pathway_alpha(mu2: float, statistics: str) -> float:
     series (DLMF 5.11.1), free of the cancellation between two terms ~pi mu2/2.
 
     This is the slow cross-check route; production code uses the closed
-    exponential forms in :func:`scalar_coefficients` / :func:`fermion_coefficients`.
+    exponential forms in :func:`coefficients`.
     """
     # imported here: scipy.special costs each start-up ~3 MB and ~20 ms
     from scipy.special import loggamma
 
     if not math.isfinite(mu2):
         raise DomainError(f"gamma pathway requires a finite mu2, got {mu2}")
-    if statistics == "boson":
+    _relations(statistics)  # rejects an unknown statistics
+    if statistics == "scalar":
         if mu2 <= 0.0:
-            raise DomainError("bosonic gamma pathway requires mu2 > 0")
+            raise DomainError("scalar gamma pathway requires mu2 > 0")
         if mu2 >= 20.0:
             z = 0.5 + 1j * mu2
             tail = sum(b / (2 * k * (2 * k - 1) * z ** (2 * k - 1)) for k, b in enumerate(_B2K, 1))
             return math.exp(0.5 - mu2 * math.atan(0.5 / mu2) - tail.real)
         ln_alpha = 0.5 * math.log(2.0 * math.pi) - loggamma(0.5 + 1j * mu2).real
-    elif statistics == "fermion":
+    else:
         if mu2 < 0.0:
-            raise DomainError("fermionic gamma pathway requires mu2 >= 0")
+            raise DomainError("fermion gamma pathway requires mu2 >= 0")
         if mu2 == 0.0:
             # Limit mu2 -> 0: |alpha|^2 = 2 e^{-pi mu2} sinh(pi mu2) -> 0.
             return 0.0
         ln_alpha = 0.5 * (math.log(2.0 * math.pi) - math.log(mu2)) - loggamma(1j * mu2).real
-    else:
-        raise DomainError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
     return math.exp(ln_alpha - math.pi * mu2 / 2.0)
 
 
 def verify_unitarity(mu2: float, statistics: str) -> float:
     """Residual of the unitarity relation with alpha taken from the gamma route.
 
-    Returns | |alpha|^2 - |beta|^2 - 1 | for bosons and
-    | |alpha|^2 + |beta|^2 - 1 | for fermions; both should be < 1e-10.
+    Returns | |alpha|^2 + sigma |beta|^2 - 1 |, which should be < 1e-10 for
+    both statistics.
     """
     alpha = gamma_pathway_alpha(mu2, statistics)
     beta = math.exp(-math.pi * mu2)
-    if statistics == "boson":
-        return abs(alpha**2 - beta**2 - 1.0)
-    return abs(alpha**2 + beta**2 - 1.0)
+    return abs(alpha**2 + _RELATIONS[statistics][0] * beta**2 - 1.0)

@@ -23,13 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bogoliubov import (
-    FieldParams,
-    fermion_coefficients,
-    mu2_from_field,
-    scalar_coefficients,
-    verify_unitarity,
-)
+from .bogoliubov import FieldParams, coefficients, mu2_from_field, verify_unitarity
 from .entanglement import (
     SweepPlan,
     closed_form_ln,
@@ -50,8 +44,6 @@ __all__ = [
     "run_sweep",
     "emit_csv",
     "emit_plot",
-    "convert_mu2",
-    "ConversionReport",
     "main",
 ]
 
@@ -60,6 +52,8 @@ __all__ = [
 CUTOFF_CAP = 128
 
 SCENARIOS = ("fermion-one", "fermion-both", "scalar-one", "scalar-both")
+
+_SQUEEZE_NAME = {"scalar": "r", "fermion": "r_f"}
 
 
 @dataclass(frozen=True)
@@ -137,20 +131,12 @@ class SweepTable:
         return all(r.converged for r in self.rows)
 
 
-def _squeeze_from_param(cfg: SweepConfig, param: float) -> float:
-    if not cfg.mu2_grid:
-        return param
-    if cfg.statistics == "fermion":
-        return fermion_coefficients(param).r_f
-    return scalar_coefficients(param).r
-
-
 def _evaluate_point(cfg: SweepConfig, param: float, plans: dict[int, SweepPlan]) -> SweepRow:
     """One grid point; scalar points climb the cutoff ladder until LN is stable.
 
     ``plans`` holds the sweep's plan of each cutoff, and gains those it lacks.
     """
-    squeeze = _squeeze_from_param(cfg, param)
+    squeeze = coefficients(param, cfg.statistics).squeeze if cfg.mu2_grid else param
 
     def at_cutoff(n: int):
         sc = Scenario(cfg.statistics, cfg.accelerated, squeeze, cutoff=n)
@@ -193,7 +179,7 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 
 
 def _column_key(system: str) -> str:
-    return system.replace(",", "").replace("(", "").replace(")", "")
+    return system.replace(",", "")
 
 
 def _format_value(v) -> str:
@@ -263,52 +249,13 @@ def emit_plot(table: SweepTable, path: Path) -> Path:
         )
     doc = render_line_plot(
         curves,
-        x_label="r_f" if table.config.statistics == "fermion" else "r",
+        x_label=_SQUEEZE_NAME[table.config.statistics],
         y_label="logarithmic negativity",
         title=f"{table.config.scenario} sweep",
     )
     path = Path(path)
     path.write_text(doc, encoding="utf-8")
     return path
-
-
-@dataclass(frozen=True)
-class ConversionReport:
-    """Bogoliubov data derived from one (m, E) pair."""
-
-    statistics: str
-    mu2: float
-    alpha_mag: float
-    beta_mag: float
-    squeeze: float
-    residual: float
-
-    @property
-    def squeeze_name(self) -> str:
-        return "r_f" if self.statistics == "fermion" else "r"
-
-
-def convert_mu2(m: float, E: float, statistics: str) -> ConversionReport:
-    """mu2 plus coefficient magnitudes, squeeze parameter, and unitarity residual."""
-    mu2 = mu2_from_field(FieldParams(m=m, E=E))
-    if statistics == "fermion":
-        coeff = fermion_coefficients(mu2)
-        residual = verify_unitarity(mu2, "fermion")
-        squeeze = coeff.r_f
-    elif statistics == "scalar":
-        coeff = scalar_coefficients(mu2)
-        residual = verify_unitarity(mu2, "boson")
-        squeeze = coeff.r
-    else:
-        raise DomainError(f"statistics must be 'scalar' or 'fermion', got {statistics!r}")
-    return ConversionReport(
-        statistics=statistics,
-        mu2=mu2,
-        alpha_mag=coeff.alpha_mag,
-        beta_mag=coeff.beta_mag,
-        squeeze=squeeze,
-        residual=residual,
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,7 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="sweep LN of every bipartition over a squeeze grid")
+    sweep = sub.add_parser(
+        "sweep", help="sweep LN of every bipartition over a squeeze grid", allow_abbrev=False
+    )
     sweep.add_argument("--scenario", required=True, choices=SCENARIOS)
     sweep.add_argument("--min", type=float, default=0.0, help="grid minimum (default 0)")
     sweep.add_argument(
@@ -335,7 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mu2", action="store_true", help="interpret the grid as mu2 and convert to squeeze values"
     )
 
-    conv = sub.add_parser("convert", help="report Bogoliubov data for one (m, E) pair")
+    conv = sub.add_parser(
+        "convert", help="report Bogoliubov data for one (m, E) pair", allow_abbrev=False
+    )
     conv.add_argument("--mass", type=float, required=True)
     conv.add_argument("--field", type=float, required=True)
     conv.add_argument("--statistics", choices=("scalar", "fermion"), default="fermion")
@@ -351,13 +302,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         if args.command == "convert":
-            report = convert_mu2(args.mass, args.field, args.statistics)
-            print(f"statistics        {report.statistics}")
-            print(f"mu2               {report.mu2:.12g}")
-            print(f"|alpha|           {report.alpha_mag:.12g}")
-            print(f"|beta|            {report.beta_mag:.12g}")
-            print(f"{report.squeeze_name:<17} {report.squeeze:.12g}")
-            print(f"unitarity residual {report.residual:.3e}")
+            mu2 = mu2_from_field(FieldParams(m=args.mass, E=args.field))
+            coeff = coefficients(mu2, args.statistics)
+            residual = verify_unitarity(mu2, args.statistics)
+            print(f"statistics        {coeff.statistics}")
+            print(f"mu2               {coeff.mu2:.12g}")
+            print(f"|alpha|           {coeff.alpha_mag:.12g}")
+            print(f"|beta|            {coeff.beta_mag:.12g}")
+            print(f"{_SQUEEZE_NAME[coeff.statistics]:<17} {coeff.squeeze:.12g}")
+            print(f"unitarity residual {residual:.3e}")
             return 0
 
         cfg = SweepConfig(

@@ -15,10 +15,11 @@ __all__ = ["Curve", "render_line_plot"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+# the stroke attribute of each dash style
 _DASH = {
-    "solid": None,
-    "dashed": "7 4",
-    "dotdash": "9 3 2 3",
+    "solid": "",
+    "dashed": ' stroke-dasharray="7 4"',
+    "dotdash": ' stroke-dasharray="9 3 2 3"',
 }
 
 
@@ -41,8 +42,6 @@ def _fmt(v: float) -> str:
 
 
 def _tick_values(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (_TICKS - 1)
     return [lo + i * step for i in range(_TICKS)]
 
@@ -115,13 +114,13 @@ def render_line_plot(
     )
 
     # curves
+    dash_attrs = [_DASH[c.dash] for c in curves]
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        dash = _DASH.get(c.dash)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in zip(c.x, c.y)))
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"{dash_attr}/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="1.8"{dash_attrs[i]}/>'
         )
 
     # legend (top right, inside the frame)
@@ -134,12 +133,10 @@ def render_line_plot(
     )
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        dash = _DASH.get(c.dash)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         yy = ly + 10 + 20 * i
         parts.append(
             f'<line x1="{lx}" y1="{yy}" x2="{lx + 30}" y2="{yy}" stroke="{color}" '
-            f'stroke-width="1.8"{dash_attr}/>'
+            f'stroke-width="1.8"{dash_attrs[i]}/>'
         )
         parts.append(f'<text x="{lx + 38}" y="{yy + 4}">{c.label}</text>')
 

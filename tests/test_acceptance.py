@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from accelpair import Scenario, closed_form_ln, evaluate_scenario, verify_unitarity
-from accelpair.bogoliubov import fermion_coefficients, gamma_pathway_alpha, scalar_coefficients
+from accelpair.bogoliubov import coefficients, gamma_pathway_alpha
 from accelpair.cli import SweepConfig, run_sweep
 from accelpair.entanglement import Bipartition, negativity, partial_transpose, reduced_density
 from accelpair.fock import Ket, SubsystemLayout, boson_mode, fermion_mode
@@ -133,11 +133,11 @@ def test_criterion_4_bogoliubov_unitarity_residuals():
     cross = 0.0
     for mu2 in np.linspace(0.05, 5.0, 50):
         mu2 = float(mu2)
-        worst = max(worst, verify_unitarity(mu2, "boson"), verify_unitarity(mu2, "fermion"))
+        worst = max(worst, verify_unitarity(mu2, "scalar"), verify_unitarity(mu2, "fermion"))
         cross = max(
             cross,
-            abs(gamma_pathway_alpha(mu2, "boson") - scalar_coefficients(mu2).alpha_mag),
-            abs(gamma_pathway_alpha(mu2, "fermion") - fermion_coefficients(mu2).alpha_mag),
+            abs(gamma_pathway_alpha(mu2, "scalar") - coefficients(mu2, "scalar").alpha_mag),
+            abs(gamma_pathway_alpha(mu2, "fermion") - coefficients(mu2, "fermion").alpha_mag),
         )
     ok = worst < 1e-10 and cross < 1e-10
     _report(4, "Bogoliubov unitarity via gamma pathway", ok, f"worst residual {worst:.2e}")

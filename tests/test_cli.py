@@ -3,17 +3,17 @@ import math
 
 import pytest
 
-from accelpair import DomainError, Scenario, evaluate_scenario
-from accelpair.cli import (
-    CUTOFF_CAP,
-    ConversionReport,
-    SweepConfig,
-    convert_mu2,
-    emit_csv,
-    emit_plot,
-    main,
-    run_sweep,
+from accelpair import (
+    Coefficients,
+    DomainError,
+    FieldParams,
+    Scenario,
+    coefficients,
+    evaluate_scenario,
+    mu2_from_field,
+    verify_unitarity,
 )
+from accelpair.cli import CUTOFF_CAP, SweepConfig, emit_csv, emit_plot, main, run_sweep
 from accelpair.entanglement import sweep_plan
 
 from oracles import scalar_one_sp_negativity
@@ -198,31 +198,36 @@ def test_emit_plot_solid_for_both_accelerated(tmp_path):
 # --- convert ----------------------------------------------------------------------
 
 
-def test_convert_mu2_fermion_values():
-    report = convert_mu2(1.0, 0.5, "fermion")
-    assert isinstance(report, ConversionReport)
-    assert report.mu2 == 1.0
-    assert report.squeeze == pytest.approx(math.asin(math.exp(-math.pi)), abs=1e-14)
-    assert report.residual < 1e-10
-    assert report.squeeze_name == "r_f"
+def convert(m, E, statistics):
+    """What ``accelpair convert`` prints: the coefficients and the unitarity residual."""
+    mu2 = mu2_from_field(FieldParams(m=m, E=E))
+    return coefficients(mu2, statistics), verify_unitarity(mu2, statistics)
 
 
-def test_convert_mu2_massless_limit():
-    report = convert_mu2(0.0, 1.0, "fermion")
-    assert report.squeeze == pytest.approx(HALF_PI, abs=1e-14)
-    assert report.beta_mag == 1.0
+def test_convert_fermion_values():
+    coeff, residual = convert(1.0, 0.5, "fermion")
+    assert isinstance(coeff, Coefficients) and coeff.statistics == "fermion"
+    assert coeff.mu2 == 1.0
+    assert coeff.squeeze == pytest.approx(math.asin(math.exp(-math.pi)), abs=1e-14)
+    assert residual < 1e-10
 
 
-def test_convert_mu2_scalar():
-    report = convert_mu2(1.0, 1.0, "scalar")
-    assert report.mu2 == 0.5
-    assert report.squeeze == pytest.approx(math.asinh(math.exp(-math.pi / 2)), abs=1e-14)
-    assert report.residual < 1e-10
+def test_convert_massless_limit():
+    coeff, _ = convert(0.0, 1.0, "fermion")
+    assert coeff.squeeze == pytest.approx(HALF_PI, abs=1e-14)
+    assert coeff.beta_mag == 1.0
 
 
-def test_convert_mu2_rejects_unknown_statistics():
+def test_convert_scalar():
+    coeff, residual = convert(1.0, 1.0, "scalar")
+    assert coeff.mu2 == 0.5
+    assert coeff.squeeze == pytest.approx(math.asinh(math.exp(-math.pi / 2)), abs=1e-14)
+    assert residual < 1e-10
+
+
+def test_convert_rejects_unknown_statistics():
     with pytest.raises(DomainError):
-        convert_mu2(1.0, 1.0, "ghost")
+        convert(1.0, 1.0, "ghost")
 
 
 # --- entry point -------------------------------------------------------------------
@@ -287,6 +292,23 @@ def test_main_rejects_csv_and_svg_naming_one_file(tmp_path, monkeypatch, capsys,
 
 def test_main_exit_code_for_unparsable_arguments():
     assert main(["sweep", "--scenario", "not-a-scenario", "--csv", "x.csv"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--scenario", "fermion-one", "--step", "3", "--csv", "x.csv"],
+        ["sweep", "--scen", "fermion-one", "--steps", "3", "--csv", "x.csv"],
+        ["sweep", "--scenario", "fermion-one", "--steps", "3", "--csv", "x.csv", "--sv", "x.svg"],
+        ["convert", "--mass", "1", "--fie", "2", "--stat", "scalar"],
+    ],
+    ids=lambda argv: " ".join(argv[:4]),
+)
+def test_main_rejects_abbreviated_flags(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_exit_code_for_unwritable_output(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from accelpair import DomainError, Scenario, evaluate_scenario, named_bipartitions
 from accelpair import entanglement
+from accelpair.cli import CUTOFF_CAP
 from accelpair.entanglement import (
     SystemResult,
     _ln_from_schmidt,
@@ -96,7 +97,18 @@ squeezes = st.one_of(
 )
 @settings(max_examples=120, deadline=None)
 def test_plan_route_equals_per_point_route_exactly(kind, cutoff, phase, squeeze):
-    sc = Scenario(*kind, squeeze, phase=phase, cutoff=cutoff)
+    assert_plan_route_equals_reference(Scenario(*kind, squeeze, phase=phase, cutoff=cutoff))
+
+
+@pytest.mark.parametrize("r", [0.3, 1.2])
+@pytest.mark.parametrize("cutoff", [60, 120, CUTOFF_CAP])
+@pytest.mark.parametrize("accelerated", ["one", "both"])
+def test_plan_route_equals_per_point_route_at_ladder_cutoffs(accelerated, cutoff, r):
+    # the cutoffs a scalar row's ladder really reaches from the default start of 30
+    assert_plan_route_equals_reference(Scenario("scalar", accelerated, r, cutoff=cutoff))
+
+
+def assert_plan_route_equals_reference(sc):
     deficit, systems = reference_result(sc)
     res = evaluate_scenario(sc, sweep_plan(sc))
     assert res.deficit == deficit

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import accelpair
 from accelpair.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -40,3 +41,10 @@ def test_readme_cli_command_runs(argv, tmp_path, monkeypatch):
     for flag, value in zip(argv, argv[1:]):
         if flag in ("--csv", "--svg"):
             assert (tmp_path / value).is_file(), value
+
+
+def test_readme_export_paragraph_names_exactly_the_top_level_all():
+    para = re.search(r"The top level `accelpair` exports the (\d+) names(.*?)\n\n", TEXT, re.S)
+    assert para, "README has no export paragraph"
+    assert int(para.group(1)) == len(accelpair.__all__)
+    assert sorted(re.findall(r"`(\w+)`", para.group(2))) == sorted(accelpair.__all__)
