@@ -4,8 +4,10 @@
 bipartition of a scenario over a grid of squeeze parameters (or, with
 ``--mu2``, of field parameters mu2 that are first converted to squeeze
 values).  Scalar grid points iterate cutoff doubling until the LN values
-stabilize with a truncation deficit below the same tolerance.  ``accelpair
-convert`` reports the Bogoliubov data for one (m, E) pair.
+stabilize with a truncation deficit below the same tolerance.  Each row keeps
+the :class:`ScenarioResult` of its grid point.  The flags are the fields of
+:class:`SweepConfig`, which alone states their defaults and the grid's domain.
+``accelpair convert`` reports the Bogoliubov data for one (m, E) pair.
 
 Exit codes: 0 success, 1 domain/configuration error, 2 I/O error,
 3 sweep completed but at least one grid point failed to converge.
@@ -16,21 +18,16 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .bogoliubov import FieldParams, coefficients, mu2_from_field, verify_unitarity
-from .entanglement import (
-    SweepPlan,
-    closed_form_ln,
-    evaluate_scenario,
-    named_bipartitions,
-    sweep_plan,
-)
+from .entanglement import ScenarioResult, SweepPlan, closed_form_ln, evaluate_scenario, sweep_plan
 from .errors import DomainError, LayoutError
 from .states import Scenario
 from .svg import Curve, render_line_plot
@@ -50,6 +47,9 @@ __all__ = [
 # Cutoff doubling stops here to bound memory; rows that still move are
 # flagged as non-converged instead of silently accepted.
 CUTOFF_CAP = 128
+
+# 100x the largest grid the package runs (1001 points): at ~1 KB a row, ~100 MB
+_STEPS_CAP = 100_000
 
 SCENARIOS = ("fermion-one", "fermion-both", "scalar-one", "scalar-both")
 
@@ -73,22 +73,20 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise DomainError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.steps < 2:
-            raise DomainError(f"steps must be >= 2, got {self.steps}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise DomainError(f"steps must be an integer, got {self.steps!r}")
+        if not 2 <= self.steps <= _STEPS_CAP:
+            raise DomainError(f"steps must lie in [2, {_STEPS_CAP}], got {self.steps}")
         if self.grid_max is None:
+            if self.mu2_grid:
+                raise DomainError("mu2 grids need an explicit grid maximum")
             object.__setattr__(
                 self, "grid_max", math.pi / 2.0 if self.statistics == "fermion" else 1.2
             )
-        if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max)):
-            raise DomainError("grid bounds must be finite")
-        if self.grid_min < 0.0:
-            raise DomainError(f"grid minimum must be >= 0, got {self.grid_min}")
         if self.grid_max < self.grid_min:
             raise DomainError("grid maximum must not be below the minimum")
-        if self.mu2_grid and self.statistics == "scalar" and self.grid_min <= 0.0:
-            raise DomainError("scalar mu2 grids require mu2 > 0 everywhere")
-        if not self.mu2_grid and self.statistics == "fermion" and self.grid_max > math.pi / 2.0:
-            raise DomainError("fermion grids must stay within [0, pi/2]")
+        for end in (self.grid_min, self.grid_max):  # the squeeze is monotone in between
+            Scenario(self.statistics, self.accelerated, self.squeeze(end))
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise DomainError(f"tolerance must be finite and positive, got {self.convergence_tol}")
         if not 4 <= self.cutoff < CUTOFF_CAP:  # the ladder must be able to double at least once
@@ -105,26 +103,28 @@ class SweepConfig:
     def accelerated(self) -> str:
         return self.scenario.split("-")[1]
 
+    def squeeze(self, param: float) -> float:
+        """The squeeze of a grid value: the value itself, or r(mu2) on a mu2 grid."""
+        return coefficients(param, self.statistics).squeeze if self.mu2_grid else param
+
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point: squeeze value, LN per system, and diagnostics."""
+    """One grid point: its grid value and the evaluation that ended its ladder."""
 
     param: float  # grid value as given (r, r_f, or mu2 with --mu2)
-    squeeze: float  # actual squeeze parameter used
-    ln: dict[str, float]
-    min_pt: dict[str, float]
-    closed: dict[str, float] | None
-    deficit: float
-    cutoff: int  # converged bosonic cutoff; 0 for (exact) fermionic rows
+    result: ScenarioResult  # its scenario holds the squeeze and the final cutoff
     converged: bool
 
 
 @dataclass(frozen=True)
 class SweepTable:
     config: SweepConfig
-    systems: tuple[str, ...]
-    rows: list[SweepRow] = field(default_factory=list)
+    rows: list[SweepRow]
+
+    @property
+    def systems(self) -> tuple[str, ...]:
+        return tuple(self.rows[0].result.systems)
 
     @property
     def all_converged(self) -> bool:
@@ -136,7 +136,7 @@ def _evaluate_point(cfg: SweepConfig, param: float, plans: dict[int, SweepPlan])
 
     ``plans`` holds the sweep's plan of each cutoff, and gains those it lacks.
     """
-    squeeze = coefficients(param, cfg.statistics).squeeze if cfg.mu2_grid else param
+    squeeze = cfg.squeeze(param)
 
     def at_cutoff(n: int):
         sc = Scenario(cfg.statistics, cfg.accelerated, squeeze, cutoff=n)
@@ -146,8 +146,7 @@ def _evaluate_point(cfg: SweepConfig, param: float, plans: dict[int, SweepPlan])
 
     cutoff = cfg.cutoff
     res = at_cutoff(cutoff)
-    fermion = cfg.statistics == "fermion"  # exact states: no ladder
-    converged = fermion
+    converged = cfg.statistics == "fermion"  # exact states: no ladder
     while not converged:
         larger = min(2 * cutoff, CUTOFF_CAP)
         if larger == cutoff:
@@ -160,22 +159,14 @@ def _evaluate_point(cfg: SweepConfig, param: float, plans: dict[int, SweepPlan])
         cutoff, res = larger, res_larger
         # LN also stops moving once the truncation has lost the whole norm
         converged = delta < cfg.convergence_tol and res.deficit < cfg.convergence_tol
-    ln = {name: sr.log_negativity for name, sr in res.systems.items()}
-    min_pt = {name: sr.min_pt_eigenvalue for name, sr in res.systems.items()}
-    if fermion:
-        closed = {name: closed_form_ln(cfg.scenario, name, squeeze) for name in ln}
-        return SweepRow(param, squeeze, ln, min_pt, closed, res.deficit, 0, True)
-    return SweepRow(param, squeeze, ln, min_pt, None, res.deficit, cutoff, converged)
+    return SweepRow(param, res, converged)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepTable:
     """Evaluate every grid point, in grid order."""
     grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
     plans: dict[int, SweepPlan] = {}  # by cutoff, for this sweep only
-    rows = [_evaluate_point(cfg, p, plans) for p in grid]
-    probe = Scenario(cfg.statistics, cfg.accelerated, 0.0)
-    systems = tuple(named_bipartitions(probe).keys())
-    return SweepTable(cfg, systems, rows)
+    return SweepTable(cfg, [_evaluate_point(cfg, p, plans) for p in grid])
 
 
 def _column_key(system: str) -> str:
@@ -191,13 +182,16 @@ def _format_value(v) -> str:
 
 
 def emit_csv(table: SweepTable, path: Path) -> Path:
-    """UTF-8, LF-terminated CSV with 12-significant-digit values."""
+    """UTF-8, LF-terminated CSV with 12-significant-digit values; fermion rows
+    are exact, so they add the closed-form ``cf_*`` columns and report cutoff 0."""
+    cfg = table.config
+    fermion = cfg.statistics == "fermion"
     header: list[str] = []
-    if table.config.mu2_grid:
+    if cfg.mu2_grid:
         header.append("mu2")
     header.append("r")
     header += [f"ln_{_column_key(s)}" for s in table.systems]
-    if table.config.statistics == "fermion":
+    if fermion:
         header += [f"cf_{_column_key(s)}" for s in table.systems]
     header += ["deficit", "cutoff", "converged"]
 
@@ -206,14 +200,14 @@ def emit_csv(table: SweepTable, path: Path) -> Path:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in table.rows:
-            rec: list = []
-            if table.config.mu2_grid:
-                rec.append(row.param)
-            rec.append(row.squeeze)
-            rec += [row.ln[s] for s in table.systems]
-            if row.closed is not None:
-                rec += [row.closed[s] for s in table.systems]
-            rec += [row.deficit, row.cutoff, row.converged]
+            res = row.result
+            squeeze = res.scenario.squeeze
+            rec: list = [row.param] if cfg.mu2_grid else []
+            rec.append(squeeze)
+            rec += [res.systems[s].log_negativity for s in table.systems]
+            if fermion:
+                rec += [closed_form_ln(cfg.scenario, s, squeeze) for s in table.systems]
+            rec += [res.deficit, 0 if fermion else res.scenario.cutoff, row.converged]
             writer.writerow([_format_value(v) for v in rec])
     return path
 
@@ -235,7 +229,7 @@ def emit_plot(table: SweepTable, path: Path) -> Path:
     Line-style convention: dot-dashed for the invariant full bipartition,
     dashed when a single mode is accelerated, solid when both are.
     """
-    xs = [row.squeeze for row in table.rows]
+    xs = [row.result.scenario.squeeze for row in table.rows]
     body_dash = "dashed" if table.config.accelerated == "one" else "solid"
     curves = []
     for system in table.systems:
@@ -243,7 +237,7 @@ def emit_plot(table: SweepTable, path: Path) -> Path:
             Curve(
                 label=_legend_label(table.config.accelerated, system),
                 x=xs,
-                y=[row.ln[system] for row in table.rows],
+                y=[row.result.systems[system].log_negativity for row in table.rows],
                 dash="dotdash" if system == "full" else body_dash,
             )
         )
@@ -266,22 +260,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser(
-        "sweep", help="sweep LN of every bipartition over a squeeze grid", allow_abbrev=False
+        "sweep",
+        help="sweep LN of every bipartition over a squeeze grid",
+        allow_abbrev=False,
+        argument_default=argparse.SUPPRESS,  # each dest is a SweepConfig field with its default
     )
     sweep.add_argument("--scenario", required=True, choices=SCENARIOS)
-    sweep.add_argument("--min", type=float, default=0.0, help="grid minimum (default 0)")
+    for flag, dest, kind, text in (
+        ("--min", "grid_min", float, "grid minimum (default 0)"),
+        ("--max", "grid_max", float, "grid maximum (default pi/2 fermion, 1.2 scalar; mu2: none)"),
+        ("--steps", "steps", int, "grid points (default 101)"),
+        ("--cutoff", "cutoff", int, "initial bosonic cutoff (default 30)"),
+        ("--tol", "convergence_tol", float, "cutoff-doubling stability tolerance (default 1e-8)"),
+    ):
+        sweep.add_argument(flag, dest=dest, type=kind, metavar=flag[2:].upper(), help=text)
     sweep.add_argument(
-        "--max", type=float, default=None, help="grid maximum (default pi/2 fermion, 1.2 scalar)"
+        "--csv", dest="csv_path", type=Path, required=True, metavar="PATH", help="output CSV path"
     )
-    sweep.add_argument("--steps", type=int, default=101, help="grid points (default 101)")
-    sweep.add_argument("--cutoff", type=int, default=30, help="initial bosonic cutoff (default 30)")
     sweep.add_argument(
-        "--tol", type=float, default=1e-8, help="cutoff-doubling stability tolerance (default 1e-8)"
+        "--svg", dest="svg_path", type=Path, metavar="PATH", help="optional output SVG path"
     )
-    sweep.add_argument("--csv", required=True, metavar="PATH", help="output CSV path")
-    sweep.add_argument("--svg", default=None, metavar="PATH", help="optional output SVG path")
     sweep.add_argument(
-        "--mu2", action="store_true", help="interpret the grid as mu2 and convert to squeeze values"
+        "--mu2",
+        dest="mu2_grid",
+        action="store_true",
+        help="interpret the grid as mu2 and convert to squeeze values",
     )
 
     conv = sub.add_parser(
@@ -313,17 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"unitarity residual {residual:.3e}")
             return 0
 
-        cfg = SweepConfig(
-            scenario=args.scenario,
-            grid_min=args.min,
-            grid_max=args.max,
-            steps=args.steps,
-            cutoff=args.cutoff,
-            convergence_tol=args.tol,
-            csv_path=Path(args.csv),
-            svg_path=Path(args.svg) if args.svg else None,
-            mu2_grid=args.mu2,
-        )
+        cfg = SweepConfig(**{k: v for k, v in vars(args).items() if k != "command"})
         table = run_sweep(cfg)
         emit_csv(table, cfg.csv_path)
         print(f"wrote {cfg.csv_path} ({len(table.rows)} rows)")

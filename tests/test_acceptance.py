@@ -28,6 +28,10 @@ def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
     print(f"criterion {num}: {verdict} - {description}{suffix}")
 
 
+def _ln(row, system):
+    return row.result.systems[system].log_negativity
+
+
 def test_criterion_1_fermion_one_accelerated_closed_forms():
     grid = np.linspace(0.0, HALF_PI, 101)
     start = time.perf_counter()
@@ -77,20 +81,20 @@ def test_criterion_3_scalar_invariance_and_zero_transfer():
     checks = {"converged": True, "full": 0.0, "zero_ln": 0.0, "min_pt": 0.0}
     for table in (one, both):
         checks["converged"] &= table.all_converged
-        checks["full"] = max(checks["full"], max(abs(r.ln["full"] - 1.0) for r in table.rows))
+        checks["full"] = max(checks["full"], max(abs(_ln(r, "full") - 1.0) for r in table.rows))
     for row in one.rows:
-        checks["zero_ln"] = max(checks["zero_ln"], abs(row.ln["s,a"]))
-        checks["min_pt"] = min(checks["min_pt"], row.min_pt["s,a"])
+        checks["zero_ln"] = max(checks["zero_ln"], abs(_ln(row, "s,a")))
+        checks["min_pt"] = min(checks["min_pt"], row.result.systems["s,a"].min_pt_eigenvalue)
     for row in both.rows:
         for name in ("p,a", "a,a"):
-            checks["zero_ln"] = max(checks["zero_ln"], abs(row.ln[name]))
-            checks["min_pt"] = min(checks["min_pt"], row.min_pt[name])
+            checks["zero_ln"] = max(checks["zero_ln"], abs(_ln(row, name)))
+            checks["min_pt"] = min(checks["min_pt"], row.result.systems[name].min_pt_eigenvalue)
 
     def monotone(values):
         return all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
-    sp = [r.ln["s,p"] for r in one.rows]
-    pp = [r.ln["p,p"] for r in both.rows]
+    sp = [_ln(r, "s,p") for r in one.rows]
+    pp = [_ln(r, "p,p") for r in both.rows]
     property_ok = (
         monotone(sp)
         and monotone(pp)
@@ -101,7 +105,7 @@ def test_criterion_3_scalar_invariance_and_zero_transfer():
         b < a - 1e-9
         for table_vals, rows in ((sp, one.rows), (pp, both.rows))
         for a, b, row in zip(table_vals, table_vals[1:], rows[1:])
-        if row.squeeze >= 0.1
+        if row.result.scenario.squeeze >= 0.1
     )
 
     ok = (

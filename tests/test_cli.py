@@ -1,5 +1,8 @@
+import argparse
 import csv
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from accelpair import (
     mu2_from_field,
     verify_unitarity,
 )
+from accelpair import cli
 from accelpair.cli import CUTOFF_CAP, SweepConfig, emit_csv, emit_plot, main, run_sweep
 from accelpair.entanglement import sweep_plan
 
@@ -27,6 +31,10 @@ def small_fermion_cfg(**kw):
     return SweepConfig(**base)
 
 
+def _ln(row, system):
+    return row.result.systems[system].log_negativity
+
+
 # --- configuration ------------------------------------------------------------
 
 
@@ -35,33 +43,124 @@ def test_config_defaults_resolve_per_scenario():
     assert SweepConfig(scenario="scalar-one").grid_max == pytest.approx(1.2)
 
 
-@pytest.mark.parametrize(
-    "kw",
-    [
-        dict(scenario="vector-one"),
-        dict(scenario="fermion-one", steps=1),
-        dict(scenario="fermion-one", grid_min=-0.1),
-        dict(scenario="fermion-one", grid_max=2.0),
-        dict(scenario="fermion-one", grid_min=1.0, grid_max=0.5),
-        dict(scenario="scalar-one", mu2_grid=True, grid_min=0.0, grid_max=2.0),
-        dict(scenario="fermion-one", convergence_tol=0.0),
-        dict(scenario="scalar-one", convergence_tol=math.nan),
-        dict(scenario="scalar-one", convergence_tol=math.inf),
-        dict(scenario="scalar-one", cutoff=3),
-        dict(scenario="scalar-one", cutoff=CUTOFF_CAP + 1),
-    ],
-)
+BAD_CONFIGS = [
+    dict(scenario="vector-one"),
+    dict(scenario="fermion-one", steps=1),
+    dict(scenario="fermion-one", grid_min=-0.1),
+    dict(scenario="fermion-one", grid_max=2.0),
+    dict(scenario="fermion-one", grid_min=1.0, grid_max=0.5),
+    dict(scenario="scalar-one", mu2_grid=True, grid_min=0.0, grid_max=2.0),
+    dict(scenario="fermion-one", convergence_tol=0.0),
+    dict(scenario="scalar-one", convergence_tol=math.nan),
+    dict(scenario="scalar-one", convergence_tol=math.inf),
+    dict(scenario="scalar-one", cutoff=3),
+    dict(scenario="scalar-one", cutoff=CUTOFF_CAP + 1),
+]
+
+
+@pytest.mark.parametrize("kw", BAD_CONFIGS)
 def test_config_rejects_bad_values(kw):
     with pytest.raises(DomainError):
         SweepConfig(**kw)
+
+
+def _sweep_argv(**kw):
+    """The ``sweep`` command line that sets each SweepConfig field in ``kw``."""
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices["sweep"]._actions}
+    argv = ["sweep"]
+    for name, value in kw.items():
+        flag = actions[name].option_strings[0]
+        argv += [flag] if actions[name].nargs == 0 else [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("kw", BAD_CONFIGS)
+def test_main_exits_1_on_each_rejected_config(tmp_path, capsys, kw):
+    csv_path = tmp_path / "bad.csv"
+    assert main(_sweep_argv(**kw, csv_path=csv_path)) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("steps", [2.5, 100_001])
+def test_config_rejects_fractional_or_huge_steps(steps):
+    with pytest.raises(DomainError, match="steps must"):
+        SweepConfig(scenario="fermion-one", steps=steps)
+
+
+def test_config_accepts_steps_up_to_the_cap():
+    assert SweepConfig(scenario="fermion-one", steps=100_000).steps == 100_000
+
+
+def test_main_rejects_huge_steps(tmp_path, capsys):
+    csv_path = tmp_path / "huge.csv"
+    argv = ["sweep", "--scenario", "scalar-one", "--steps", "100000000000000000000"]
+    assert main([*argv, "--csv", str(csv_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: steps must lie in [2, 100000], got 100000000000000000000\n"
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("scenario", ["fermion-one", "scalar-one"])
+def test_main_mu2_grid_needs_explicit_max(tmp_path, capsys, scenario):
+    csv_path = tmp_path / "mu2.csv"
+    assert main(["sweep", "--scenario", scenario, "--mu2", "--csv", str(csv_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: mu2 grids need an explicit grid maximum\n"
+    assert not csv_path.exists()
+
+
+class _Captured(Exception):
+    pass
+
+
+def _parsed_config(monkeypatch, argv):
+    """The SweepConfig that ``main`` hands to run_sweep for ``argv``."""
+
+    def capture(cfg):
+        raise _Captured(cfg)
+
+    monkeypatch.setattr(cli, "run_sweep", capture)
+    with pytest.raises(_Captured) as info:
+        main(argv)
+    return info.value.args[0]
+
+
+def test_main_parser_adds_no_defaults(monkeypatch, tmp_path):
+    csv_path = str(tmp_path / "x.csv")
+    cfg = _parsed_config(monkeypatch, ["sweep", "--scenario", "scalar-one", "--csv", csv_path])
+    assert cfg == SweepConfig(scenario="scalar-one", csv_path=Path(csv_path))
+
+
+def test_main_puts_every_flag_in_its_field(monkeypatch, tmp_path):
+    fields = dict(
+        scenario="fermion-both",
+        grid_min=0.25,
+        grid_max=1.5,
+        steps=7,
+        cutoff=12,
+        convergence_tol=1e-6,
+        csv_path=tmp_path / "a.csv",
+        svg_path=tmp_path / "b.svg",
+        mu2_grid=True,
+    )
+    argv = ["sweep", "--scenario", "fermion-both", "--min", "0.25", "--max", "1.5", "--steps", "7"]
+    argv += ["--cutoff", "12", "--tol", "1e-6", "--csv", str(fields["csv_path"])]
+    argv += ["--svg", str(fields["svg_path"]), "--mu2"]
+    cfg = _parsed_config(monkeypatch, argv)
+    got = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    assert got == fields
+    assert all(type(got[name]) is type(value) for name, value in fields.items())
 
 
 def test_mu2_grid_allows_fermion_beyond_half_pi():
     cfg = SweepConfig(scenario="fermion-one", mu2_grid=True, grid_min=0.05, grid_max=5.0, steps=3)
     table = run_sweep(cfg)
     for row in table.rows:
-        assert 0.0 <= row.squeeze <= HALF_PI
-        assert row.squeeze == pytest.approx(math.asin(math.exp(-math.pi * row.param)))
+        squeeze = row.result.scenario.squeeze
+        assert 0.0 <= squeeze <= HALF_PI
+        assert squeeze == pytest.approx(math.asin(math.exp(-math.pi * row.param)))
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -71,17 +170,17 @@ def test_fermion_one_sweep_endpoints():
     table = run_sweep(small_fermion_cfg())
     assert table.systems == ("full", "s,p", "s,a")
     first = table.rows[0]
-    assert first.ln["s,p"] == pytest.approx(1.0, abs=1e-12)
-    assert first.ln["s,a"] == pytest.approx(0.0, abs=1e-12)
-    assert first.converged and first.cutoff == 0
-    assert all(abs(r.ln["full"] - 1.0) < 1e-10 for r in table.rows)
+    assert _ln(first, "s,p") == pytest.approx(1.0, abs=1e-12)
+    assert _ln(first, "s,a") == pytest.approx(0.0, abs=1e-12)
+    assert first.converged and first.result.deficit == 0.0  # exact: the CSV reports cutoff 0
+    assert all(abs(_ln(r, "full") - 1.0) < 1e-10 for r in table.rows)
 
 
 def test_fermion_both_sweep_complete_transfer_at_endpoint():
     table = run_sweep(small_fermion_cfg(scenario="fermion-both"))
     last = table.rows[-1]
-    assert last.ln["a,a"] == pytest.approx(1.0, abs=1e-10)
-    assert last.ln["p,p"] == pytest.approx(0.0, abs=1e-10)
+    assert _ln(last, "a,a") == pytest.approx(1.0, abs=1e-10)
+    assert _ln(last, "p,p") == pytest.approx(0.0, abs=1e-10)
 
 
 def test_scalar_sweep_converges_and_zeroes_antiparticles():
@@ -89,8 +188,8 @@ def test_scalar_sweep_converges_and_zeroes_antiparticles():
     table = run_sweep(cfg)
     for row in table.rows:
         assert row.converged
-        assert row.cutoff <= CUTOFF_CAP
-        assert row.ln["s,a"] == pytest.approx(0.0, abs=1e-8)
+        assert row.result.scenario.cutoff <= CUTOFF_CAP
+        assert _ln(row, "s,a") == pytest.approx(0.0, abs=1e-8)
 
 
 # --- CSV -------------------------------------------------------------------------
@@ -180,9 +279,9 @@ def test_plot_particle_and_antiparticle_curves_cross_at_balance_point(tmp_path):
     # grid chosen so the middle point sits where cos^4 = sin^4
     table = run_sweep(small_fermion_cfg(scenario="fermion-both", steps=5))
     mid = table.rows[2]
-    assert mid.squeeze == pytest.approx(math.pi / 4)
-    assert mid.ln["p,p"] == pytest.approx(mid.ln["a,a"], abs=1e-12)
-    assert mid.ln["p,p"] == pytest.approx(math.log2(1.25), abs=1e-10)
+    assert mid.result.scenario.squeeze == pytest.approx(math.pi / 4)
+    assert _ln(mid, "p,p") == pytest.approx(_ln(mid, "a,a"), abs=1e-12)
+    assert _ln(mid, "p,p") == pytest.approx(math.log2(1.25), abs=1e-10)
     path = emit_plot(table, tmp_path / "cross.svg")
     pts = _polyline_points(path.read_text(encoding="utf-8"))
     pp, aa = pts[1], pts[4]  # system order: full, p,p, p,a, a,p, a,a
@@ -387,13 +486,15 @@ def test_default_scalar_both_rows_match_cutoff_240():
     # the row set is fixed by rule, not by result: every row whose ladder
     # reached cutoff 120, and every 5th row of the default 101-point grid
     table = run_sweep(SweepConfig(scenario="scalar-both"))
-    picked = [row for i, row in enumerate(table.rows) if row.cutoff == 120 or i % 5 == 0]
-    assert sum(row.cutoff == 120 for row in table.rows) == 22 and len(picked) == 38
+    cutoffs = [row.result.scenario.cutoff for row in table.rows]
+    picked = [row for i, row in enumerate(table.rows) if cutoffs[i] == 120 or i % 5 == 0]
+    assert cutoffs.count(120) == 22 and len(picked) == 38
     plan = sweep_plan(Scenario("scalar", "both", 0.0, cutoff=240))
     for row in picked:
-        ref = evaluate_scenario(Scenario("scalar", "both", row.squeeze, cutoff=240), plan)
+        squeeze = row.result.scenario.squeeze
+        ref = evaluate_scenario(Scenario("scalar", "both", squeeze, cutoff=240), plan)
         for name, sr in ref.systems.items():
-            assert abs(row.ln[name] - sr.log_negativity) < 1e-8, (row.squeeze, name)
+            assert abs(_ln(row, name) - sr.log_negativity) < 1e-8, (squeeze, name)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Every ```python block and every ``accelpair`` command of README.md runs
 against the package as it stands."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import accelpair
-from accelpair.cli import main
+from accelpair.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -48,3 +49,12 @@ def test_readme_export_paragraph_names_exactly_the_top_level_all():
     assert para, "README has no export paragraph"
     assert int(para.group(1)) == len(accelpair.__all__)
     assert sorted(re.findall(r"`(\w+)`", para.group(2))) == sorted(accelpair.__all__)
+
+
+def test_readme_cli_prose_names_exactly_the_parser_flags():
+    section = re.search(r"^## CLI\n(.*?)^## ", TEXT, re.M | re.S).group(1)
+    prose = re.sub(r"^```.*?^```$", "", section, flags=re.M | re.S)
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", prose))
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for p in sub.choices.values() for a in p._actions for s in a.option_strings}
+    assert named == flags - {"-h", "--help"}
