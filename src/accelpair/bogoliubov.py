@@ -117,7 +117,9 @@ def coefficients(mu2: float, statistics: str) -> Coefficients:
     """
     sigma, _, _, squeeze_of = _relations(statistics)
     scalar = statistics == "scalar"
-    if not (math.isfinite(mu2) and (mu2 > 0.0 if scalar else mu2 >= 0.0)):
+    if not math.isfinite(mu2):
+        raise DomainError(f"{statistics} coefficients require a finite mu2, got {mu2}")
+    if not (mu2 > 0.0 if scalar else mu2 >= 0.0):
         bound = "> 0" if scalar else ">= 0"
         raise DomainError(f"{statistics} coefficients require mu2 {bound}, got {mu2}")
     beta = math.exp(-math.pi * mu2)

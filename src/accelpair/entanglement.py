@@ -293,7 +293,7 @@ def chain_spectrum(d, lo, c) -> tuple[float, float, int]:
     bound = float(np.min(d - pad[:-1] - pad[1:]))
     if bound >= -_CERTIFIED_TOL:  # also keeps LAPACK from an empty interval
         return 0.0, 0.0, 0
-    from scipy.linalg.lapack import dstebz  # only chains load scipy.linalg (~270 ms)
+    from scipy.linalg.lapack import dstebz  # only chains load scipy.linalg (~230 ms)
 
     m, w, _, _, info = dstebz(d, pad[1:-1], 1, 2 * bound, -_CERTIFIED_TOL, 0, 0, 0.0, b"E")
     if info != 0:

@@ -12,8 +12,12 @@ are the two branch norms.  Input outside this structure is a DomainError.
 
 :func:`plan_chain` builds this index structure once per support and runs
 the structural checks there, on every entry, zero amplitudes included; per
-state, :meth:`ChainPlan.entries` is one bincount and one gather.  The
-per-state functions, the reference route, share its helpers.
+state, :meth:`ChainPlan.entries` is one bincount and one gather.  The cross
+terms are never sorted or hashed: the partial transpose swaps party A's
+digits by stride arithmetic on the flat indices, and one scatter over the
+chain's edge slots both checks that no edge is hit twice and puts the cross
+terms in edge order.  The per-state functions, the reference route, share
+its helpers.
 """
 
 from __future__ import annotations
@@ -158,12 +162,17 @@ def _cross_terms(layout, occupations, branch, keep) -> tuple:
 
 
 def _swap(rows, cols, kept_dims: Sequence[int], a_positions: Sequence[int]):
-    """Row and column indices with party A's coordinates exchanged."""
-    row_occ = np.array(np.unravel_index(rows, kept_dims))
-    col_occ = np.array(np.unravel_index(cols, kept_dims))
+    """Row and column indices with party A's coordinates exchanged: each index
+    loses its own party-A digits (C order, distinct ``a_positions``) and gains
+    its partner's.  LayoutError if an index lies outside ``kept_dims``."""
+    rows, cols, size = np.asarray(rows), np.asarray(cols), math.prod(kept_dims)
+    if any(i.size and (i.min() < 0 or i.max() >= size) for i in (rows, cols)):
+        raise LayoutError(f"index out of range for kept dims {tuple(kept_dims)}")
+    shift = np.zeros_like(rows)  # partner's party-A digits minus one's own, in place value
     for p in a_positions:
-        row_occ[p], col_occ[p] = col_occ[p].copy(), row_occ[p].copy()
-    return np.ravel_multi_index(row_occ, kept_dims), np.ravel_multi_index(col_occ, kept_dims)
+        stride = math.prod(kept_dims[p:][1:])
+        shift += (cols // stride % kept_dims[p] - rows // stride % kept_dims[p]) * stride
+    return rows + shift, cols - shift
 
 
 def _chain(charge: Sequence[int], n: int, rows, cols) -> tuple[np.ndarray, ...]:
@@ -272,16 +281,21 @@ class ChainPlan:
 def plan_chain(layout, occupations, branch, keep, party_a, charge) -> ChainPlan:
     """Plan the partial transpose over ``party_a`` of rho over ``keep``, ``charge`` per
     kept state.  Runs the checks of reduced_gram and tridiagonal on the
-    whole support; two cross terms on one chain edge are a DomainError."""
+    whole support; two cross terms on one chain edge are a DomainError.
+    That check writes each cross term's number into its edge's slot: fewer
+    filled slots than cross terms means an edge was hit twice, and otherwise
+    the filled slots, read in order, are the cross terms in edge order."""
     kept, rows, first, second = _cross_terms(layout, occupations, branch, keep)
     party_a = frozenset(party_a)
     a_pos = [i for i, lbl in enumerate(kept.labels) if lbl in party_a]
     pt = _swap(rows[first], rows[second], kept.dims, a_pos)
     _, place, *pt = _chain(charge, kept.total_dim, *pt)
     edge = np.minimum(*pt)
-    if np.unique(edge).size != edge.size:
+    slot = np.full(kept.total_dim, -1)
+    slot[edge] = np.arange(edge.size)
+    by = slot[slot >= 0]
+    if by.size != edge.size:
         raise DomainError("two cross terms land on one chain edge")
-    by = np.argsort(edge)
     one_system = np.zeros_like(by), [0, kept.total_dim]
     return ChainPlan(place[rows], first[by], second[by], edge[by], *one_system)
 

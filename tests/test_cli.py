@@ -111,6 +111,19 @@ def test_main_mu2_grid_needs_explicit_max(tmp_path, capsys, scenario):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("grid_max", ["inf", "nan"])
+@pytest.mark.parametrize("scenario", ["fermion-one", "scalar-both"])
+def test_main_rejects_non_finite_mu2_as_non_finite(tmp_path, capsys, scenario, grid_max):
+    csv_path = tmp_path / "mu2.csv"
+    argv = ["sweep", "--scenario", scenario, "--mu2", "--min", "0.1", "--max", grid_max]
+    assert main([*argv, "--csv", str(csv_path)]) == 1
+    out, err = capsys.readouterr()
+    statistics = scenario.split("-")[0]
+    assert out == ""
+    assert err == f"error: {statistics} coefficients require a finite mu2, got {grid_max}\n"
+    assert not csv_path.exists()
+
+
 class _Captured(Exception):
     pass
 

@@ -1,6 +1,7 @@
 """Sweep plans: the squeeze-independent index structure against the per-point route."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelpair import DomainError, Scenario, evaluate_scenario, named_bipartitions
+from accelpair import DomainError, LayoutError, Scenario, evaluate_scenario, named_bipartitions
 from accelpair import entanglement
 from accelpair.cli import CUTOFF_CAP
 from accelpair.entanglement import (
@@ -23,6 +24,7 @@ from accelpair.entanglement import (
 from accelpair.fock import SubsystemLayout, boson_mode, fermion_mode
 from accelpair.sparse import (
     CoordKet,
+    _swap,
     cut_sides,
     partial_transpose_sparse,
     plan_chain,
@@ -100,11 +102,16 @@ def test_plan_route_equals_per_point_route_exactly(kind, cutoff, phase, squeeze)
     assert_plan_route_equals_reference(Scenario(*kind, squeeze, phase=phase, cutoff=cutoff))
 
 
-@pytest.mark.parametrize("r", [0.3, 1.2])
-@pytest.mark.parametrize("cutoff", [60, 120, CUTOFF_CAP])
-@pytest.mark.parametrize("accelerated", ["one", "both"])
+# the cutoffs a scalar row's ladder really reaches from the default start of 30, and
+# scalar-both at cutoff 240 and large r, where long chains carry many cross terms
+LADDER_CASES = [
+    *itertools.product(["both", "one"], [60, 120, CUTOFF_CAP], [0.3, 1.2]),
+    ("both", 240, 2.0),
+]
+
+
+@pytest.mark.parametrize("accelerated, cutoff, r", LADDER_CASES)
 def test_plan_route_equals_per_point_route_at_ladder_cutoffs(accelerated, cutoff, r):
-    # the cutoffs a scalar row's ladder really reaches from the default start of 30
     assert_plan_route_equals_reference(Scenario("scalar", accelerated, r, cutoff=cutoff))
 
 
@@ -143,6 +150,53 @@ def test_plan_arrays_are_read_only_int32(kind):
             a[:1] = 0
 
 
+@pytest.mark.parametrize("cutoff", [6, 30, 120])
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_plan_edges_strictly_increase(kind, cutoff):
+    plan = sweep_plan(Scenario(*kind, 0.3, cutoff=cutoff))
+    for chain in [*plan.systems.values(), plan.batch]:
+        if chain is not None:
+            assert (np.diff(chain.edge) > 0).all()
+
+
+def swap_by_round_trip(rows, cols, dims, a_positions):
+    """_swap's reference: unravel both indices, exchange party A's digits, ravel back."""
+    row_occ = np.array(np.unravel_index(rows, dims))
+    col_occ = np.array(np.unravel_index(cols, dims))
+    for p in a_positions:
+        row_occ[p], col_occ[p] = col_occ[p].copy(), row_occ[p].copy()
+    return np.ravel_multi_index(row_occ, dims), np.ravel_multi_index(col_occ, dims)
+
+
+@st.composite
+def swap_inputs(draw):
+    dims = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
+    a_positions = draw(st.sets(st.integers(0, len(dims) - 1)))
+    size, n = math.prod(dims), draw(st.integers(0, 40))
+    index = st.lists(st.integers(0, size - 1), min_size=n, max_size=n).map(np.array)
+    return draw(index).astype(np.int64), draw(index).astype(np.int64), dims, sorted(a_positions)
+
+
+@given(swap_inputs())
+@settings(max_examples=150, deadline=None)
+def test_swap_equals_the_unravel_round_trip(case):
+    rows, cols, dims, a_positions = case
+    ours, ref = _swap(rows, cols, dims, a_positions), swap_by_round_trip(*case)
+    for got, want in zip(ours, ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+@pytest.mark.parametrize("side", [0, 1])
+def test_swap_rejects_out_of_range_indices(side, bad):
+    index = [np.array([0, 5]), np.array([11, 3])]
+    index[side] = np.array([3, bad])
+    with pytest.raises(ValueError):
+        swap_by_round_trip(*index, (3, 4), [0])
+    with pytest.raises(LayoutError, match="out of range"):
+        _swap(*index, (3, 4), [0])
+
+
 def test_plan_of_another_cutoff_or_scenario_is_rejected():
     plan = sweep_plan(Scenario("scalar", "one", 0.3, cutoff=8))
     with pytest.raises(DomainError, match="does not fit"):
@@ -169,6 +223,13 @@ SUM_CHARGE = np.add.outer(np.arange(3), np.arange(3)).ravel()  # a + b: (1, 0) a
         ([[0, 0, 0], [1, 1, 0]], [0, 1], np.arange(9), "different charge"),
         ([[0, 0, 0], [1, 1, 0]], [0, 1], np.zeros(9, int), "not a chain"),
         ([[0, 0, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]], [0, 1, 0, 1], SUM_CHARGE, "one chain edge"),
+        # cross terms at t = 0, 1, 2: the first and the last share an edge, the middle does not
+        (
+            [[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 2, 1], [0, 0, 2], [1, 1, 2]],
+            [0, 1, 0, 1, 0, 1],
+            SUM_CHARGE,
+            "one chain edge",
+        ),
     ],
 )
 def test_chain_plan_build_runs_the_structural_checks(occ, branch, charge, message):
