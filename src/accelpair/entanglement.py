@@ -8,17 +8,17 @@ scalar-one "s,p" and 2.0-5.2e-12 from scalar-both "p,p" (up to 1.5e-11 of
 LN).  The scalar antiparticle systems need no threshold: their smallest
 partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 
-:func:`evaluate_scenario` runs all four scenarios through the two-branch
-pipeline of :mod:`accelpair.sparse`, on a :class:`SweepPlan` that holds the
-squeeze-independent index structure (its docstring says which checks run
-when the plan is built and which per point).  Only the negative eigenvalues
-are computed: in closed form where a system's chains are 2-state pairs
-(:func:`pair_spectra`), by bisection otherwise (:func:`chain_spectrum`).  The
-per-state functions of :mod:`accelpair.sparse` and the dense functions here
-are the reference routes it is tested against.  Reduced systems carry
-conventional names: "s,p" pairs the inert s mode with the w particles, "p,p"
-pairs the particles of both accelerated modes, and so on; "full" keeps every
-sub-mode, split s side vs w side.
+:func:`evaluate_scenario` runs all four scenarios, one point or a list in one
+pass, through the two-branch pipeline of :mod:`accelpair.sparse`, on a
+:class:`SweepPlan` that holds the squeeze-independent index structure (its
+docstring says which checks run when built and which per point).  Only the
+negative eigenvalues are computed: in closed form where a system's chains are
+2-state pairs (:func:`pair_spectra`), by bisection otherwise
+(:func:`chain_spectrum`).  The per-state functions of :mod:`accelpair.sparse`
+and the dense functions here are the reference routes it is tested
+against.  Reduced systems carry conventional names: "s,p" pairs the inert s
+mode with the w particles, "p,p" pairs the particles of both accelerated
+modes, and so on; "full" keeps every sub-mode, split s side vs w side.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, LayoutError
 from .fock import DensityMatrix, Ket, hermitian_eigenvalues
-from .sparse import ChainPlan, cut_sides, plan_chain
+from .sparse import ChainPlan, cut_sides, plan_chain, stacked
 from .states import Scenario, kept_charges, scenario_amplitudes, scenario_support
 
 __all__ = [
@@ -64,6 +64,7 @@ _TINY = np.finfo(float).tiny
 _SCHMIDT_WEIGHT_TOL = 1e-12
 
 _UNIT_NORM_TOL = 1e-10
+_ROWS = 4096  # points per pass of evaluate_scenario: bounds the arrays a large grid holds
 
 
 @dataclass(frozen=True)
@@ -153,18 +154,16 @@ def log_negativity(rho: DensityMatrix, party_a: Iterable[str]) -> float:
     return math.log2(2.0 * negativity(rho, party_a) + 1.0)
 
 
-def _ln_from_schmidt(weights: np.ndarray) -> tuple[float, float, float]:
-    """(LN, negativity, min PT eigenvalue) of a pure state from its Schmidt weights.
+def _ln_from_schmidt(weights) -> tuple[float, float, float]:
+    """(LN, negativity, min PT eigenvalue), as floats, of a pure state's Schmidt weights.
 
     For a pure state the partial-transpose spectrum is {w_i} plus
     {+-sqrt(w_i w_j)}, so the trace norm is (sum_i sqrt(w_i))^2.
     """
-    w = weights[weights > _SCHMIDT_WEIGHT_TOL]
-    roots = np.sqrt(w)
-    total = float(roots.sum())
-    neg = (total * total - 1.0) / 2.0
-    neg = max(neg, 0.0)
-    min_eig = -float(roots[0] * roots[1]) if roots.size >= 2 else 0.0
+    roots = [math.sqrt(w) for w in sorted(weights, reverse=True) if w > _SCHMIDT_WEIGHT_TOL]
+    total = math.fsum(roots)
+    neg = max((total * total - 1.0) / 2.0, 0.0)
+    min_eig = -(roots[0] * roots[1]) if len(roots) >= 2 else 0.0
     return math.log2(2.0 * neg + 1.0), neg, min_eig
 
 
@@ -181,7 +180,7 @@ def log_negativity_pure(state: Ket, party_a: Iterable[str]) -> float:
     dim_a = math.prod(dims[p] for p in a_pos)
     x = state.amplitudes.reshape(dims).transpose(a_pos + b_pos).reshape(dim_a, -1)
     gram = x @ x.conj().T if dim_a <= x.shape[1] else x.conj().T @ x
-    weights = np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1]
+    weights = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
     return _ln_from_schmidt(weights)[0]
 
 
@@ -346,41 +345,53 @@ def sweep_plan(sc: Scenario) -> SweepPlan:
     return SweepPlan(_plan_key(sc), branch, systems, pairs, batch)
 
 
-def evaluate_scenario(sc: Scenario, plan: SweepPlan | None = None) -> ScenarioResult:
-    """Compute LN for each named bipartition of the scenario state.
+def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan | None = None):
+    """LN of each named bipartition of one scenario state, or of each of a list.
 
-    ``plan`` is :func:`sweep_plan` of ``sc`` (built here if not given); a
-    sweep builds one per cutoff.  Its build runs every structural check once,
-    on the whole support: a branch with two entries at one traced index,
-    branches sharing a tuple, a cross term coupling two charges, a sector
-    that is not a chain, two cross terms on one chain edge, branches sharing
-    a state on one side of the "full" cut.  Per point, the amplitudes are
-    checked (finite, norm at most 1 + 1e-12) and renormalized, the norm
-    summed over the nonzero entries only; zero entries stay in the support
-    and change no sum.  The systems of pairs then take one ``bincount``, one
-    gather and :func:`pair_spectra` together, each longer-chained system one
-    ``bincount``, one gather and :func:`chain_spectrum`, and "full" the two
-    branch norms.
+    One :class:`Scenario` gives one :class:`ScenarioResult`, a list sharing
+    one plan key a list in order; one scenario runs as a list of one.
+    ``plan`` is their :func:`sweep_plan` (built from the first if not given).
+    Its build runs every structural check once, on the whole support: a
+    branch with two entries at one traced index, branches sharing a tuple, a
+    cross term coupling two charges, a sector that is not a chain, two cross
+    terms on one chain edge, branches sharing a state on one side of the
+    "full" cut.  Per point, the amplitudes are checked (finite, norm at most
+    1 + 1e-12, summed over the nonzero entries) and renormalized.  Up to 4096
+    points are the rows of one array: their pair systems take one bincount,
+    gather and :func:`pair_spectra`, "full" one bincount, and a longer chain
+    :func:`chain_spectrum` per point.  Only elementwise arithmetic and
+    in-order reductions are shared: each point gets what it gets alone.
     """
-    if plan is None:
-        plan = sweep_plan(sc)
-    elif plan.key != _plan_key(sc):
-        raise DomainError(f"plan for {plan.key} does not fit scenario {_plan_key(sc)}")
-    val, deficit = scenario_amplitudes(sc)
-    weights = (val * val.conj()).real
-    paired, batch = {}, plan.batch
-    if batch is not None:
-        tiled = np.concatenate([weights] * len(plan.pairs))
-        spectra = pair_spectra(*batch.entries(tiled, val), batch.system, batch.starts)
-        paired = dict(zip(plan.pairs, map(_system_result, *spectra)))
-    results: dict[str, SystemResult] = {}
-    for name, chain in plan.systems.items():
-        if chain is None:
-            norms = np.sort(np.bincount(plan.branch, np.abs(val) ** 2, 2))[::-1]
-            ln, neg, low = _ln_from_schmidt(norms)  # of two weights: one negative, -sqrt(w0 w1)
-            results[name] = SystemResult(ln, neg, low, int(low < -NEGATIVE_EIGENVALUE_TOL))
-        elif name in paired:
-            results[name] = paired[name]
-        else:
-            results[name] = _system_result(*chain_spectrum(*chain.entries(weights, val)))
-    return ScenarioResult(sc, deficit, results)
+    single = isinstance(scenarios, Scenario)
+    batch = [scenarios] if single else list(scenarios)
+    plan = sweep_plan(batch[0]) if plan is None and batch else plan
+    for i, sc in enumerate(batch):
+        if _plan_key(sc) != plan.key:
+            raise DomainError(f"plan for {plan.key} does not fit scenario {i}, {_plan_key(sc)}")
+    results = [r for at in range(0, len(batch), _ROWS) for r in _rows(batch[at : at + _ROWS], plan)]
+    return results[0] if single else results
+
+
+def _rows(batch: list[Scenario], plan: SweepPlan) -> list[ScenarioResult]:
+    """:func:`evaluate_scenario` of at most ``_ROWS`` scenarios on their plan."""
+    val, deficits = scenario_amplitudes(batch)
+    weights, n, width = (val * val.conj()).real, len(batch), len(plan.pairs)
+    norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n).tolist()
+    if plan.batch is not None:
+        joined, tiled = plan.batch.repeat(n, val.shape[1]), np.concatenate([weights] * width, 1)
+        spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
+        paired = list(map(_system_result, *map(np.ndarray.tolist, spectra)))
+    full = map(_ln_from_schmidt, zip(norms[::2], norms[1::2]))  # one negative, -sqrt(w0 w1)
+    full = [SystemResult(*f, int(f[2] < -NEGATIVE_EIGENVALUE_TOL)) for f in full]
+    results = []
+    for p, (sc, deficit) in enumerate(zip(batch, deficits)):
+        systems: dict[str, SystemResult] = {}
+        for name, chain in plan.systems.items():
+            if chain is None:
+                systems[name] = full[p]
+            elif name in plan.pairs:
+                systems[name] = paired[p * width + plan.pairs.index(name)]
+            else:
+                systems[name] = _system_result(*chain_spectrum(*chain.entries(weights[p], val[p])))
+        results.append(ScenarioResult(sc, deficit, systems))
+    return results

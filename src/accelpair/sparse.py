@@ -12,12 +12,12 @@ are the two branch norms.  Input outside this structure is a DomainError.
 
 :func:`plan_chain` builds this index structure once per support and runs
 the structural checks there, on every entry, zero amplitudes included; per
-state, :meth:`ChainPlan.entries` is one bincount and one gather.  The cross
-terms are never sorted or hashed: the partial transpose swaps party A's
-digits by stride arithmetic on the flat indices, and one scatter over the
-chain's edge slots both checks that no edge is hit twice and puts the cross
-terms in edge order.  The per-state functions, the reference route, share
-its helpers.
+state, or per batch of states on one support (:meth:`ChainPlan.repeat`),
+:meth:`ChainPlan.entries` is one bincount and one gather.  The cross terms
+are never sorted or hashed: the partial transpose swaps party A's digits by
+stride arithmetic on the flat indices, and one scatter over the chain's edge
+slots both checks that no edge is hit twice and puts the cross terms in edge
+order.  The per-state functions, the reference route, share its helpers.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "HermitianCoords",
     "ChainPlan",
     "norm_squared",
+    "stacked",
     "plan_chain",
     "cut_sides",
     "reduced_gram",
@@ -49,15 +50,25 @@ _NORM_TOL = 1e-12
 _PRODUCT_TOL = 1e-12  # of the largest entry squared, per 2x2 minor through it
 
 
-def norm_squared(values: np.ndarray) -> float:
-    """Squared norm over the nonzero amplitudes, in order (zeros would regroup
-    the pairwise ``np.sum``); DomainError if non-finite or above 1."""
+def norm_squared(values: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of (points x support) ``values`` over its nonzero
+    amplitudes, in order: zeros would regroup the pairwise ``np.sum``, so a row
+    holding one is summed alone; DomainError if non-finite or above 1."""
     if not np.isfinite(values).all():
         raise DomainError("ket amplitudes must be finite")
-    n2 = float(np.sum(np.abs(values[values != 0.0]) ** 2))
-    if n2 > 1.0 + _NORM_TOL:
+    squares = np.abs(values) ** 2
+    n2 = squares.sum(axis=1)
+    if np.count_nonzero(values) < values.size:
+        for i in (values == 0.0).any(axis=1).nonzero()[0]:
+            n2[i] = np.sum(squares[i][values[i] != 0.0])
+    if n2.max() > 1.0 + _NORM_TOL:
         raise DomainError("ket norm exceeds 1 beyond tolerance")
     return n2
+
+
+def stacked(index: np.ndarray, step: int, count: int) -> np.ndarray:
+    """``index`` once per point, point p's copy plus p * step, flat (itself for one point)."""
+    return index if count == 1 else (index + step * np.arange(count)[:, None]).ravel()
 
 
 def _ravel(occupations: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
@@ -102,7 +113,7 @@ class CoordKet:
             raise LayoutError("occupation out of range for its sub-mode dimension")
         if np.any((branch != 0) & (branch != 1)):
             raise LayoutError("every entry's branch must be 0 or 1")
-        norm_squared(val)
+        norm_squared(val[None])
 
     def to_ket(self) -> Ket:
         """Densify; LayoutError beyond ``DEFAULT_AMPLITUDE_LIMIT`` amplitudes."""
@@ -271,11 +282,20 @@ class ChainPlan:
             object.__setattr__(self, f.name, index)
 
     def entries(self, weights: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(d, edge, |e| on it) for ``values`` on the support; ``weights`` is
-        (values conj(values)).real, repeated once per system.  Bit for bit the
+        """(d, edge, |e| on it) for ``values`` on the support (flattened); ``weights``
+        is (values conj(values)).real, repeated once per system.  Bit for bit the
         per-state route: zeros add nothing, |z| = |conj(z)|."""
-        d = np.bincount(self.bins, weights, self.starts[-1])
+        d = np.bincount(self.bins, weights.reshape(-1), self.starts[-1])
         return d, self.edge, np.abs(values.take(self.first) * values.take(self.second).conj())
+
+    def repeat(self, count: int, support: int) -> ChainPlan:
+        """This plan for ``count`` states of ``support`` entries each, one after another."""
+        if count == 1:
+            return self
+        n = int(self.starts[-1])
+        steps = (n, support, support, n, self.starts.size - 1)  # bins .. system
+        index = [stacked(getattr(self, f.name), at, count) for f, at in zip(fields(self), steps)]
+        return ChainPlan(*index, np.append(stacked(self.starts[:-1], n, count), n * count))
 
 
 def plan_chain(layout, occupations, branch, keep, party_a, charge) -> ChainPlan:

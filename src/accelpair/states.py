@@ -120,12 +120,13 @@ def _cosh_squared(r: float) -> float:
         raise DomainError(f"squeeze r = {r} overflows cosh(r)^2") from None
 
 
-def _expansion(statistics: str, r: float, phase: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+def _expansion(sc: Scenario) -> tuple:
     """Weights c_n of |n_p, n_a> (vacuum) and d_n of |(n+1)_p, n_a> (one particle)."""
-    if statistics == "fermion":
-        return np.array([math.cos(r) * np.exp(-1j * phase), -math.sin(r)]), np.ones(1)
-    n = np.arange(cutoff + 1)
-    return np.tanh(r) ** n / math.cosh(r), np.sqrt(n + 1.0) * np.tanh(r) ** n / _cosh_squared(r)
+    if sc.is_fermion:
+        return (math.cos(sc.squeeze) * np.exp(-1j * sc.phase), -math.sin(sc.squeeze)), (1.0,)
+    n, r = np.arange(sc.cutoff + 1), sc.squeeze
+    t_n = np.tanh(r) ** n
+    return t_n / math.cosh(r), np.sqrt(n + 1.0) * t_n / _cosh_squared(r)
 
 
 def _pair_ket(pair_layout: SubsystemLayout, weights: np.ndarray, shift: int) -> Ket:
@@ -146,7 +147,7 @@ def build_final_state(sc: Scenario) -> tuple[Ket, float]:
     """
     layout = scenario_layout(sc)
     check_dense(layout.total_dim)
-    c, d = _expansion(sc.statistics, sc.squeeze, sc.phase, sc.cutoff)
+    c, d = _expansion(sc)
     pair = _pair_layout("w", sc.cutoff, sc.statistics)
     vac, one = _pair_ket(pair, c, 0).amplitudes, _pair_ket(pair, d, 1).amplitudes
     if sc.accelerated == "both":
@@ -177,19 +178,26 @@ def scenario_support(sc: Scenario) -> tuple[SubsystemLayout, np.ndarray, np.ndar
     return layout, occ, branch
 
 
-def scenario_amplitudes(sc: Scenario) -> tuple[np.ndarray, float]:
+def scenario_amplitudes(scenarios: Scenario | list[Scenario]) -> tuple[np.ndarray, float | list]:
     """Amplitudes on :func:`scenario_support` (zeros where a weight vanishes or
-    underflows), with the deficit; scalars renormalized, fermions exact."""
-    c, d = _expansion(sc.statistics, sc.squeeze, sc.phase, sc.cutoff)
-    if sc.accelerated == "both":
-        c, d = np.outer(c, c).ravel(), np.outer(d, d).ravel()
-    val = np.concatenate([c, d]) * (1.0 / math.sqrt(2.0))
-    n2 = norm_squared(val)
-    if sc.is_fermion:
-        return val, 0.0
-    if n2 <= 0.0:
-        raise DomainError("cannot normalize a zero ket")
-    return val / math.sqrt(n2), 1.0 - n2
+    underflows) and deficit, of one scenario or, as (points x support) rows and
+    a list, of a list sharing one support; scalars renormalized, fermions exact."""
+    single = isinstance(scenarios, Scenario)
+    batch, count = [scenarios] if single else scenarios, 1 if single else len(scenarios)
+    parts = [w for sc in batch for w in _expansion(sc)]  # c, d of each point in turn
+    if batch[0].accelerated == "both":  # the outer products of all points at once
+        cc, dd = (w[:, :, None] * w[:, None, :] for w in map(np.array, (parts[::2], parts[1::2])))
+        val = np.concatenate([cc.reshape(count, -1), dd.reshape(count, -1)], axis=1)
+    else:
+        val = np.concatenate(parts).reshape(count, -1)
+    val = val * (1.0 / math.sqrt(2.0))
+    n2, deficits = norm_squared(val), [0.0] * count
+    if not batch[0].is_fermion:
+        norms = n2.tolist()
+        if 0.0 in norms:
+            raise DomainError("cannot normalize a zero ket")
+        val, deficits = val / np.sqrt(n2)[:, None], [1.0 - x for x in norms]
+    return (val[0], deficits[0]) if single else (val, deficits)
 
 
 def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:

@@ -4,19 +4,23 @@ The benchmark tracer skips a traced function that no longer exists, so a
 renamed layer would only show up as a missing metric; this catches it here.
 It counts the cutoff ladder from the ``evaluate_scenario`` calls that ``cli``
 makes through its module binding, so a sweep that bypassed that binding
-would report no ladder at all; the ladder test catches that.
+would report no ladder at all; the ladder test catches that, and the
+per-workload test checks that each workload emits every declared metric.
 """
 
+import ast
 import csv
 import importlib
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
 
 from accelpair import cli
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_spans(monkeypatch):
@@ -54,3 +58,32 @@ def test_traced_ladder_counts_match_the_cutoff_column(monkeypatch, tmp_path):
     assert expected[60] == 5 and 0 < expected[120] < 5
     metrics = spans.summarize(tracer.spans, 5, tracer.absent)
     assert {n: metrics[f"ladder.evals.n{n}"] for n in (30, 60, 120)} == dict(expected)
+
+
+def workload_scenarios() -> dict[str, tuple[str, ...]]:
+    """Each bench/run.py workload's scenarios, read from its WORKLOADS table."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WORKLOADS"]
+    )
+    return {
+        ast.literal_eval(key): ast.literal_eval(call.args[0])
+        for key, call in zip(table.keys, table.values)
+    }
+
+
+def test_each_workload_emits_every_declared_per_layer_metric(monkeypatch, tmp_path):
+    spans = load_spans(monkeypatch)
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {m["name"] for m in declared["per_layer"]} - {"trace.overhead_s"}  # run.py adds it
+    workloads = workload_scenarios()
+    assert sorted(workloads) == sorted(w["name"] for w in declared["workloads"])
+    for workload, scenarios in workloads.items():
+        with spans.Tracer() as tracer:
+            for scenario in scenarios:
+                argv = ["sweep", "--scenario", scenario, "--steps", "3"]
+                assert cli.main([*argv, "--csv", str(tmp_path / f"{scenario}.csv")]) == 0
+        metrics = spans.summarize(tracer.spans, 3 * len(scenarios), tracer.absent)
+        assert sorted(names - set(metrics)) == [], workload

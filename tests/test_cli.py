@@ -4,6 +4,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from accelpair import (
@@ -606,3 +607,68 @@ def test_main_convert_rejects_overflowing_mu2(capsys, mass, field):
 
 def test_main_help_exits_cleanly():
     assert main(["--help"]) == 0
+
+
+# --- one evaluate_scenario call per fermion grid, one per rung per scalar point ------
+
+
+def counting_evaluations(monkeypatch):
+    calls = []
+
+    def counted(scenarios, plan=None):
+        calls.append(scenarios)
+        return evaluate_scenario(scenarios, plan)
+
+    monkeypatch.setattr(cli, "evaluate_scenario", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenario", ["fermion-one", "fermion-both"])
+def test_fermion_sweep_is_one_evaluation(monkeypatch, tmp_path, scenario):
+    calls = counting_evaluations(monkeypatch)
+    argv = ["sweep", "--scenario", scenario, "--steps", "41"]
+    assert main([*argv, "--csv", str(tmp_path / "f.csv")]) == 0
+    assert len(calls) == 1 and len(calls[0]) == 41
+
+
+@pytest.mark.parametrize("scenario", ["scalar-one", "scalar-both"])
+def test_scalar_sweep_is_one_evaluation_per_point_per_rung(monkeypatch, tmp_path, scenario):
+    calls = counting_evaluations(monkeypatch)
+    csv_path = tmp_path / "s.csv"
+    argv = ["sweep", "--scenario", scenario, "--min", "0.3", "--max", "1.2", "--steps", "4"]
+    assert main([*argv, "--cutoff", "20", "--csv", str(csv_path)]) == 0
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        # rungs 20, 40, 80 and the cap: each row climbs until its final cutoff
+        finals = [int(row["cutoff"]) for row in csv.DictReader(fh)]
+    rungs = [2 + [40, 80, CUTOFF_CAP].index(final) for final in finals]
+    assert all(isinstance(sc, Scenario) for sc in calls)
+    assert len(calls) == sum(rungs) and max(rungs) > 2
+
+
+def per_point_table(cfg):
+    """The sweep's table built from one single-scenario evaluation per grid point."""
+    plan, rows = None, []
+    for param in [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]:
+        sc = Scenario(cfg.statistics, cfg.accelerated, cfg.squeeze(param))
+        plan = plan or sweep_plan(sc)
+        rows.append(cli.SweepRow(param, evaluate_scenario(sc, plan), True))
+    return cli.SweepTable(cfg, rows)
+
+
+PER_POINT_SWEEPS = [
+    (["--scenario", "fermion-one", "--steps", "1001"], dict(scenario="fermion-one", steps=1001)),
+    (["--scenario", "fermion-both", "--steps", "1001"], dict(scenario="fermion-both", steps=1001)),
+    (
+        ["--scenario", "fermion-both", "--mu2", "--min", "0.05", "--max", "3", "--steps", "57"],
+        dict(scenario="fermion-both", mu2_grid=True, grid_min=0.05, grid_max=3.0, steps=57),
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, config", PER_POINT_SWEEPS, ids=["one", "both", "both-mu2"])
+def test_fermion_sweep_files_equal_per_point_files(tmp_path, flags, config):
+    csv_path, svg_path = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    assert main(["sweep", *flags, "--csv", str(csv_path), "--svg", str(svg_path)]) == 0
+    table = per_point_table(SweepConfig(**config))
+    assert emit_csv(table, tmp_path / "points.csv").read_bytes() == csv_path.read_bytes()
+    assert emit_plot(table, tmp_path / "points.svg").read_bytes() == svg_path.read_bytes()

@@ -26,6 +26,7 @@ from accelpair.sparse import (
     CoordKet,
     _swap,
     cut_sides,
+    norm_squared,
     partial_transpose_sparse,
     plan_chain,
     reduced_gram,
@@ -33,8 +34,10 @@ from accelpair.sparse import (
     tridiagonal,
 )
 from accelpair.states import (
+    _expansion,
     build_final_state_coords,
     kept_charges,
+    scenario_amplitudes,
     scenario_layout,
     scenario_support,
 )
@@ -273,3 +276,122 @@ def test_sweep_plan_raises_at_build_on_a_bad_support(monkeypatch):
     )
     with pytest.raises(DomainError, match="share a state"):
         sweep_plan(sc)
+
+
+# --- lists of scenarios: one pass, bit for bit the single evaluations ---------------
+
+
+def assert_list_equals_points(scenarios, plan=None):
+    """evaluate_scenario of the list == each scenario evaluated alone, with no tolerance."""
+    batch = evaluate_scenario(scenarios, plan)
+    assert isinstance(batch, list) and len(batch) == len(scenarios)
+    single_plan = sweep_plan(scenarios[0]) if plan is None else plan
+    for sc, res in zip(scenarios, batch):
+        alone = evaluate_scenario(sc, single_plan)
+        assert res.scenario is sc
+        assert res.deficit == alone.deficit
+        assert list(res.systems) == list(alone.systems)
+        assert res.systems == alone.systems
+    return batch
+
+
+grid_squeezes = st.one_of(
+    st.sampled_from([0.0, 1e-200, 1e-3, math.pi / 2]),
+    st.floats(0.0, math.pi / 2, allow_subnormal=False),
+)
+
+
+@given(
+    st.sampled_from(SCENARIOS),
+    st.sampled_from([4, 5, 30]),
+    st.lists(st.tuples(grid_squeezes, st.sampled_from([0.0, 0.7])), min_size=1, max_size=50),
+)
+@settings(max_examples=60, deadline=None)
+def test_list_equals_per_point_evaluations(kind, cutoff, points):
+    assert_list_equals_points([Scenario(*kind, r, phase=ph, cutoff=cutoff) for r, ph in points])
+
+
+@pytest.mark.parametrize("accelerated", ["one", "both"])
+def test_scalar_list_with_zero_rows_at_cutoff_120(accelerated):
+    grid = [0.0, 0.3, 0.0, 1.2, 1e-200, 0.9, 0.0]
+    scenarios = [Scenario("scalar", accelerated, r, cutoff=120) for r in grid]
+    batch = assert_list_equals_points(scenarios)
+    val, deficits = scenario_amplitudes(scenarios)
+    assert (val[1] != 0.0).all() and deficits == [res.deficit for res in batch]
+    # the r = 0 rows hold zeros, and each is normed over its nonzero entries alone
+    c, d = _expansion(scenarios[0])
+    if accelerated == "both":
+        c, d = np.outer(c, c).ravel(), np.outer(d, d).ravel()
+    raw = np.concatenate([c, d]) * (1.0 / math.sqrt(2.0))
+    for i in (0, 2, 6):
+        assert (val[i] == 0.0).any()
+        assert batch[i].deficit == 1.0 - np.sum(np.abs(raw[raw != 0.0]) ** 2)
+
+
+def test_norm_of_a_row_holding_zeros_sums_its_nonzero_entries_alone():
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(0.0, 0.05, (64, 40)) * np.exp(1j * rng.uniform(0, 6, (64, 40)))
+    rows[::2, rng.integers(0, 40, 12)] = 0.0  # every other row holds zeros
+    regrouped = 0
+    for i, row in enumerate(rows):
+        alone = np.sum(np.abs(row[row != 0.0]) ** 2)
+        assert norm_squared(rows)[i] == alone
+        regrouped += np.sum(np.abs(row) ** 2) != alone
+    assert regrouped  # summing the zeros in would have moved some norms
+
+
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_list_results_hold_python_numbers(kind):
+    for res in evaluate_scenario([Scenario(*kind, r, cutoff=6) for r in (0.0, 0.4, 1.1)]):
+        assert type(res.deficit) is float
+        for system in res.systems.values():
+            for field in dataclasses.fields(system):
+                want = int if field.name == "negative_count" else float
+                assert type(getattr(system, field.name)) is want, field.name
+
+
+@pytest.mark.parametrize(
+    "scenarios",
+    [
+        [Scenario("fermion", "one", 0.1), Scenario("fermion", "both", 0.2)],
+        [Scenario("scalar", "one", 0.1, cutoff=8), Scenario("scalar", "one", 0.2, cutoff=9)],
+        [Scenario("scalar", "both", 0.1, cutoff=8)] * 2 + [Scenario("fermion", "both", 0.2)],
+    ],
+)
+def test_list_mixing_plan_keys_names_the_misfit(scenarios):
+    misfit = len(scenarios) - 1
+    with pytest.raises(DomainError, match=f"does not fit scenario {misfit}, "):
+        evaluate_scenario(scenarios)
+
+
+def test_list_without_a_plan_builds_the_first_scenarios_plan():
+    scenarios = [Scenario("scalar", "both", r, cutoff=10) for r in (0.5, 0.0, 1.0)]
+    assert evaluate_scenario(scenarios) == evaluate_scenario(scenarios, sweep_plan(scenarios[0]))
+    with pytest.raises(DomainError, match="does not fit scenario 0"):
+        evaluate_scenario(scenarios, sweep_plan(Scenario("scalar", "both", 0.5, cutoff=12)))
+
+
+def test_fermion_cutoffs_share_one_plan_in_a_list():
+    scenarios = [Scenario("fermion", "both", 0.3, cutoff=n) for n in (4, 30, 90)]
+    assert_list_equals_points(scenarios)
+
+
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_list_longer_than_one_pass_is_split_exactly(kind, monkeypatch):
+    monkeypatch.setattr(entanglement, "_ROWS", 3)
+    assert_list_equals_points([Scenario(*kind, r, cutoff=5) for r in np.linspace(0, 1.5, 11)])
+
+
+def test_repeated_chain_plan_is_the_plan_for_each_state_in_turn():
+    plan = sweep_plan(Scenario("fermion", "both", 0.3)).batch
+    support = int(plan.first.max()) + 2
+    repeated = plan.repeat(3, support)
+    assert plan.repeat(1, support) is plan
+    n, systems = int(plan.starts[-1]), plan.starts.size - 1
+    for name, step in [("bins", n), ("first", support), ("second", support), ("edge", n)]:
+        want = np.concatenate([getattr(plan, name) + p * step for p in range(3)])
+        assert np.array_equal(getattr(repeated, name), want), name
+    systems_each = [plan.system + p * systems for p in range(3)]
+    assert np.array_equal(repeated.system, np.concatenate(systems_each))
+    starts_each = [plan.starts[:-1] + p * n for p in range(3)]
+    assert np.array_equal(repeated.starts, np.append(starts_each, 3 * n))
