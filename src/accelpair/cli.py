@@ -30,7 +30,7 @@ import numpy as np
 from .bogoliubov import FieldParams, coefficients, mu2_from_field, verify_unitarity
 from .entanglement import ScenarioResult, SweepPlan, closed_form_ln, evaluate_scenario, sweep_plan
 from .errors import DomainError, LayoutError
-from .states import Scenario
+from .states import Scenario, scenario_amplitudes
 from .svg import Curve, render_line_plot
 
 __all__ = [
@@ -78,6 +78,8 @@ class SweepConfig:
             raise DomainError(f"steps must be an integer, got {self.steps!r}")
         if not 2 <= self.steps <= _STEPS_CAP:
             raise DomainError(f"steps must lie in [2, {_STEPS_CAP}], got {self.steps}")
+        if not 4 <= self.cutoff < CUTOFF_CAP:  # the ladder must be able to double at least once
+            raise DomainError(f"cutoff must lie in [4, {CUTOFF_CAP - 1}], got {self.cutoff}")
         if self.grid_max is None:
             if self.mu2_grid:
                 raise DomainError("mu2 grids need an explicit grid maximum")
@@ -87,11 +89,10 @@ class SweepConfig:
         if self.grid_max < self.grid_min:
             raise DomainError("grid maximum must not be below the minimum")
         for end in (self.grid_min, self.grid_max):  # the squeeze is monotone in between
-            Scenario(self.statistics, self.accelerated, self.squeeze(end))
+            sc = Scenario(self.statistics, self.accelerated, self.squeeze(end), cutoff=self.cutoff)
+            scenario_amplitudes(sc)  # DomainError where every amplitude underflows
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise DomainError(f"tolerance must be finite and positive, got {self.convergence_tol}")
-        if not 4 <= self.cutoff < CUTOFF_CAP:  # the ladder must be able to double at least once
-            raise DomainError(f"cutoff must lie in [4, {CUTOFF_CAP - 1}], got {self.cutoff}")
         if self.svg_path is not None and self.csv_path is not None:
             if Path(self.svg_path).resolve() == Path(self.csv_path).resolve():
                 raise DomainError(f"the CSV and SVG outputs are the same file: {self.svg_path}")
@@ -172,14 +173,6 @@ def _column_key(system: str) -> str:
     return system.replace(",", "")
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def emit_csv(table: SweepTable, path: Path) -> Path:
     """UTF-8, LF-terminated CSV with 12-significant-digit values; fermion rows
     are exact, so they add the closed-form ``cf_*`` columns and report cutoff 0."""
@@ -201,13 +194,15 @@ def emit_csv(table: SweepTable, path: Path) -> Path:
         for row in table.rows:
             res = row.result
             squeeze = res.scenario.squeeze
-            rec: list = [row.param] if cfg.mu2_grid else []
-            rec.append(squeeze)
-            rec += [res.systems[s].log_negativity for s in table.systems]
+            values = [row.param] if cfg.mu2_grid else []
+            values.append(squeeze)
+            values += [res.systems[s].log_negativity for s in table.systems]
             if fermion:
-                rec += [closed_form_ln(cfg.scenario, s, squeeze) for s in table.systems]
-            rec += [res.deficit, 0 if fermion else res.scenario.cutoff, row.converged]
-            writer.writerow([_format_value(v) for v in rec])
+                values += [closed_form_ln(cfg.scenario, s, squeeze) for s in table.systems]
+            values.append(res.deficit)
+            cutoff = 0 if fermion else res.scenario.cutoff
+            flag = "true" if row.converged else "false"
+            writer.writerow([*(f"{v:.12g}" for v in values), f"{cutoff:d}", flag])
     return path
 
 

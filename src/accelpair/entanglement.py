@@ -14,8 +14,9 @@ pass, through the two-branch pipeline of :mod:`accelpair.sparse`, on a
 docstring says which checks run when built and which per point).  Only the
 negative eigenvalues are computed: in closed form where a system's chains are
 2-state pairs (:func:`pair_spectra`), by bisection otherwise
-(:func:`chain_spectrum`).  The per-state functions of :mod:`accelpair.sparse`
-and the dense functions here are the reference routes it is tested
+(:func:`chain_spectrum`).  It is the package's one LN route.  The per-state
+functions of :mod:`accelpair.sparse` and the dense :func:`reduced_density`
+and :func:`partial_transpose` here are the reference routes it is tested
 against.  Reduced systems carry conventional names: "s,p" pairs the inert s
 mode with the w particles, "p,p" pairs the particles of both accelerated
 modes, and so on; "full" keeps every sub-mode, split s side vs w side.
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, LayoutError
-from .fock import DensityMatrix, Ket, hermitian_eigenvalues
+from .fock import DensityMatrix, Ket
 from .sparse import ChainPlan, cut_sides, plan_chain, stacked
 from .states import Scenario, kept_charges, scenario_amplitudes, scenario_support
 
@@ -39,9 +40,6 @@ __all__ = [
     "Bipartition",
     "reduced_density",
     "partial_transpose",
-    "negativity",
-    "log_negativity",
-    "log_negativity_pure",
     "closed_form_ln",
     "named_bipartitions",
     "SystemResult",
@@ -139,21 +137,6 @@ def partial_transpose(rho: DensityMatrix, party_a: Iterable[str]) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(rho.entries.shape))
 
 
-def negativity(rho: DensityMatrix, party_a: Iterable[str]) -> float:
-    """Absolute sum of the negative partial-transpose eigenvalues.
-
-    Equals (||rho^{T_A}||_1 - 1)/2 for unit-trace input.
-    """
-    eigs = hermitian_eigenvalues(partial_transpose(rho, party_a))
-    # abs, not negation: an empty sum must give 0.0, never -0.0
-    return float(np.abs(eigs[eigs < -NEGATIVE_EIGENVALUE_TOL]).sum())
-
-
-def log_negativity(rho: DensityMatrix, party_a: Iterable[str]) -> float:
-    """LN = log2(2 N + 1); zero for PPT (in particular, product) states."""
-    return math.log2(2.0 * negativity(rho, party_a) + 1.0)
-
-
 def _ln_from_schmidt(weights) -> tuple[float, float, float]:
     """(LN, negativity, min PT eigenvalue), as floats, of a pure state's Schmidt weights.
 
@@ -165,23 +148,6 @@ def _ln_from_schmidt(weights) -> tuple[float, float, float]:
     neg = max((total * total - 1.0) / 2.0, 0.0)
     min_eig = -(roots[0] * roots[1]) if len(roots) >= 2 else 0.0
     return math.log2(2.0 * neg + 1.0), neg, min_eig
-
-
-def log_negativity_pure(state: Ket, party_a: Iterable[str]) -> float:
-    """LN across party_a | rest for a pure state, via its Schmidt spectrum."""
-    if abs(state.norm_squared() - 1.0) > _UNIT_NORM_TOL:
-        raise DomainError("log_negativity_pure requires a unit-norm state")
-    layout = state.layout
-    a_pos = sorted(layout.position(lbl) for lbl in set(party_a))
-    if len(a_pos) == len(layout.dims):
-        raise LayoutError("party A must be a proper subset of the layout")
-    b_pos = [i for i in range(len(layout.dims)) if i not in a_pos]
-    dims = layout.dims
-    dim_a = math.prod(dims[p] for p in a_pos)
-    x = state.amplitudes.reshape(dims).transpose(a_pos + b_pos).reshape(dim_a, -1)
-    gram = x @ x.conj().T if dim_a <= x.shape[1] else x.conj().T @ x
-    weights = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    return _ln_from_schmidt(weights)[0]
 
 
 _CLOSED_FORMS = {

@@ -6,8 +6,11 @@ has local dimension N+1; a fermionic sub-mode always has dimension 2.  Joint
 occupation numbers are flattened row-major in layout order by
 ``np.ravel_multi_index``, the one basis convention of every operation in the
 package.
-Dense amplitude vectors are refused where they are made (:func:`check_dense`),
-not when a layout is described: a layout only names its modes.
+:class:`Ket` and :class:`DensityMatrix` are the dense records of the
+reference route (:func:`accelpair.states.build_final_state`,
+:func:`accelpair.entanglement.reduced_density`).  Dense amplitude vectors are
+refused where they are made (:func:`check_dense`), not when a layout is
+described: a layout only names its modes.
 """
 
 from __future__ import annotations
@@ -30,10 +33,7 @@ __all__ = [
     "SubsystemLayout",
     "Ket",
     "DensityMatrix",
-    "tensor",
     "normalize",
-    "outer_product",
-    "partial_trace",
     "hermitian_eigenvalues",
 ]
 
@@ -154,13 +154,6 @@ class Ket:
     def amplitude(self, occupations: Sequence[int]) -> complex:
         return complex(self.amplitudes[np.ravel_multi_index(occupations, self.layout.dims)])
 
-    @staticmethod
-    def basis_state(layout: SubsystemLayout, occupations: Sequence[int]) -> "Ket":
-        check_dense(layout.total_dim)
-        amps = np.zeros(layout.total_dim, dtype=np.complex128)
-        amps[np.ravel_multi_index(occupations, layout.dims)] = 1.0
-        return Ket(layout, amps)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -182,16 +175,6 @@ class DensityMatrix:
             raise DomainError(f"density matrix trace {np.trace(mat)} is not 1 within tolerance")
 
 
-def tensor(a: Ket, b: Ket) -> Ket:
-    """Tensor product; layouts concatenate, norms multiply."""
-    overlap = set(a.layout.labels) & set(b.layout.labels)
-    if overlap:
-        raise LayoutError(f"tensor factors share sub-mode labels {sorted(overlap)}")
-    layout = SubsystemLayout(a.layout.modes + b.layout.modes)
-    check_dense(layout.total_dim)
-    return Ket(layout, np.kron(a.amplitudes, b.amplitudes))
-
-
 def normalize(k: Ket) -> tuple[Ket, float]:
     """Unit-norm copy plus the norm deficit 1 - <k|k> (truncation diagnostic)."""
     n2 = k.norm_squared()
@@ -199,39 +182,6 @@ def normalize(k: Ket) -> tuple[Ket, float]:
         raise DomainError("cannot normalize a zero ket")
     deficit = 1.0 - n2
     return Ket(k.layout, k.amplitudes / math.sqrt(n2)), deficit
-
-
-def outer_product(k: Ket) -> DensityMatrix:
-    """Rank-1 density matrix |k><k| of a unit-norm ket."""
-    if abs(k.norm_squared() - 1.0) > _UNIT_TRACE_TOL:
-        raise DomainError("outer_product requires a unit-norm ket; normalize first")
-    return DensityMatrix(k.layout, np.outer(k.amplitudes, k.amplitudes.conj()))
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Reduce to the sub-modes in ``keep`` (layout order preserved)."""
-    keep_set = set(keep)
-    if not keep_set:
-        raise LayoutError("partial_trace requires a non-empty set of kept labels")
-    layout = rho.layout
-    keep_pos = sorted(layout.position(lbl) for lbl in keep_set)
-    traced_pos = [i for i in range(len(layout.modes)) if i not in keep_pos]
-    if not traced_pos:
-        return DensityMatrix(layout, rho.entries.copy())
-    dims = layout.dims
-    n_modes = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    perm = (
-        keep_pos
-        + traced_pos
-        + [n_modes + p for p in keep_pos]
-        + [n_modes + p for p in traced_pos]
-    )
-    keep_dim = math.prod(dims[p] for p in keep_pos)
-    traced_dim = math.prod(dims[p] for p in traced_pos)
-    t = t.transpose(perm).reshape(keep_dim, traced_dim, keep_dim, traced_dim)
-    reduced = np.einsum("atbt->ab", t)
-    return DensityMatrix(layout.restricted(keep_set), reduced)
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:

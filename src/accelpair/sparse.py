@@ -2,8 +2,9 @@
 
 Every scenario state is (vacuum branch + one-particle branch)/sqrt(2), each
 branch a product over modes.  A :class:`CoordKet` stores the populated
-occupation tuples with their amplitudes and branches; nothing dense is
-formed.  A traced system's reduced density matrix is a diagonal plus one
+occupation tuples with their amplitudes and branches, and a
+:class:`HermitianCoords` a matrix's diagonal and cross terms; neither has a
+dense form.  A traced system's reduced density matrix is a diagonal plus one
 cross term a0 conj(a1) per traced index that both branches populate, so it is
 Hermitian by construction, and its partial transpose permutes the cross terms
 only.  Sorted by a conserved charge, every sector is a chain: the matrix is
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, LayoutError
-from .fock import Ket, SubsystemLayout, check_dense
+from .fock import SubsystemLayout, check_dense
 
 __all__ = [
     "CoordKet",
@@ -115,14 +116,6 @@ class CoordKet:
             raise LayoutError("every entry's branch must be 0 or 1")
         norm_squared(val[None])
 
-    def to_ket(self) -> Ket:
-        """Densify; LayoutError beyond ``DEFAULT_AMPLITUDE_LIMIT`` amplitudes."""
-        check_dense(self.layout.total_dim)
-        amps = np.zeros(self.layout.total_dim, dtype=np.complex128)
-        everything = range(len(self.layout.dims))
-        np.add.at(amps, _ravel(self.occupations, self.layout.dims, everything), self.values)
-        return Ket(self.layout, amps)
-
 
 @dataclass(frozen=True)
 class HermitianCoords:
@@ -139,12 +132,6 @@ class HermitianCoords:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.diag.size, self.diag.size)
-
-    def toarray(self) -> np.ndarray:
-        out = np.diag(self.diag).astype(np.complex128)
-        np.add.at(out, (self.rows, self.cols), self.vals)
-        np.add.at(out, (self.cols, self.rows), self.vals.conj())
-        return out
 
 
 def _entry_at(traced: np.ndarray, branch: np.ndarray, which: int, size: int) -> np.ndarray:

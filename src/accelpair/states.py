@@ -195,7 +195,9 @@ def scenario_amplitudes(scenarios: Scenario | list[Scenario]) -> tuple[np.ndarra
     if not batch[0].is_fermion:
         norms = n2.tolist()
         if 0.0 in norms:
-            raise DomainError("cannot normalize a zero ket")
+            sc = batch[norms.index(0.0)]
+            state = f"{sc.statistics}-{sc.accelerated} state at r = {sc.squeeze}"
+            raise DomainError(f"every amplitude of the {state} underflows to 0")
         val, deficits = val / np.sqrt(n2)[:, None], [1.0 - x for x in norms]
     return (val[0], deficits[0]) if single else (val, deficits)
 

@@ -180,6 +180,44 @@ def brute_force_partial_transpose(entries, dims, a_positions):
     return out
 
 
+def partial_trace(entries, dims, keep):
+    """Dense density matrix over ``dims`` reduced to the positions in ``keep``
+    (ascending), by one einsum that repeats each traced position's letter."""
+    rows = [chr(ord("a") + p) for p in range(len(dims))]
+    cols = [chr(ord("A") + p) if p in keep else rows[p] for p in range(len(dims))]
+    kept = "".join(rows[p] for p in keep) + "".join(cols[p] for p in keep)
+    reduced = np.einsum(f"{''.join(rows + cols)}->{kept}", np.reshape(entries, (*dims, *dims)))
+    side = math.prod(dims[p] for p in keep)
+    return reduced.reshape(side, side)
+
+
+def dense_amplitudes(occupations, values, dims):
+    """Row-major amplitude vector over ``dims`` of the populated tuples
+    ``occupations`` (one row each) with their ``values``; repeated tuples add."""
+    amps = np.zeros(math.prod(dims), dtype=complex)
+    np.add.at(amps, np.ravel_multi_index(np.asarray(occupations).T, dims), values)
+    return amps
+
+
+def dense_hermitian(diag, rows, cols, vals):
+    """diag(diag) + C + C^H, C holding ``vals`` at (``rows``, ``cols``); entries
+    at one position add."""
+    out = np.diag(diag).astype(complex)
+    np.add.at(out, (rows, cols), vals)
+    np.add.at(out, (cols, rows), np.conj(vals))
+    return out
+
+
+def pure_state_log_negativity(amplitudes, dims, a_positions):
+    """LN of a pure state across ``a_positions`` | rest: the trace norm of its
+    partial transpose is the squared sum of its Schmidt coefficients, here the
+    singular values of the amplitudes as a (party A x rest) matrix."""
+    rest = [p for p in range(len(dims)) if p not in a_positions]
+    side = math.prod(dims[p] for p in a_positions)
+    x = np.reshape(amplitudes, dims).transpose(list(a_positions) + rest).reshape(side, -1)
+    return 2.0 * math.log2(float(np.linalg.svd(x, compute_uv=False).sum()))
+
+
 def trace_norm_negativity(pt_matrix):
     """(||M||_1 - 1)/2 with the trace norm from singular values."""
     return (float(np.linalg.svd(pt_matrix, compute_uv=False).sum()) - 1.0) / 2.0

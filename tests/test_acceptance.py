@@ -10,11 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from accelpair import Scenario, closed_form_ln, evaluate_scenario, verify_unitarity
+from accelpair import Scenario, closed_form_ln, evaluate_scenario, named_bipartitions, verify_unitarity
 from accelpair.bogoliubov import coefficients, gamma_pathway_alpha
 from accelpair.cli import SweepConfig, run_sweep
-from accelpair.entanglement import Bipartition, negativity, partial_transpose, reduced_density
-from accelpair.fock import Ket, SubsystemLayout, boson_mode, fermion_mode
+from accelpair.entanglement import (
+    NEGATIVE_EIGENVALUE_TOL,
+    Bipartition,
+    partial_transpose,
+    reduced_density,
+)
+from accelpair.fock import Ket, SubsystemLayout, boson_mode, fermion_mode, hermitian_eigenvalues
 from accelpair.states import build_final_state, scenario_amplitudes
 
 from oracles import brute_force_partial_transpose, random_pure_amplitudes, trace_norm_negativity
@@ -169,14 +174,40 @@ def test_criterion_5_negativity_oracle_equivalence():
         bp = Bipartition(set(labels[:n_a]), set(labels[n_a : n_a + n_b]), set(labels[n_a + n_b :]))
         rho = reduced_density(state, bp)
         pt = partial_transpose(rho, bp.party_a)
-        worst = max(worst, abs(negativity(rho, bp.party_a) - trace_norm_negativity(pt)))
+        eigs = hermitian_eigenvalues(pt)
+        negativity = float(np.abs(eigs[eigs < -NEGATIVE_EIGENVALUE_TOL]).sum())
+        worst = max(worst, abs(negativity - trace_norm_negativity(pt)))
         a_positions = sorted(rho.layout.position(lbl) for lbl in bp.party_a)
         oracle_pt = brute_force_partial_transpose(rho.entries, rho.layout.dims, a_positions)
         exact_pt &= np.array_equal(pt, oracle_pt)
-    ok = worst < 1e-10 and exact_pt
-    _report(5, "negativity and partial-transpose oracle equivalence", ok, f"worst {worst:.2e}")
+    # the sweep route: each system's negativity against the dense reduced state's
+    # trace norm; scalar-both "full" is left out (brute force on 900 x 900 entries)
+    scenarios = [
+        Scenario("fermion", acc, r_f)
+        for acc in ("one", "both")
+        for r_f in (0.0, 0.3, 0.9, math.pi / 4, HALF_PI)
+    ]
+    scenarios += [
+        Scenario("scalar", acc, r, cutoff=4) for acc in ("one", "both") for r in (0.0, 0.2, 0.7, 1.2)
+    ]
+    worst_sweep, checks = 0.0, 0
+    for sc in scenarios:
+        ket, _ = build_final_state(sc)
+        result = evaluate_scenario(sc)
+        for name, bp in named_bipartitions(sc).items():
+            if (sc.statistics, sc.accelerated, name) == ("scalar", "both", "full"):
+                continue
+            rho = reduced_density(ket, bp)
+            a_positions = sorted(rho.layout.position(lbl) for lbl in bp.party_a)
+            pt = brute_force_partial_transpose(rho.entries, rho.layout.dims, a_positions)
+            diff = abs(result.systems[name].negativity - trace_norm_negativity(pt))
+            worst_sweep, checks = max(worst_sweep, diff), checks + 1
+    ok = worst < 1e-10 and exact_pt and worst_sweep < 1e-10
+    detail = f"worst {worst:.2e}, sweep route worst {worst_sweep:.2e} over {checks} systems"
+    _report(5, "negativity and partial-transpose oracle equivalence", ok, detail)
     assert worst < 1e-10
     assert exact_pt
+    assert checks == 68 and worst_sweep < 1e-10
 
 
 def test_criterion_6_truncation_law():

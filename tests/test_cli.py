@@ -645,6 +645,18 @@ def test_scalar_sweep_is_one_evaluation_per_point_per_rung(monkeypatch, tmp_path
     assert len(calls) == sum(rungs) and max(rungs) > 2
 
 
+def test_underflowing_grid_end_fails_before_any_evaluation(monkeypatch, tmp_path, capsys):
+    # from r ~ 186.8 every amplitude of the truncated scalar-both state squares to 0
+    calls = counting_evaluations(monkeypatch)
+    csv_path = tmp_path / "under.csv"
+    argv = ["sweep", "--scenario", "scalar-both", "--min", "0", "--max", "200"]
+    assert main([*argv, "--csv", str(csv_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: every amplitude of the scalar-both state at r = 200.0 underflows to 0\n"
+    assert calls == [] and not csv_path.exists()
+
+
 def per_point_table(cfg):
     """The sweep's table built from one single-scenario evaluation per grid point."""
     plan, rows = None, []

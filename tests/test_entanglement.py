@@ -12,10 +12,8 @@ from accelpair import (
     named_bipartitions,
 )
 from accelpair.entanglement import (
+    NEGATIVE_EIGENVALUE_TOL,
     Bipartition,
-    log_negativity,
-    log_negativity_pure,
-    negativity,
     partial_transpose,
     reduced_density,
 )
@@ -26,13 +24,11 @@ from accelpair.fock import (
     boson_mode,
     fermion_mode,
     hermitian_eigenvalues,
-    outer_product,
-    partial_trace,
-    tensor,
 )
 from accelpair.states import build_final_state
 
 from oracles import (
+    partial_trace,
     random_pure_amplitudes,
     scalar_full_ln,
     scalar_one_sp_negativity,
@@ -47,6 +43,21 @@ def bell_state():
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1.0 / math.sqrt(2.0)
     return Ket(layout, amps)
+
+
+def pure(k):
+    """|k><k| of a ket on modes a and b: its reduced density with nothing traced."""
+    return reduced_density(k, Bipartition({"a"}, {"b"}))
+
+
+def negativity(rho, party_a):
+    """Absolute sum of the partial-transpose eigenvalues below -1e-12: the dense LN route."""
+    eigs = hermitian_eigenvalues(partial_transpose(rho, party_a))
+    return float(np.abs(eigs[eigs < -NEGATIVE_EIGENVALUE_TOL]).sum())
+
+
+def log_negativity(rho, party_a):
+    return math.log2(2.0 * negativity(rho, party_a) + 1.0)
 
 
 def test_bipartition_validation():
@@ -64,7 +75,7 @@ def test_bipartition_validation():
 def test_reduced_density_without_tracing_is_outer_product():
     k = bell_state()
     rho = reduced_density(k, Bipartition({"a"}, {"b"}))
-    assert np.max(np.abs(rho.entries - outer_product(k).entries)) < 1e-15
+    assert np.max(np.abs(rho.entries - np.outer(k.amplitudes, k.amplitudes.conj()))) < 1e-15
 
 
 def test_reduced_density_agrees_with_partial_trace_route():
@@ -74,8 +85,8 @@ def test_reduced_density_agrees_with_partial_trace_route():
         k = Ket(layout, random_pure_amplitudes(rng, layout.total_dim))
         bp = Bipartition({"a"}, {"c"}, {"b"})
         direct = reduced_density(k, bp)
-        via_trace = partial_trace(outer_product(k), ("a", "c"))
-        assert np.max(np.abs(direct.entries - via_trace.entries)) < 1e-12
+        via_trace = partial_trace(np.outer(k.amplitudes, k.amplitudes.conj()), layout.dims, (0, 2))
+        assert np.max(np.abs(direct.entries - via_trace)) < 1e-12
 
 
 def test_reduced_densities_are_positive_semidefinite():
@@ -95,21 +106,21 @@ def test_reduced_density_requires_unit_norm():
 
 
 def test_partial_transpose_empty_party_is_identity():
-    rho = outer_product(bell_state())
+    rho = pure(bell_state())
     assert np.array_equal(partial_transpose(rho, ()), rho.entries)
 
 
 def test_partial_transpose_is_involutive():
     rng = np.random.default_rng(43)
     layout = SubsystemLayout((fermion_mode("a"), boson_mode("b", 2)))
-    rho = outer_product(Ket(layout, random_pure_amplitudes(rng, layout.total_dim)))
+    rho = pure(Ket(layout, random_pure_amplitudes(rng, layout.total_dim)))
     once = partial_transpose(rho, ("a",))
     twice = partial_transpose(DensityMatrix(rho.layout, once), ("a",))
     assert np.array_equal(twice, rho.entries)
 
 
 def test_partial_transpose_bell_minimum_eigenvalue():
-    pt = partial_transpose(outer_product(bell_state()), ("a",))
+    pt = partial_transpose(pure(bell_state()), ("a",))
     eigs = hermitian_eigenvalues(pt)
     assert eigs[0] == pytest.approx(-0.5, abs=1e-14)
     assert np.allclose(np.sort(eigs), [-0.5, 0.5, 0.5, 0.5], atol=1e-14)
@@ -117,19 +128,18 @@ def test_partial_transpose_bell_minimum_eigenvalue():
 
 def test_partial_transpose_unknown_label():
     with pytest.raises(LayoutError):
-        partial_transpose(outer_product(bell_state()), ("zz",))
+        partial_transpose(pure(bell_state()), ("zz",))
 
 
 def test_negativity_of_product_state_is_zero():
-    a = Ket.basis_state(SubsystemLayout((fermion_mode("a"),)), (1,))
-    b = Ket.basis_state(SubsystemLayout((fermion_mode("b"),)), (0,))
-    rho = outer_product(tensor(a, b))
+    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    rho = pure(Ket(layout, np.kron([0.0, 1.0], [1.0, 0.0])))  # |1_a> (x) |0_b>
     assert negativity(rho, ("a",)) == 0.0
     assert log_negativity(rho, ("a",)) == 0.0
 
 
 def test_negativity_of_bell_state():
-    rho = outer_product(bell_state())
+    rho = pure(bell_state())
     assert negativity(rho, ("a",)) == pytest.approx(0.5, abs=1e-14)
     assert log_negativity(rho, ("a",)) == pytest.approx(1.0, abs=1e-14)
 
@@ -145,18 +155,6 @@ def test_negativity_matches_trace_norm_definition():
         assert negativity(rho, bp.party_a) == pytest.approx(
             trace_norm_negativity(pt), abs=1e-10
         )
-
-
-def test_log_negativity_pure_agrees_with_partial_transpose_route():
-    rng = np.random.default_rng(53)
-    layout = SubsystemLayout((fermion_mode("a"), boson_mode("b", 2), fermion_mode("c")))
-    for _ in range(6):
-        k = Ket(layout, random_pure_amplitudes(rng, layout.total_dim))
-        rho = outer_product(k)
-        for party in [("a",), ("a", "b"), ("b", "c")]:
-            assert log_negativity_pure(k, party) == pytest.approx(
-                log_negativity(rho, party), abs=1e-12
-            )
 
 
 # --- named systems and closed forms ------------------------------------------
@@ -197,7 +195,9 @@ def test_one_accelerated_particle_reduction_via_partial_trace():
     # the (s particle | w particle) reduction of the one-accelerated state
     r_f = 0.7
     ket, _ = build_final_state(Scenario("fermion", "one", r_f))
-    rho = partial_trace(outer_product(ket), ("s_p", "w_p"))
+    full = np.outer(ket.amplitudes, ket.amplitudes.conj())
+    kept = ket.layout.restricted(("s_p", "w_p"))  # positions 0 and 1 of (s_p, w_p, w_a)
+    rho = DensityMatrix(kept, partial_trace(full, ket.layout.dims, (0, 1)))
     assert log_negativity(rho, ("s_p",)) == pytest.approx(
         math.log2(1.0 + math.cos(r_f) ** 2), abs=1e-12
     )
@@ -292,12 +292,8 @@ def test_scalar_full_ln_matches_branch_norm_closed_form(accelerated, cutoff, r):
 
 def test_ppt_negativity_is_positive_zero():
     # an empty sum of negative eigenvalues must not come back as -0.0
-    a = Ket.basis_state(SubsystemLayout((fermion_mode("a"),)), (1,))
-    b = Ket.basis_state(SubsystemLayout((fermion_mode("b"),)), (0,))
-    values = [negativity(outer_product(tensor(a, b)), ("a",))]
     res = evaluate_scenario(Scenario("scalar", "both", 0.5, cutoff=10))
-    values += [res.systems[name].negativity for name in ("p,a", "a,p", "a,a")]
-    for value in values:
+    for value in [res.systems[name].negativity for name in ("p,a", "a,p", "a,a")]:
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelpair import DomainError, LayoutError
+from accelpair.entanglement import Bipartition, reduced_density
 from accelpair.fock import (
     DensityMatrix,
     Ket,
@@ -16,11 +17,7 @@ from accelpair.fock import (
     fermion_mode,
     hermitian_eigenvalues,
     normalize,
-    outer_product,
-    partial_trace,
-    tensor,
 )
-from accelpair.sparse import CoordKet
 from accelpair.states import Scenario, build_final_state
 
 from oracles import jacobi_hermitian_eigenvalues, random_pure_amplitudes
@@ -61,28 +58,22 @@ def test_layout_rejects_duplicates_and_oversize():
     big = SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
     assert big.total_dim == 2001 * 2001
     with pytest.raises(LayoutError):
-        Ket.basis_state(big, (0, 0))
+        Ket(big, [1.0])
 
 
 def big_square():
     return SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
 
 
-def level_ket(label, levels):
-    return Ket.basis_state(SubsystemLayout((boson_mode(label, levels - 1),)), (0,))
-
-
 @pytest.mark.parametrize(
     "make_args, densify",
     [
-        (lambda: (big_square(),), lambda layout: Ket.basis_state(layout, (0, 0))),
-        # 1101^2 = 1,212,201 amplitudes
-        (lambda: (level_ket("a", 1101), level_ket("b", 1101)), tensor),
-        (lambda: (CoordKet(big_square(), [[0, 0]], [1.0], [0]),), CoordKet.to_ket),
+        # the layout is checked before the amplitudes are read
+        (lambda: (big_square(), [1.0]), Ket),
         # 33 * 32 * 33 * 32 = 1,115,136 states
         (lambda: (Scenario("scalar", "both", 0.5, cutoff=31),), build_final_state),
     ],
-    ids=["basis_state", "tensor", "to_ket", "build_final_state"],
+    ids=["ket", "build_final_state"],
 )
 def test_dense_guard_refuses_before_allocating(make_args, densify):
     args = make_args()
@@ -111,10 +102,16 @@ def row_major_index(occupations, dims):
     return idx
 
 
+def one_hot(layout, index):
+    amps = np.zeros(layout.total_dim, dtype=complex)
+    amps[index] = 1.0
+    return Ket(layout, amps)
+
+
 def test_basis_index_examples():
     layout = two_qubits()
-    assert Ket.basis_state(layout, (0, 0)).amplitudes[0] == 1.0
-    assert Ket.basis_state(layout, (1, 0)).amplitudes[2] == 1.0
+    assert one_hot(layout, 0).amplitude((0, 0)) == 1.0
+    assert one_hot(layout, 2).amplitude((1, 0)) == 1.0
     assert bell_ket().amplitude((1, 1)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
     assert bell_ket().amplitude((0, 1)) == 0.0
 
@@ -124,18 +121,14 @@ def test_basis_index_round_trip_exhaustive():
     layout = SubsystemLayout((boson_mode("a", 2), fermion_mode("b"), boson_mode("c", 3)))
     occs = list(itertools.product(*(range(d) for d in layout.dims)))
     assert len(occs) == layout.total_dim
+    ket = Ket(layout, np.arange(len(occs)) / len(occs) ** 1.5)  # amplitude idx / n^1.5 at idx
     for idx, occ in enumerate(occs):
-        ket = Ket.basis_state(layout, occ)
-        assert np.flatnonzero(ket.amplitudes).tolist() == [idx]
-        assert ket.amplitude(occ) == 1.0
+        assert ket.amplitude(occ) == ket.amplitudes[idx]
 
 
 def test_basis_index_errors():
     # out of range, too short, too long, and negative (which must not wrap)
-    layout = two_qubits()
     for occ in [(0, 2), (0,), (0, 0, 0), (-1, 0)]:
-        with pytest.raises(ValueError):
-            Ket.basis_state(layout, occ)
         with pytest.raises(ValueError):
             bell_ket().amplitude(occ)
 
@@ -145,11 +138,10 @@ def test_basis_index_errors():
 def test_basis_index_bijection_property(dims, data):
     layout = SubsystemLayout(tuple(boson_mode(f"m{i}", d - 1) for i, d in enumerate(dims)))
     occ = tuple(data.draw(st.integers(min_value=0, max_value=d - 1)) for d in dims)
-    ket = Ket.basis_state(layout, occ)
-    assert np.flatnonzero(ket.amplitudes).tolist() == [row_major_index(occ, dims)]
+    assert one_hot(layout, row_major_index(occ, dims)).amplitude(occ) == 1.0
 
 
-# --- kets, tensor, normalize ---------------------------------------------
+# --- kets, normalize ----------------------------------------------------
 
 
 def test_ket_validation():
@@ -160,29 +152,6 @@ def test_ket_validation():
         Ket(layout, np.array([np.nan, 0, 0, 0], dtype=complex))
     with pytest.raises(DomainError):
         Ket(layout, np.array([1.1, 0, 0, 0], dtype=complex))
-
-
-def test_tensor_of_ground_states():
-    a = Ket.basis_state(SubsystemLayout((fermion_mode("a"),)), (0,))
-    b = Ket.basis_state(SubsystemLayout((fermion_mode("b"),)), (0,))
-    joint = tensor(a, b)
-    assert joint.amplitude((0, 0)) == 1.0
-    assert joint.norm() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_tensor_norm_multiplies():
-    rng = np.random.default_rng(3)
-    la = SubsystemLayout((boson_mode("a", 2),))
-    lb = SubsystemLayout((fermion_mode("b"), boson_mode("c", 1)))
-    ka = Ket(la, 0.7 * random_pure_amplitudes(rng, la.total_dim))
-    kb = Ket(lb, 0.9 * random_pure_amplitudes(rng, lb.total_dim))
-    assert tensor(ka, kb).norm() == pytest.approx(ka.norm() * kb.norm(), abs=1e-12)
-
-
-def test_tensor_rejects_label_collision():
-    a = Ket.basis_state(SubsystemLayout((fermion_mode("a"),)), (0,))
-    with pytest.raises(LayoutError):
-        tensor(a, a)
 
 
 def test_normalize_unit_and_scaled():
@@ -202,26 +171,6 @@ def test_normalize_rejects_zero_ket():
 # --- density matrices -----------------------------------------------------
 
 
-def test_outer_product_ground_state():
-    k = Ket.basis_state(SubsystemLayout((fermion_mode("a"),)), (0,))
-    rho = outer_product(k)
-    assert rho.entries[0, 0] == 1.0
-    assert np.count_nonzero(rho.entries) == 1
-
-
-def test_outer_product_bell_corners():
-    rho = outer_product(bell_ket()).entries
-    for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        assert rho[i, j] == pytest.approx(0.5, abs=1e-15)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
-
-
-def test_outer_product_rejects_unnormalized():
-    k = bell_ket()
-    with pytest.raises(DomainError):
-        outer_product(Ket(k.layout, k.amplitudes * 0.9))
-
-
 def test_density_matrix_validation():
     layout = SubsystemLayout((fermion_mode("a"),))
     with pytest.raises(DomainError):
@@ -232,45 +181,35 @@ def test_density_matrix_validation():
         DensityMatrix(layout, np.eye(3, dtype=complex))
 
 
-def test_partial_trace_keep_everything_is_identity():
-    rho = outer_product(bell_ket())
-    same = partial_trace(rho, ("a", "b"))
-    assert np.array_equal(same.entries, rho.entries)
+# --- partial traces: entanglement.reduced_density ------------------------
 
 
 def test_partial_trace_bell_gives_maximally_mixed():
-    rho = outer_product(bell_ket())
-    red = partial_trace(rho, ("a",))
-    assert np.allclose(red.entries, np.eye(2) / 2.0, atol=1e-14)
+    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b"), fermion_mode("c")))
+    ket = Ket(layout, np.kron(bell_ket().amplitudes, [1.0, 0.0]))  # Bell pair (x) |0_c>
+    red = reduced_density(ket, Bipartition({"a"}, {"c"}, {"b"}))
+    assert np.allclose(red.entries, np.kron(np.eye(2) / 2.0, np.diag([1.0, 0.0])), atol=1e-14)
 
 
 def test_partial_trace_factorizes_product_states():
     rng = np.random.default_rng(11)
     la = SubsystemLayout((boson_mode("a", 2), fermion_mode("x")))
     lb = SubsystemLayout((boson_mode("b", 1),))
-    ka = Ket(la, random_pure_amplitudes(rng, la.total_dim))
-    kb = Ket(lb, random_pure_amplitudes(rng, lb.total_dim))
-    joint = outer_product(tensor(ka, kb))
-    red = partial_trace(joint, ("a", "x"))
-    assert np.max(np.abs(red.entries - outer_product(ka).entries)) < 1e-12
+    ka = random_pure_amplitudes(rng, la.total_dim)
+    kb = random_pure_amplitudes(rng, lb.total_dim)
+    joint = Ket(SubsystemLayout(la.modes + lb.modes), np.kron(ka, kb))
+    red = reduced_density(joint, Bipartition({"a"}, {"x"}, {"b"}))
+    assert np.max(np.abs(red.entries - np.outer(ka, ka.conj()))) < 1e-12
 
 
 def test_partial_trace_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(5)
     layout = SubsystemLayout((boson_mode("a", 2), boson_mode("b", 1), fermion_mode("c")))
     for _ in range(10):
-        rho = outer_product(Ket(layout, random_pure_amplitudes(rng, layout.total_dim)))
-        red = partial_trace(rho, ("b", "c")).entries
+        ket = Ket(layout, random_pure_amplitudes(rng, layout.total_dim))
+        red = reduced_density(ket, Bipartition({"b"}, {"c"}, {"a"})).entries
         assert abs(np.trace(red).real - 1.0) < 1e-12
         assert np.max(np.abs(red - red.conj().T)) < 1e-12
-
-
-def test_partial_trace_errors():
-    rho = outer_product(bell_ket())
-    with pytest.raises(LayoutError):
-        partial_trace(rho, ("nope",))
-    with pytest.raises(LayoutError):
-        partial_trace(rho, ())
 
 
 # --- eigenvalues ----------------------------------------------------------

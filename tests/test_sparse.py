@@ -10,13 +10,11 @@ from accelpair import DomainError, LayoutError, Scenario, evaluate_scenario, nam
 from accelpair.entanglement import (
     NEGATIVE_EIGENVALUE_TOL,
     Bipartition,
-    log_negativity,
-    log_negativity_pure,
     partial_transpose,
     reduced_density,
     sweep_plan,
 )
-from accelpair.fock import SubsystemLayout, boson_mode, fermion_mode, hermitian_eigenvalues
+from accelpair.fock import Ket, SubsystemLayout, boson_mode, fermion_mode, hermitian_eigenvalues
 from accelpair.sparse import (
     CoordKet,
     HermitianCoords,
@@ -27,7 +25,14 @@ from accelpair.sparse import (
 )
 from accelpair.states import build_final_state, build_final_state_coords, kept_charges
 
-from oracles import brute_force_partial_transpose, graph_block_eigenvalues, sparse_pt_eigenvalues
+from oracles import (
+    brute_force_partial_transpose,
+    dense_amplitudes,
+    dense_hermitian,
+    graph_block_eigenvalues,
+    pure_state_log_negativity,
+    sparse_pt_eigenvalues,
+)
 
 LAYOUT = SubsystemLayout(
     (boson_mode("a", 2), fermion_mode("b"), boson_mode("c", 2), fermion_mode("d"))
@@ -55,10 +60,19 @@ def random_two_branch_ket(rng, keep, n_entries=10):
     return CoordKet(LAYOUT, occ[first], val / np.linalg.norm(val), branch[first])
 
 
+def densify(ck):
+    return dense_amplitudes(ck.occupations, ck.values, ck.layout.dims)
+
+
+def toarray(m):
+    return dense_hermitian(m.diag, m.rows, m.cols, m.vals)
+
+
 def dense_reference(ck, keep):
     rest = [lbl for lbl in ck.layout.labels if lbl not in keep]
     kept = [lbl for lbl in ck.layout.labels if lbl in keep]
-    return reduced_density(ck.to_ket(), Bipartition({kept[0]}, set(kept[1:]), set(rest)))
+    bp = Bipartition({kept[0]}, set(kept[1:]), set(rest))
+    return reduced_density(Ket(ck.layout, densify(ck)), bp)
 
 
 def test_coord_ket_validation():
@@ -75,18 +89,6 @@ def test_coord_ket_validation():
         CoordKet(layout, np.array([[0, 0]]), np.array([1.0]), [0, 1])
 
 
-def test_to_ket_round_trip_and_dense_guard():
-    ck = random_two_branch_ket(np.random.default_rng(2), ("a", "b"))
-    dense = ck.to_ket()
-    for occ, val in zip(ck.occupations, ck.values):
-        assert dense.amplitude(tuple(occ)) == val
-    assert np.count_nonzero(dense.amplitudes) == len(ck.values)
-    big = SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
-    tiny = CoordKet(big, np.array([[0, 0]]), np.array([1.0]), [0])
-    with pytest.raises(LayoutError):
-        tiny.to_ket()
-
-
 def test_reduced_gram_matches_dense_reduced_density():
     rng = np.random.default_rng(23)
     for _ in range(6):
@@ -95,7 +97,7 @@ def test_reduced_gram_matches_dense_reduced_density():
             rho, kept_dims, kept_labels = reduced_gram(ck, keep)
             ref = dense_reference(ck, keep)
             assert kept_labels == ref.layout.labels
-            assert np.max(np.abs(rho.toarray() - ref.entries)) < 1e-14
+            assert np.max(np.abs(toarray(rho) - ref.entries)) < 1e-14
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.sets(st.sampled_from("abcd"), min_size=2, max_size=3))
@@ -105,7 +107,7 @@ def test_coordinate_gram_matches_dense_on_two_branch_states(seed, n_entries, kee
     rho, kept_dims, kept_labels = reduced_gram(ck, keep)
     ref = dense_reference(ck, keep)
     assert rho.shape == ref.entries.shape
-    assert np.max(np.abs(rho.toarray() - ref.entries)) < 1e-14
+    assert np.max(np.abs(toarray(rho) - ref.entries)) < 1e-14
 
 
 def test_reduced_gram_rejects_input_outside_two_branches():
@@ -117,7 +119,7 @@ def test_reduced_gram_rejects_input_outside_two_branches():
         reduced_gram(CoordKet(layout, occ, val, [0, 0]), ("a",))
     # one entry per branch there is a two-branch state
     rho, _, _ = reduced_gram(CoordKet(layout, occ, val, [0, 1]), ("a",))
-    assert np.allclose(rho.toarray(), [[0.36, 0.48], [0.48, 0.64]], atol=1e-15)
+    assert np.allclose(toarray(rho), [[0.36, 0.48], [0.48, 0.64]], atol=1e-15)
     # one tuple in both branches
     with pytest.raises(DomainError, match="share an occupation tuple"):
         reduced_gram(CoordKet(layout, occ[[0, 0]], val, [0, 1]), ("a",))
@@ -130,13 +132,13 @@ def test_partial_transpose_sparse_matches_dense():
     herm = (ref.entries + ref.entries.conj().T) / 2.0
     for party in [("a",), ("b",), ("a", "c")]:
         a_pos = [i for i, lbl in enumerate(kept_labels) if lbl in party]
-        ours = partial_transpose_sparse(rho, kept_dims, a_pos).toarray()
+        ours = toarray(partial_transpose_sparse(rho, kept_dims, a_pos))
         theirs = partial_transpose(ref, party)
         # different summation orders: the transposed results agree to round-off
         assert np.max(np.abs(ours - theirs)) < 1e-14
         # on identical input data the two transposes are the same permutation
         same_input = partial_transpose_sparse(hermitian_coords(herm), kept_dims, a_pos)
-        assert np.array_equal(same_input.toarray(), brute_force_partial_transpose(herm, kept_dims, a_pos))
+        assert np.array_equal(toarray(same_input), brute_force_partial_transpose(herm, kept_dims, a_pos))
 
 
 def random_chains(rng, n):
@@ -201,7 +203,7 @@ def test_charge_sectors_match_graph_oracle_and_dense(seed, n):
 def test_block_eigenvalues_add_cross_terms_at_one_position():
     # (0, 1) stored twice, once as its conjugate at (1, 0): they add up
     m = HermitianCoords(np.zeros(2), np.array([0, 1]), np.array([1, 0]), np.array([0.25j, -0.5j]))
-    assert np.allclose(m.toarray(), [[0.0, 0.75j], [-0.75j, 0.0]], atol=1e-15)
+    assert np.allclose(toarray(m), [[0.0, 0.75j], [-0.75j, 0.0]], atol=1e-15)
     assert np.allclose(hermitian_block_eigenvalues(m, np.zeros(2)), [-0.75, 0.75], atol=1e-15)
 
 
@@ -249,7 +251,7 @@ def test_schmidt_weights_reject_a_branch_that_is_not_a_product():
     layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
     ck = CoordKet(layout, np.array([[0, 0], [1, 1]]), np.array([0.6, 0.8]), [0, 0])
     # rho_a has eigenvalues (0.36, 0.64); the branch norms would claim (0, 1)
-    x = ck.to_ket().amplitudes.reshape(2, 2)
+    x = densify(ck).reshape(2, 2)
     assert np.allclose(np.linalg.eigvalsh(x @ x.conj().T), [0.36, 0.64], atol=1e-15)
     with pytest.raises(DomainError, match="not a product"):
         schmidt_weights(ck, ("a",))
@@ -297,7 +299,7 @@ def test_sector_schmidt_weights_match_dense_eigvalsh(seed, n_party_a):
     val = np.concatenate(val)
     assume(val.size > 0)
     ck = CoordKet(layout, np.concatenate(occ), val / np.linalg.norm(val), np.concatenate(branch))
-    x = ck.to_ket().amplitudes.reshape(dims).transpose(a_pos + b_pos).reshape(dim_a, dim_b)
+    x = densify(ck).reshape(dims).transpose(a_pos + b_pos).reshape(dim_a, dim_b)
     ref = np.clip(np.linalg.eigvalsh(x @ x.conj().T), 0.0, None)[::-1]
     ours = schmidt_weights(ck, [layout.labels[p] for p in a_pos])
     assert ours.shape == (2,)
@@ -321,11 +323,14 @@ def test_scenario_pipeline_sparse_equals_dense():
         for name, bp in named_bipartitions(sc).items():
             ours_ln = result.systems[name].log_negativity
             if not bp.traced:
-                assert ours_ln == pytest.approx(log_negativity_pure(dense, bp.party_a), abs=1e-12)
+                a_pos = sorted(dense.layout.position(lbl) for lbl in bp.party_a)
+                ref_ln = pure_state_log_negativity(dense.amplitudes, dense.layout.dims, a_pos)
+                assert ours_ln == pytest.approx(ref_ln, abs=1e-12)
                 continue
             ref = reduced_density(dense, bp)
-            assert ours_ln == pytest.approx(log_negativity(ref, bp.party_a), abs=1e-12)
             ref_eigs = hermitian_eigenvalues(partial_transpose(ref, bp.party_a))
+            ref_negativity = -ref_eigs[ref_eigs < -NEGATIVE_EIGENVALUE_TOL].sum()
+            assert ours_ln == pytest.approx(math.log2(2.0 * ref_negativity + 1.0), abs=1e-12)
             rho, kept_dims, kept_labels = reduced_gram(ck, bp.kept)
             a_pos = [i for i, lbl in enumerate(kept_labels) if lbl in bp.party_a]
             ours = hermitian_block_eigenvalues(
