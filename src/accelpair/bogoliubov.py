@@ -95,10 +95,13 @@ class Coefficients:
 
 
 def mu2_from_field(params: FieldParams) -> float:
-    """Dimensionless pair-production parameter mu2 = m^2 / (2 E); DomainError if it overflows."""
+    """Dimensionless pair-production parameter mu2 = m^2 / (2 E); DomainError if it
+    overflows, or underflows to 0 for m > 0 (a massive particle read as massless)."""
     mu2 = params.m * params.m / (2.0 * params.E)
     if not math.isfinite(mu2):
         raise DomainError(f"mu2 = m^2 / (2 E) overflows for m = {params.m}, E = {params.E}")
+    if mu2 == 0.0 and params.m > 0.0:
+        raise DomainError(f"mu2 = m^2 / (2 E) underflows to 0 for m = {params.m}, E = {params.E}")
     return mu2
 
 

@@ -1,16 +1,16 @@
-"""Finite-dimensional multi-mode Fock algebra.
+"""Finite-dimensional multi-mode Fock layouts and the dense reference records.
 
 States live on an ordered sequence of sub-modes (particle or antiparticle
-species of a named field mode).  A bosonic sub-mode truncated at occupation N
-has local dimension N+1; a fermionic sub-mode always has dimension 2.  Joint
-occupation numbers are flattened row-major in layout order by
-``np.ravel_multi_index``, the one basis convention of every operation in the
-package.
+species of a named field mode), each given by a label and a local dimension:
+a bosonic sub-mode truncated at occupation N has dimension N+1, a fermionic
+sub-mode dimension 2.  Joint occupation numbers are flattened row-major in
+layout order by ``np.ravel_multi_index``, the one basis convention of every
+operation in the package.
 :class:`Ket` and :class:`DensityMatrix` are the dense records of the
-reference route (:func:`accelpair.states.build_final_state`,
-:func:`accelpair.entanglement.reduced_density`).  Dense amplitude vectors are
-refused where they are made (:func:`check_dense`), not when a layout is
-described: a layout only names its modes.
+reference route (:func:`accelpair.states.build_final_state`, the sweep state
+made dense, and :func:`accelpair.entanglement.reduced_density`).  Dense
+amplitude vectors are refused where they are made (:func:`check_dense`), not
+when a layout is described: a layout only names its modes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "SubsystemLayout",
     "Ket",
     "DensityMatrix",
-    "normalize",
     "hermitian_eigenvalues",
 ]
 
@@ -48,10 +47,9 @@ _HERMITICITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SubModeSpec:
-    """One sub-mode: a unique label, its statistics, and its local dimension."""
+    """One sub-mode: a unique label and its local dimension."""
 
     label: str
-    statistics: str
     dim: int
 
     def __post_init__(self) -> None:
@@ -59,14 +57,8 @@ class SubModeSpec:
             raise LayoutError("sub-mode label must be a non-empty string")
         if not isinstance(self.dim, numbers.Integral):
             raise LayoutError(f"sub-mode {self.label!r} dimension must be an integer, got {self.dim!r}")
-        if self.statistics == "fermion":
-            if self.dim != 2:
-                raise LayoutError(f"fermionic sub-mode {self.label!r} must have dimension 2")
-        elif self.statistics == "boson":
-            if self.dim < 2:
-                raise LayoutError(f"bosonic sub-mode {self.label!r} needs cutoff >= 1 (dim >= 2)")
-        else:
-            raise LayoutError(f"unknown statistics {self.statistics!r}")
+        if self.dim < 2:
+            raise LayoutError(f"sub-mode {self.label!r} needs dimension >= 2, got {self.dim}")
 
 
 def check_dense(n: int) -> None:
@@ -76,11 +68,11 @@ def check_dense(n: int) -> None:
 
 
 def boson_mode(label: str, cutoff: int) -> SubModeSpec:
-    return SubModeSpec(label, "boson", cutoff + 1)
+    return SubModeSpec(label, cutoff + 1)
 
 
 def fermion_mode(label: str) -> SubModeSpec:
-    return SubModeSpec(label, "fermion", 2)
+    return SubModeSpec(label, 2)
 
 
 @dataclass(frozen=True)
@@ -173,15 +165,6 @@ class DensityMatrix:
             raise DomainError("density matrix is not Hermitian within tolerance")
         if abs(complex(np.trace(mat)).real - 1.0) > _UNIT_TRACE_TOL:
             raise DomainError(f"density matrix trace {np.trace(mat)} is not 1 within tolerance")
-
-
-def normalize(k: Ket) -> tuple[Ket, float]:
-    """Unit-norm copy plus the norm deficit 1 - <k|k> (truncation diagnostic)."""
-    n2 = k.norm_squared()
-    if n2 <= 0.0:
-        raise DomainError("cannot normalize a zero ket")
-    deficit = 1.0 - n2
-    return Ket(k.layout, k.amplitudes / math.sqrt(n2)), deficit
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:

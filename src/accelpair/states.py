@@ -7,13 +7,14 @@ becomes sum_n c_n |n_p, n_a> and its one-particle state sum_n d_n
 * scalar:  c_n = tanh(r)^n / cosh(r),  d_n = sqrt(n+1) tanh(r)^n / cosh(r)^2
 * fermion: c = (cos(r_f) e^{-i phi}, -sin(r_f)),  d = (1)
 
-:func:`_expansion` is the one statement of these weights; the dense and the
-coordinate route both read them, and :func:`_pair_ket` is the dense route's
-one placement of a pair.  A scenario starts from the maximally entangled
-combination (|0_s 0_w> + |1_s 1_w>)/sqrt(2) and substitutes the out expansion
-for every accelerated mode; an unaccelerated mode stays a bare two-level
-particle sub-mode.  Bosonic expansions are truncated at a cutoff,
-renormalized, and the norm deficit is reported; fermionic states are exact.
+:func:`_expansion` is the one statement of these weights.  A scenario starts
+from the maximally entangled combination (|0_s 0_w> + |1_s 1_w>)/sqrt(2) and
+substitutes the out expansion for every accelerated mode; an unaccelerated
+mode stays a bare two-level particle sub-mode.  Each state is built once, in
+coordinates (:func:`scenario_support`, :func:`scenario_amplitudes`);
+:func:`build_final_state` is that state made dense.  Bosonic expansions are
+truncated at a cutoff, renormalized, and the norm deficit is reported;
+fermionic states are exact.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fock import Ket, SubsystemLayout, boson_mode, check_dense, fermion_mode, normalize
+from .fock import Ket, SubModeSpec, SubsystemLayout, boson_mode, check_dense, fermion_mode
 from .sparse import CoordKet, norm_squared
 
 __all__ = [
@@ -85,30 +86,21 @@ class Scenario:
         return self.statistics == "fermion"
 
 
-def _pair_layout(mode: str, cutoff: int, statistics: str) -> SubsystemLayout:
-    # One-particle bosonic amplitudes reach occupation cutoff+1, so the
-    # particle sub-mode gets one extra level; sharing the layout between the
-    # vacuum and one-particle expansions keeps them superposable.
-    if statistics == "fermion":
-        modes = (fermion_mode(f"{mode}_p"), fermion_mode(f"{mode}_a"))
-    else:
-        modes = (boson_mode(f"{mode}_p", cutoff + 1), boson_mode(f"{mode}_a", cutoff))
-    return SubsystemLayout(modes)
-
-
 def scenario_layout(sc: Scenario) -> SubsystemLayout:
     """Canonical layout (s_p, s_a, w_p, w_a), omitting absent sub-modes."""
     modes: list = []
     for mode in ("s", "w"):
-        if sc.accelerated == "both" or mode == "w":
-            pair = _pair_layout(mode, sc.cutoff, sc.statistics)
-            modes.extend(pair.modes)
-        else:
+        p, a = f"{mode}_p", f"{mode}_a"
+        if sc.accelerated == "one" and mode == "s":
             # Unaccelerated mode: bare two-level particle sub-mode, no
             # antiparticle partner is ever populated.
-            modes.append(
-                fermion_mode(f"{mode}_p") if sc.is_fermion else boson_mode(f"{mode}_p", 1)
-            )
+            modes.append(SubModeSpec(p, 2))
+        elif sc.is_fermion:
+            modes.extend((fermion_mode(p), fermion_mode(a)))
+        else:
+            # One-particle amplitudes reach occupation cutoff+1, so the
+            # particle sub-mode gets one extra level.
+            modes.extend((boson_mode(p, sc.cutoff + 1), boson_mode(a, sc.cutoff)))
     return SubsystemLayout(tuple(modes))
 
 
@@ -129,33 +121,18 @@ def _expansion(sc: Scenario) -> tuple:
     return t_n / math.cosh(r), np.sqrt(n + 1.0) * t_n / _cosh_squared(r)
 
 
-def _pair_ket(pair_layout: SubsystemLayout, weights: np.ndarray, shift: int) -> Ket:
-    """Dense pair state with weight n at |(n + shift)_p, n_a>."""
-    amps = np.zeros(pair_layout.dims, dtype=np.complex128)
-    n = np.arange(len(weights))
-    amps[n + shift, n] = weights
-    return Ket(pair_layout, amps)
-
-
 def build_final_state(sc: Scenario) -> tuple[Ket, float]:
-    """Scenario state on the canonical layout, renormalized, with norm deficit.
+    """:func:`build_final_state_coords`'s state and deficit, with the state made dense.
 
-    Fermionic states are exactly unit norm (deficit 0); truncated scalar
-    states are renormalized and the truncation deficit is returned.  Use
-    :func:`build_final_state_coords` for scalar layouts too large to hold
-    densely.
+    LayoutError before anything is allocated where the dense vector would
+    exceed the amplitude limit; the coordinate form has no such limit.
     """
     layout = scenario_layout(sc)
     check_dense(layout.total_dim)
-    c, d = _expansion(sc)
-    pair = _pair_layout("w", sc.cutoff, sc.statistics)
-    vac, one = _pair_ket(pair, c, 0).amplitudes, _pair_ket(pair, d, 1).amplitudes
-    if sc.accelerated == "both":
-        s0, s1 = vac, one  # the s pair carries the same expansion as w
-    else:
-        s0, s1 = np.eye(2, dtype=np.complex128)  # bare |0_s>, |1_s>
-    ket = Ket(layout, (np.kron(s0, vac) + np.kron(s1, one)) * (1.0 / math.sqrt(2.0)))
-    return (ket, 0.0) if sc.is_fermion else normalize(ket)
+    coords, deficit = build_final_state_coords(sc)
+    amps = np.zeros(layout.total_dim, dtype=np.complex128)
+    amps[np.ravel_multi_index(coords.occupations.T, layout.dims)] = coords.values
+    return Ket(layout, amps), deficit
 
 
 def scenario_support(sc: Scenario) -> tuple[SubsystemLayout, np.ndarray, np.ndarray]:
@@ -206,9 +183,8 @@ def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:
     """Scenario state in coordinate form, vacuum branch 0 and one-particle branch 1.
 
     Holds only the populated occupation tuples (O(cutoff^2) for scalars), so
-    arbitrary truncation cutoffs stay cheap.  Amplitudes and deficit match
-    :func:`build_final_state` where both can run: scalar states are
-    renormalized, fermionic states are exact and keep deficit 0.
+    arbitrary truncation cutoffs stay cheap.  Scalar states are renormalized,
+    fermionic states are exact and keep deficit 0.
     """
     layout, occ, branch = scenario_support(sc)
     val, deficit = scenario_amplitudes(sc)

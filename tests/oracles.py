@@ -114,6 +114,43 @@ def sparse_pt_eigenvalues(occupations, values, dims, keep, party_a):
     return graph_block_eigenvalues(sp.coo_matrix((rho.data, (rows, cols)), shape=rho.shape))
 
 
+def kronecker_scenario_state(statistics, accelerated, r, phase=0.0, cutoff=30):
+    """Dense scenario state and norm deficit, built by Kronecker products.
+
+    (|0_s> (x) vac_w + |1_s> (x) one_w)/sqrt 2 on (s_p, s_a, w_p, w_a), where
+    an accelerated mode's vacuum is sum_n c_n |n_p, n_a> and its one particle
+    sum_n d_n |(n+1)_p, n_a> (Fuentes-Schuller & Mann, PRL 95, 120404 (2005)):
+    scalar c_n = tanh^n r / cosh r and d_n = sqrt(n+1) tanh^n r / cosh^2 r for
+    n <= cutoff, fermion c = (cos r e^{-i phase}, -sin r) and d = (1).  With
+    one mode accelerated, s is a bare two-level particle (|0_s>, |1_s>) and
+    s_a is absent.  Returns the amplitudes shaped by the layout's dims; a
+    scalar state is normalised over the dense vector and its deficit is
+    1 - <psi|psi>, a fermion state is exact with deficit 0.
+    """
+    if statistics == "fermion":
+        c, d = np.array([math.cos(r) * np.exp(-1j * phase), -math.sin(r)]), np.ones(1)
+        pair = (2, 2)
+    else:
+        n = np.arange(cutoff + 1)
+        c = np.tanh(r) ** n / math.cosh(r)
+        d = np.sqrt(n + 1.0) * np.tanh(r) ** n / math.cosh(r) ** 2
+        pair = (cutoff + 2, cutoff + 1)
+    vac, one = np.zeros(pair, dtype=complex), np.zeros(pair, dtype=complex)
+    for k, weight in enumerate(c):
+        vac[k, k] = weight
+    for k, weight in enumerate(d):
+        one[k + 1, k] = weight
+    if accelerated == "both":
+        s0, s1, dims = vac.ravel(), one.ravel(), pair + pair
+    else:
+        s0, s1, dims = np.array([1.0, 0.0]), np.array([0.0, 1.0]), (2,) + pair
+    psi = (np.kron(s0, vac.ravel()) + np.kron(s1, one.ravel())) / math.sqrt(2.0)
+    if statistics == "fermion":
+        return psi.reshape(dims), 0.0
+    n2 = float(np.vdot(psi, psi).real)
+    return (psi / math.sqrt(n2)).reshape(dims), 1.0 - n2
+
+
 def scalar_one_sp_negativity(r, terms=4000, threshold=1e-12):
     """N(s,p) of the untruncated scalar-one state, summed over 2x2 blocks.
 

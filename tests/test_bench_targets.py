@@ -5,7 +5,8 @@ renamed layer would only show up as a missing metric; this catches it here.
 It counts the cutoff ladder from the ``evaluate_scenario`` calls that ``cli``
 makes through its module binding, so a sweep that bypassed that binding
 would report no ladder at all; the ladder test catches that, and the
-per-workload test checks that each workload emits every declared metric.
+per-workload test checks that each workload emits every declared metric and
+calls no traced function outside the sweep route.
 """
 
 import ast
@@ -21,6 +22,7 @@ from accelpair import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
+SWEEP_ROUTE = {"cli.run_sweep", "cli.emit_csv", "cli.emit_plot", "entanglement.evaluate_scenario"}
 
 
 def load_spans(monkeypatch):
@@ -87,3 +89,6 @@ def test_each_workload_emits_every_declared_per_layer_metric(monkeypatch, tmp_pa
                 assert cli.main([*argv, "--csv", str(tmp_path / f"{scenario}.csv")]) == 0
         metrics = spans.summarize(tracer.spans, 3 * len(scenarios), tracer.absent)
         assert sorted(names - set(metrics)) == [], workload
+        # the package computes LN one way: a sweep never enters the reference route
+        entered = {t for t in set(spans.TARGETS) - SWEEP_ROUTE if metrics[f"{t}.calls"]}
+        assert sorted(entered) == [], workload

@@ -23,9 +23,9 @@ def test_mu2_from_field_values():
     assert mu2_from_field(FieldParams(m=2.0, E=1.0)) == 2.0
 
 
-@pytest.mark.parametrize("m,E", [(1e200, 1e-200), (1.0, 1e-310)])
+@pytest.mark.parametrize("m,E", [(1e200, 1e-200), (1.0, 1e-310), (1e-200, 1.0)])
 def test_mu2_from_field_rejects_overflow(m, E):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="flows"):
         mu2_from_field(FieldParams(m=m, E=E))
 
 

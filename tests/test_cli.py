@@ -598,11 +598,14 @@ def test_main_convert_residual_is_finite_at_extreme_mu2(capsys, mass, statistics
     assert float(residual) < 1e-10
 
 
-@pytest.mark.parametrize("mass,field", [("1e200", "1e-200"), ("1", "1e-310")])
+@pytest.mark.parametrize("mass,field", [("1e200", "1e-200"), ("1", "1e-310"), ("1e-200", "1")])
 def test_main_convert_rejects_overflowing_mu2(capsys, mass, field):
-    assert main(["convert", "--mass", mass, "--field", field]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: mu2")
+    # 1e-200: mu2 underflows to 0, which would report a massive particle as massless
+    for statistics in ("scalar", "fermion"):
+        argv = ["convert", "--mass", mass, "--field", field, "--statistics", statistics]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: mu2") and len(err.splitlines()) == 1
 
 
 def test_main_help_exits_cleanly():

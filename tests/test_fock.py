@@ -16,7 +16,6 @@ from accelpair.fock import (
     boson_mode,
     fermion_mode,
     hermitian_eigenvalues,
-    normalize,
 )
 from accelpair.states import Scenario, build_final_state
 
@@ -43,12 +42,13 @@ def test_mode_spec_validation():
     with pytest.raises(LayoutError):
         boson_mode("x", 0)  # cutoff must be >= 1
     with pytest.raises(LayoutError):
-        SubModeSpec("x", "fermion", 3)
-    with pytest.raises(LayoutError):
-        SubModeSpec("x", "majorana", 2)
+        SubModeSpec("x", 1)
+    with pytest.raises(LayoutError, match="non-empty"):
+        SubModeSpec("", 2)
     with pytest.raises(LayoutError, match="integer"):
-        SubModeSpec("x", "boson", 2.5)
-    assert SubModeSpec("x", "boson", np.int64(3)).dim == 3
+        SubModeSpec("x", 2.5)
+    assert SubModeSpec("x", np.int64(3)).dim == 3
+    assert fermion_mode("x") == SubModeSpec("x", 2) == boson_mode("x", 1)
 
 
 def test_layout_rejects_duplicates_and_oversize():
@@ -141,7 +141,7 @@ def test_basis_index_bijection_property(dims, data):
     assert one_hot(layout, row_major_index(occ, dims)).amplitude(occ) == 1.0
 
 
-# --- kets, normalize ----------------------------------------------------
+# --- kets ------------------------------------------------------------------
 
 
 def test_ket_validation():
@@ -152,20 +152,6 @@ def test_ket_validation():
         Ket(layout, np.array([np.nan, 0, 0, 0], dtype=complex))
     with pytest.raises(DomainError):
         Ket(layout, np.array([1.1, 0, 0, 0], dtype=complex))
-
-
-def test_normalize_unit_and_scaled():
-    k = bell_ket()
-    normed, deficit = normalize(k)
-    assert deficit == pytest.approx(0.0, abs=1e-15)
-    half, deficit = normalize(Ket(k.layout, k.amplitudes / 2.0))
-    assert deficit == pytest.approx(0.75, abs=1e-15)
-    assert half.norm() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_normalize_rejects_zero_ket():
-    with pytest.raises(DomainError):
-        normalize(Ket(two_qubits(), np.zeros(4, dtype=complex)))
 
 
 # --- density matrices -----------------------------------------------------

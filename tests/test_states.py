@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from accelpair.states import (
     scenario_support,
 )
 
-from oracles import dense_amplitudes
+from oracles import dense_amplitudes, kronecker_scenario_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -269,27 +270,39 @@ def test_scalar_state_deficit_is_truncation_tail_only():
     assert ket.norm() == pytest.approx(1.0, abs=1e-14)
 
 
+def check_against_kronecker_oracle(sc):
+    """Coordinate and dense states of ``sc`` against the independent Kronecker
+    build, amplitudes within 1e-15; returns the coordinate state, its deficit
+    and the oracle's deficit."""
+    oracle, o_deficit = kronecker_scenario_state(
+        sc.statistics, sc.accelerated, sc.squeeze, sc.phase, sc.cutoff
+    )
+    coords, c_deficit = build_final_state_coords(sc)
+    dense, d_deficit = build_final_state(sc)
+    assert coords.layout.dims == dense.layout.dims == oracle.shape
+    assert c_deficit == d_deficit
+    amps = dense_amplitudes(coords.occupations, coords.values, coords.layout.dims)
+    assert np.max(np.abs(amps - oracle.ravel())) < 1e-15
+    assert np.array_equal(dense.amplitudes, amps)
+    return coords, c_deficit, o_deficit
+
+
 def test_coordinate_states_match_dense_states():
-    for acc in ("one", "both"):
-        for r in (0.0, 0.3, 0.9):
-            sc = Scenario("scalar", acc, r, cutoff=6)
-            dense, d_deficit = build_final_state(sc)
-            coords, c_deficit = build_final_state_coords(sc)
-            assert c_deficit == pytest.approx(d_deficit, abs=1e-15)
-            amps = dense_amplitudes(coords.occupations, coords.values, coords.layout.dims)
-            assert np.max(np.abs(amps - dense.amplitudes)) < 1e-15
+    for cutoff, acc, r, phase in itertools.product(
+        range(4, 9), ("one", "both"), (0.0, 0.3, 0.9, 1.5), (0.0, 0.7)
+    ):
+        sc = Scenario("scalar", acc, r, phase=phase, cutoff=cutoff)
+        _, deficit, o_deficit = check_against_kronecker_oracle(sc)
+        assert deficit == pytest.approx(o_deficit, abs=1e-15)
 
 
 def test_coordinate_fermion_states_match_dense_states():
     for acc in ("one", "both"):
-        for r_f in (0.0, 0.4, math.pi / 2):
+        for r_f in (0.0, 0.4, 1.5, math.pi / 2):
             for phase in (0.0, 0.7):
                 sc = Scenario("fermion", acc, r_f, phase=phase)
-                dense, _ = build_final_state(sc)
-                coords, deficit = build_final_state_coords(sc)
+                coords, deficit, _ = check_against_kronecker_oracle(sc)
                 assert deficit == 0.0
-                amps = dense_amplitudes(coords.occupations, coords.values, coords.layout.dims)
-                assert np.max(np.abs(amps - dense.amplitudes)) < 1e-15
                 # branch 1 holds the s mode's extra particle
                 occ = coords.occupations
                 excess = occ[:, 0] - occ[:, 1] if acc == "both" else occ[:, 0]
