@@ -1,16 +1,24 @@
-"""Byte-for-byte regression of sweep output against committed golden files.
+"""Byte-for-byte regression of sweep output against committed golden bytes.
 
-The CSV and SVG bytes of a sweep are part of the CLI contract: a refactor
-or a faster solver must reproduce them exactly.  Each case is a small grid
-of one scenario; the scalar grids end at r = 1.2, so their last point climbs
-the cutoff ladder to 120.
+The CSV and SVG bytes of a sweep, and its exit code, are part of the CLI
+contract: a refactor or a faster solver must reproduce them exactly.  The
+cases are small grids of each scenario, the four default 101-point sweeps,
+the README's ``--mu2`` sweep, both 1001-point fermion sweeps and a scalar-one
+sweep whose last point cannot converge below the cutoff cap (exit 3).  The
+scalar grids end at r >= 1.2, so their last points climb the cutoff ladder to
+120.  Cases in ``DIGESTS`` are pinned by the SHA-256 of their bytes, the
+others by files in ``tests/golden/``.
 
 Regenerate the files (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which also prints the digests of the ``DIGESTS`` cases.
 """
 
+import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,32 +27,68 @@ from accelpair.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# case name: (sweep arguments, exit code)
 CASES = {
-    "fermion-one": ["--steps", "11"],
-    "fermion-both": ["--steps", "11"],
-    "scalar-one": ["--steps", "5"],
-    "scalar-both": ["--steps", "5"],
+    "fermion-one": (["--scenario", "fermion-one", "--steps", "11"], 0),
+    "fermion-both": (["--scenario", "fermion-both", "--steps", "11"], 0),
+    "scalar-one": (["--scenario", "scalar-one", "--steps", "5"], 0),
+    "scalar-both": (["--scenario", "scalar-both", "--steps", "5"], 0),
+    "default-fermion-one": (["--scenario", "fermion-one"], 0),
+    "default-fermion-both": (["--scenario", "fermion-both"], 0),
+    "default-scalar-one": (["--scenario", "scalar-one"], 0),
+    "default-scalar-both": (["--scenario", "scalar-both"], 0),
+    "readme-mu2": (
+        ["--scenario", "fermion-both", "--mu2", "--min", "0.05", "--max", "2", "--steps", "40"],
+        0,
+    ),
+    "scalar-one-cap": (["--scenario", "scalar-one", "--max", "354", "--steps", "3"], 3),
+    "fermion-one-1001": (["--scenario", "fermion-one", "--steps", "1001"], 0),
+    "fermion-both-1001": (["--scenario", "fermion-both", "--steps", "1001"], 0),
+}
+
+# case name: (SHA-256 of the CSV, SHA-256 of the SVG)
+DIGESTS = {
+    "fermion-one-1001": (
+        "08fa183ec005d7b6046e7f48d62cc2d9fe8761cbaf039537ca4864688b6ef9fd",
+        "9c2764414a46b5585ba405b214b757ce77f4db1fea9e9d670d40bddbd5cb6c8b",
+    ),
+    "fermion-both-1001": (
+        "c44b44cd61187c7a4bd848b0ac19fc4c7d6e23b27eb3be91de98f499a9dbf146",
+        "bbb2f043d2986616f3d8ae14717f72cea51d77bc7a84e1eb7ae94cf466f5ccc5",
+    ),
 }
 
 
-def _sweep(scenario: str, out_dir: Path) -> tuple[int, Path, Path]:
-    csv_path = out_dir / f"{scenario}.csv"
-    svg_path = out_dir / f"{scenario}.svg"
-    argv = ["sweep", "--scenario", scenario, *CASES[scenario]]
-    code = main([*argv, "--csv", str(csv_path), "--svg", str(svg_path)])
+def _sweep(name: str, out_dir: Path) -> tuple[int, Path, Path]:
+    csv_path = out_dir / f"{name}.csv"
+    svg_path = out_dir / f"{name}.svg"
+    code = main(["sweep", *CASES[name][0], "--csv", str(csv_path), "--svg", str(svg_path)])
     return code, csv_path, svg_path
 
 
-@pytest.mark.parametrize("scenario", sorted(CASES))
-def test_sweep_output_matches_golden_bytes(scenario, tmp_path, capsys):
-    code, csv_path, svg_path = _sweep(scenario, tmp_path)
-    assert code == 0
-    assert csv_path.read_bytes() == (GOLDEN / csv_path.name).read_bytes()
-    assert svg_path.read_bytes() == (GOLDEN / svg_path.name).read_bytes()
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_output_matches_golden_bytes(name, tmp_path, capsys):
+    code, csv_path, svg_path = _sweep(name, tmp_path)
+    assert code == CASES[name][1]
+    if name in DIGESTS:
+        assert (_sha256(csv_path), _sha256(svg_path)) == DIGESTS[name]
+    else:
+        assert csv_path.read_bytes() == (GOLDEN / csv_path.name).read_bytes()
+        assert svg_path.read_bytes() == (GOLDEN / svg_path.name).read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in CASES:
-        if _sweep(name, GOLDEN)[0] != 0:
-            sys.exit(f"{name}: sweep failed")
+    for name, (_, expected) in CASES.items():
+        if name in DIGESTS:
+            with tempfile.TemporaryDirectory() as tmp:
+                code, csv_path, svg_path = _sweep(name, Path(tmp))
+                print(f'    "{name}": ("{_sha256(csv_path)}", "{_sha256(svg_path)}"),')
+        else:
+            code = _sweep(name, GOLDEN)[0]
+        if code != expected:
+            sys.exit(f"{name}: sweep exited {code}, expected {expected}")
