@@ -110,8 +110,7 @@ def reduced_density(state: Ket, bp: Bipartition) -> DensityMatrix:
     if abs(state.norm_squared() - 1.0) > _UNIT_NORM_TOL:
         raise DomainError("reduced_density requires a unit-norm state; normalize first")
     layout = state.layout
-    keep_pos = sorted(layout.position(lbl) for lbl in bp.kept)
-    traced_pos = [i for i in range(len(layout.dims)) if i not in keep_pos]
+    keep_pos, traced_pos = layout.split(bp.kept)
     dims = layout.dims
     keep_dim = math.prod(dims[p] for p in keep_pos)
     block = state.amplitudes.reshape(dims).transpose(keep_pos + traced_pos)
@@ -126,13 +125,10 @@ def partial_transpose(rho: DensityMatrix, party_a: Iterable[str]) -> np.ndarray:
     The result is generally not positive semidefinite, so a plain matrix is
     returned rather than a DensityMatrix.
     """
-    labels = set(party_a)
-    layout = rho.layout
-    positions = sorted(layout.position(lbl) for lbl in labels)
-    dims = layout.dims
+    dims = rho.layout.dims
     n_modes = len(dims)
     t = rho.entries.reshape(dims + dims)
-    for p in positions:
+    for p in rho.layout.split(party_a)[0]:
         t = np.swapaxes(t, p, n_modes + p)
     return np.ascontiguousarray(t.reshape(rho.entries.shape))
 

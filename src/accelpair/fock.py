@@ -1,9 +1,10 @@
 """Finite-dimensional multi-mode Fock layouts and the dense reference records.
 
 States live on an ordered sequence of sub-modes (particle or antiparticle
-species of a named field mode), each given by a label and a local dimension:
-a bosonic sub-mode truncated at occupation N has dimension N+1, a fermionic
-sub-mode dimension 2.  Joint occupation numbers are flattened row-major in
+species of a named field mode), each given by a label and a local dimension,
+which :class:`SubsystemLayout` holds side by side: a bosonic sub-mode
+truncated at occupation N has dimension N+1, a fermionic sub-mode
+dimension 2.  Joint occupation numbers are flattened row-major in
 layout order by ``np.ravel_multi_index``, the one basis convention of every
 operation in the package.
 :class:`Ket` and :class:`DensityMatrix` are the dense records of the
@@ -27,9 +28,6 @@ from .errors import DomainError, LayoutError
 __all__ = [
     "DEFAULT_AMPLITUDE_LIMIT",
     "check_dense",
-    "SubModeSpec",
-    "boson_mode",
-    "fermion_mode",
     "SubsystemLayout",
     "Ket",
     "DensityMatrix",
@@ -45,75 +43,55 @@ _UNIT_TRACE_TOL = 1e-10
 _HERMITICITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SubModeSpec:
-    """One sub-mode: a unique label and its local dimension."""
-
-    label: str
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise LayoutError("sub-mode label must be a non-empty string")
-        if not isinstance(self.dim, numbers.Integral):
-            raise LayoutError(f"sub-mode {self.label!r} dimension must be an integer, got {self.dim!r}")
-        if self.dim < 2:
-            raise LayoutError(f"sub-mode {self.label!r} needs dimension >= 2, got {self.dim}")
-
-
 def check_dense(n: int) -> None:
     """LayoutError if ``n`` dense amplitudes exceed the limit; call before allocating."""
     if n > DEFAULT_AMPLITUDE_LIMIT:
         raise LayoutError(f"refusing to allocate {n} dense amplitudes (limit {DEFAULT_AMPLITUDE_LIMIT})")
 
 
-def boson_mode(label: str, cutoff: int) -> SubModeSpec:
-    return SubModeSpec(label, cutoff + 1)
-
-
-def fermion_mode(label: str) -> SubModeSpec:
-    return SubModeSpec(label, 2)
-
-
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered sub-modes defining the row-major joint occupation basis."""
+    """Ordered sub-modes, each a unique non-empty label and an integer dimension
+    >= 2, defining the row-major joint occupation basis.  The one place that maps
+    labels to positions (:meth:`split`)."""
 
-    modes: tuple[SubModeSpec, ...]
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if not self.modes:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "dims", tuple(self.dims))
+        if not self.labels:
             raise LayoutError("layout needs at least one sub-mode")
-        labels = [m.label for m in self.modes]
-        if len(set(labels)) != len(labels):
-            raise LayoutError(f"duplicate sub-mode labels in layout: {labels}")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(m.dim for m in self.modes)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.modes)
+        if len(self.labels) != len(self.dims):
+            raise LayoutError(f"{len(self.labels)} labels but {len(self.dims)} dims in layout")
+        for label, dim in zip(self.labels, self.dims):
+            if not label:
+                raise LayoutError("sub-mode label must be a non-empty string")
+            if not isinstance(dim, numbers.Integral):
+                raise LayoutError(f"sub-mode {label!r} dimension must be an integer, got {dim!r}")
+            if dim < 2:
+                raise LayoutError(f"sub-mode {label!r} needs dimension >= 2, got {dim}")
+        if len(set(self.labels)) != len(self.labels):
+            raise LayoutError(f"duplicate sub-mode labels in layout: {list(self.labels)}")
 
     @property
     def total_dim(self) -> int:
-        return math.prod(m.dim for m in self.modes)
+        return math.prod(self.dims)
 
-    def position(self, label: str) -> int:
-        for i, m in enumerate(self.modes):
-            if m.label == label:
-                return i
-        raise LayoutError(f"unknown sub-mode label {label!r}; layout has {self.labels}")
-
-    def restricted(self, labels: Iterable[str]) -> "SubsystemLayout":
-        """Sub-layout of the given labels, preserving this layout's order."""
+    def split(self, labels: Iterable[str]) -> tuple[list[int], list[int]]:
+        """Positions of ``labels``, in layout order, and of the other sub-modes;
+        LayoutError on a label the layout lacks."""
         wanted = set(labels)
-        for lbl in wanted:
-            self.position(lbl)  # raises on unknown labels
-        kept = tuple(m for m in self.modes if m.label in wanted)
-        return SubsystemLayout(kept)
+        if unknown := wanted.difference(self.labels):
+            raise LayoutError(f"unknown sub-mode labels {sorted(unknown)} in layout {self.labels}")
+        pos = [i for i, label in enumerate(self.labels) if label in wanted]
+        return pos, [i for i, label in enumerate(self.labels) if label not in wanted]
+
+    def restricted(self, labels: Iterable[str]) -> SubsystemLayout:
+        """Sub-layout of the given labels, preserving this layout's order."""
+        pos = self.split(labels)[0]
+        return SubsystemLayout([self.labels[p] for p in pos], [self.dims[p] for p in pos])
 
 
 @dataclass(frozen=True)

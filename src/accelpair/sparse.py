@@ -79,12 +79,6 @@ def _ravel(occupations: np.ndarray, dims: Sequence[int], positions: Sequence[int
     return np.ravel_multi_index(cols, [dims[p] for p in positions])
 
 
-def _split(layout: SubsystemLayout, labels: Iterable[str]) -> tuple[list[int], list[int]]:
-    """Layout positions of ``labels``, in layout order, and of the other sub-modes."""
-    pos = sorted(layout.position(lbl) for lbl in set(labels))
-    return pos, [i for i in range(len(layout.dims)) if i not in pos]
-
-
 @dataclass(frozen=True)
 class CoordKet:
     """Pure state stored as distinct occupation tuples, amplitudes and branches.
@@ -147,7 +141,7 @@ def _entry_at(traced: np.ndarray, branch: np.ndarray, which: int, size: int) -> 
 def _cross_terms(layout, occupations, branch, keep) -> tuple:
     """(kept layout, each entry's kept index, the entry pairs of the cross terms)."""
     keep = set(keep)
-    kept, (keep_pos, traced_pos) = layout.restricted(keep), _split(layout, keep)
+    kept, (keep_pos, traced_pos) = layout.restricted(keep), layout.split(keep)
     rows = _ravel(occupations, layout.dims, keep_pos)
     traced = _ravel(occupations, layout.dims, traced_pos)
     size = math.prod(layout.dims[p] for p in traced_pos)
@@ -293,9 +287,7 @@ def plan_chain(layout, occupations, branch, keep, party_a, charge) -> ChainPlan:
     filled slots than cross terms means an edge was hit twice, and otherwise
     the filled slots, read in order, are the cross terms in edge order."""
     kept, rows, first, second = _cross_terms(layout, occupations, branch, keep)
-    party_a = frozenset(party_a)
-    a_pos = [i for i, lbl in enumerate(kept.labels) if lbl in party_a]
-    pt = _swap(rows[first], rows[second], kept.dims, a_pos)
+    pt = _swap(rows[first], rows[second], kept.dims, kept.split(party_a)[0])
     _, place, *pt = _chain(charge, kept.total_dim, *pt)
     edge = np.minimum(*pt)
     slot = np.full(kept.total_dim, -1)
@@ -310,7 +302,7 @@ def plan_chain(layout, occupations, branch, keep, party_a, charge) -> ChainPlan:
 def cut_sides(layout, occupations, branch, party_a: Iterable[str]) -> list[np.ndarray]:
     """Each entry's party-A and party-B index; DomainError if the branches share one."""
     one, sides = np.asarray(branch) == 1, []
-    for pos in _split(layout, party_a):
+    for pos in layout.split(party_a):
         sides.append(_ravel(occupations, layout.dims, pos))
         seen = np.zeros(math.prod(layout.dims[p] for p in pos), dtype=bool)
         seen[sides[-1][~one]] = True

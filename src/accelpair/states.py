@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fock import Ket, SubModeSpec, SubsystemLayout, boson_mode, check_dense, fermion_mode
+from .fock import Ket, SubsystemLayout, check_dense
 from .sparse import CoordKet, norm_squared
 
 __all__ = [
@@ -88,20 +88,13 @@ class Scenario:
 
 def scenario_layout(sc: Scenario) -> SubsystemLayout:
     """Canonical layout (s_p, s_a, w_p, w_a), omitting absent sub-modes."""
-    modes: list = []
-    for mode in ("s", "w"):
-        p, a = f"{mode}_p", f"{mode}_a"
-        if sc.accelerated == "one" and mode == "s":
-            # Unaccelerated mode: bare two-level particle sub-mode, no
-            # antiparticle partner is ever populated.
-            modes.append(SubModeSpec(p, 2))
-        elif sc.is_fermion:
-            modes.extend((fermion_mode(p), fermion_mode(a)))
-        else:
-            # One-particle amplitudes reach occupation cutoff+1, so the
-            # particle sub-mode gets one extra level.
-            modes.extend((boson_mode(p, sc.cutoff + 1), boson_mode(a, sc.cutoff)))
-    return SubsystemLayout(tuple(modes))
+    # An unaccelerated s mode is a bare two-level particle sub-mode with no
+    # antiparticle partner.  Scalar one-particle amplitudes reach occupation
+    # cutoff+1, so a scalar particle sub-mode gets one extra level.
+    pair = (2, 2) if sc.is_fermion else (sc.cutoff + 2, sc.cutoff + 1)
+    if sc.accelerated == "one":
+        return SubsystemLayout(("s_p", "w_p", "w_a"), (2, *pair))
+    return SubsystemLayout(("s_p", "s_a", "w_p", "w_a"), pair * 2)
 
 
 def _cosh_squared(r: float) -> float:

@@ -21,8 +21,6 @@ from accelpair.fock import (
     DensityMatrix,
     Ket,
     SubsystemLayout,
-    boson_mode,
-    fermion_mode,
     hermitian_eigenvalues,
 )
 from accelpair.states import build_final_state
@@ -39,7 +37,7 @@ HALF_PI = math.pi / 2
 
 
 def bell_state():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    layout = SubsystemLayout(("a", "b"), (2, 2))
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1.0 / math.sqrt(2.0)
     return Ket(layout, amps)
@@ -80,7 +78,7 @@ def test_reduced_density_without_tracing_is_outer_product():
 
 def test_reduced_density_agrees_with_partial_trace_route():
     rng = np.random.default_rng(41)
-    layout = SubsystemLayout((boson_mode("a", 1), fermion_mode("b"), boson_mode("c", 2)))
+    layout = SubsystemLayout(("a", "b", "c"), (2, 2, 3))
     for _ in range(8):
         k = Ket(layout, random_pure_amplitudes(rng, layout.total_dim))
         bp = Bipartition({"a"}, {"c"}, {"b"})
@@ -91,7 +89,7 @@ def test_reduced_density_agrees_with_partial_trace_route():
 
 def test_reduced_densities_are_positive_semidefinite():
     rng = np.random.default_rng(61)
-    layout = SubsystemLayout((boson_mode("a", 1), fermion_mode("b"), boson_mode("c", 2)))
+    layout = SubsystemLayout(("a", "b", "c"), (2, 2, 3))
     for _ in range(6):
         k = Ket(layout, random_pure_amplitudes(rng, layout.total_dim))
         rho = reduced_density(k, Bipartition({"a"}, {"b"}, {"c"}))
@@ -112,7 +110,7 @@ def test_partial_transpose_empty_party_is_identity():
 
 def test_partial_transpose_is_involutive():
     rng = np.random.default_rng(43)
-    layout = SubsystemLayout((fermion_mode("a"), boson_mode("b", 2)))
+    layout = SubsystemLayout(("a", "b"), (2, 3))
     rho = pure(Ket(layout, random_pure_amplitudes(rng, layout.total_dim)))
     once = partial_transpose(rho, ("a",))
     twice = partial_transpose(DensityMatrix(rho.layout, once), ("a",))
@@ -132,7 +130,7 @@ def test_partial_transpose_unknown_label():
 
 
 def test_negativity_of_product_state_is_zero():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    layout = SubsystemLayout(("a", "b"), (2, 2))
     rho = pure(Ket(layout, np.kron([0.0, 1.0], [1.0, 0.0])))  # |1_a> (x) |0_b>
     assert negativity(rho, ("a",)) == 0.0
     assert log_negativity(rho, ("a",)) == 0.0
@@ -146,7 +144,7 @@ def test_negativity_of_bell_state():
 
 def test_negativity_matches_trace_norm_definition():
     rng = np.random.default_rng(47)
-    layout = SubsystemLayout((fermion_mode("a"), boson_mode("b", 2), fermion_mode("c")))
+    layout = SubsystemLayout(("a", "b", "c"), (2, 3, 2))
     for _ in range(10):
         k = Ket(layout, random_pure_amplitudes(rng, layout.total_dim))
         bp = Bipartition({"a"}, {"b"}, {"c"})

@@ -13,8 +13,6 @@ from accelpair.fock import (
     DensityMatrix,
     Ket,
     SubsystemLayout,
-    boson_mode,
-    fermion_mode,
     hermitian_eigenvalues,
 )
 from accelpair.states import Scenario, build_final_state
@@ -23,7 +21,7 @@ from oracles import jacobi_hermitian_eigenvalues, random_pure_amplitudes
 
 
 def two_qubits():
-    return SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    return SubsystemLayout(("a", "b"), (2, 2))
 
 
 def bell_ket():
@@ -37,32 +35,45 @@ def bell_ket():
 
 
 def test_mode_spec_validation():
-    from accelpair.fock import SubModeSpec
-
-    with pytest.raises(LayoutError):
-        boson_mode("x", 0)  # cutoff must be >= 1
-    with pytest.raises(LayoutError):
-        SubModeSpec("x", 1)
+    # every sub-mode's label and dimension, checked by the layout that holds them
+    with pytest.raises(LayoutError, match="dimension >= 2"):
+        SubsystemLayout(("x",), (1,))
     with pytest.raises(LayoutError, match="non-empty"):
-        SubModeSpec("", 2)
+        SubsystemLayout(("x", ""), (2, 2))
     with pytest.raises(LayoutError, match="integer"):
-        SubModeSpec("x", 2.5)
-    assert SubModeSpec("x", np.int64(3)).dim == 3
-    assert fermion_mode("x") == SubModeSpec("x", 2) == boson_mode("x", 1)
+        SubsystemLayout(("x",), (2.5,))
+    assert SubsystemLayout(("x",), (np.int64(3),)).dims == (3,)
+    with pytest.raises(LayoutError, match="at least one"):
+        SubsystemLayout((), ())
+    with pytest.raises(LayoutError, match="2 labels but 1 dims"):
+        SubsystemLayout(("a", "b"), (2,))
+    with pytest.raises(LayoutError, match="1 labels but 2 dims"):
+        SubsystemLayout(("a",), (2, 2))
 
 
 def test_layout_rejects_duplicates_and_oversize():
-    with pytest.raises(LayoutError):
-        SubsystemLayout((fermion_mode("a"), fermion_mode("a")))
+    with pytest.raises(LayoutError, match="duplicate"):
+        SubsystemLayout(("a", "a"), (2, 2))
     # a layout only describes modes; its dense vector is refused where it is made
-    big = SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
+    big = big_square()
     assert big.total_dim == 2001 * 2001
     with pytest.raises(LayoutError):
         Ket(big, [1.0])
 
 
 def big_square():
-    return SubsystemLayout((boson_mode("a", 2000), boson_mode("b", 2000)))
+    return SubsystemLayout(("a", "b"), (2001, 2001))
+
+
+def test_layout_split_and_restricted():
+    layout = SubsystemLayout(("a", "b", "c", "d"), (2, 3, 4, 5))
+    assert layout.split(("d", "b", "d")) == ([1, 3], [0, 2])
+    assert layout.split(()) == ([], [0, 1, 2, 3])
+    assert layout.restricted({"d", "b"}) == SubsystemLayout(("b", "d"), (3, 5))
+    assert layout.restricted(iter(("a",))) == SubsystemLayout(("a",), (2,))
+    for lookup in (layout.split, layout.restricted):
+        with pytest.raises(LayoutError, match="unknown sub-mode labels \\['zz'\\]"):
+            lookup(("a", "zz"))
 
 
 @pytest.mark.parametrize(
@@ -118,7 +129,7 @@ def test_basis_index_examples():
 
 def test_basis_index_round_trip_exhaustive():
     # itertools.product enumerates occupations in row-major order by definition
-    layout = SubsystemLayout((boson_mode("a", 2), fermion_mode("b"), boson_mode("c", 3)))
+    layout = SubsystemLayout(("a", "b", "c"), (3, 2, 4))
     occs = list(itertools.product(*(range(d) for d in layout.dims)))
     assert len(occs) == layout.total_dim
     ket = Ket(layout, np.arange(len(occs)) / len(occs) ** 1.5)  # amplitude idx / n^1.5 at idx
@@ -136,7 +147,7 @@ def test_basis_index_errors():
 @given(st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4), st.data())
 @settings(max_examples=50, deadline=None)
 def test_basis_index_bijection_property(dims, data):
-    layout = SubsystemLayout(tuple(boson_mode(f"m{i}", d - 1) for i, d in enumerate(dims)))
+    layout = SubsystemLayout([f"m{i}" for i in range(len(dims))], dims)
     occ = tuple(data.draw(st.integers(min_value=0, max_value=d - 1)) for d in dims)
     assert one_hot(layout, row_major_index(occ, dims)).amplitude(occ) == 1.0
 
@@ -158,7 +169,7 @@ def test_ket_validation():
 
 
 def test_density_matrix_validation():
-    layout = SubsystemLayout((fermion_mode("a"),))
+    layout = SubsystemLayout(("a",), (2,))
     with pytest.raises(DomainError):
         DensityMatrix(layout, np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
     with pytest.raises(DomainError):
@@ -171,7 +182,7 @@ def test_density_matrix_validation():
 
 
 def test_partial_trace_bell_gives_maximally_mixed():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b"), fermion_mode("c")))
+    layout = SubsystemLayout(("a", "b", "c"), (2, 2, 2))
     ket = Ket(layout, np.kron(bell_ket().amplitudes, [1.0, 0.0]))  # Bell pair (x) |0_c>
     red = reduced_density(ket, Bipartition({"a"}, {"c"}, {"b"}))
     assert np.allclose(red.entries, np.kron(np.eye(2) / 2.0, np.diag([1.0, 0.0])), atol=1e-14)
@@ -179,18 +190,18 @@ def test_partial_trace_bell_gives_maximally_mixed():
 
 def test_partial_trace_factorizes_product_states():
     rng = np.random.default_rng(11)
-    la = SubsystemLayout((boson_mode("a", 2), fermion_mode("x")))
-    lb = SubsystemLayout((boson_mode("b", 1),))
+    la = SubsystemLayout(("a", "x"), (3, 2))
+    lb = SubsystemLayout(("b",), (2,))
     ka = random_pure_amplitudes(rng, la.total_dim)
     kb = random_pure_amplitudes(rng, lb.total_dim)
-    joint = Ket(SubsystemLayout(la.modes + lb.modes), np.kron(ka, kb))
+    joint = Ket(SubsystemLayout(la.labels + lb.labels, la.dims + lb.dims), np.kron(ka, kb))
     red = reduced_density(joint, Bipartition({"a"}, {"x"}, {"b"}))
     assert np.max(np.abs(red.entries - np.outer(ka, ka.conj()))) < 1e-12
 
 
 def test_partial_trace_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(5)
-    layout = SubsystemLayout((boson_mode("a", 2), boson_mode("b", 1), fermion_mode("c")))
+    layout = SubsystemLayout(("a", "b", "c"), (3, 2, 2))
     for _ in range(10):
         ket = Ket(layout, random_pure_amplitudes(rng, layout.total_dim))
         red = reduced_density(ket, Bipartition({"b"}, {"c"}, {"a"})).entries

@@ -21,7 +21,7 @@ from accelpair.entanglement import (
     pair_spectra,
     sweep_plan,
 )
-from accelpair.fock import SubsystemLayout, boson_mode, fermion_mode
+from accelpair.fock import SubsystemLayout
 from accelpair.sparse import (
     CoordKet,
     _swap,
@@ -214,7 +214,7 @@ def test_plan_of_another_cutoff_or_scenario_is_rejected():
 
 
 # Three kept or traced three-level modes; keep (a, b), trace t, transpose a.
-TRIPLE = SubsystemLayout((boson_mode("a", 2), boson_mode("b", 2), boson_mode("t", 2)))
+TRIPLE = SubsystemLayout(("a", "b", "t"), (3, 3, 3))
 SUM_CHARGE = np.add.outer(np.arange(3), np.arange(3)).ravel()  # a + b: (1, 0) and (0, 1) meet
 
 
@@ -255,7 +255,7 @@ def test_chain_plan_matches_reference_on_a_valid_support():
 
 
 def test_cut_check_rejects_branches_sharing_a_state():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    layout = SubsystemLayout(("a", "b"), (2, 2))
     with pytest.raises(DomainError, match="share a state"):
         cut_sides(layout, np.array([[0, 0], [1, 0]]), np.array([0, 1]), ("a",))
 

@@ -14,7 +14,7 @@ from accelpair.entanglement import (
     reduced_density,
     sweep_plan,
 )
-from accelpair.fock import Ket, SubsystemLayout, boson_mode, fermion_mode, hermitian_eigenvalues
+from accelpair.fock import Ket, SubsystemLayout, hermitian_eigenvalues
 from accelpair.sparse import (
     CoordKet,
     HermitianCoords,
@@ -34,9 +34,7 @@ from oracles import (
     sparse_pt_eigenvalues,
 )
 
-LAYOUT = SubsystemLayout(
-    (boson_mode("a", 2), fermion_mode("b"), boson_mode("c", 2), fermion_mode("d"))
-)
+LAYOUT = SubsystemLayout(("a", "b", "c", "d"), (3, 2, 3, 2))
 
 
 def hermitian_coords(dense):
@@ -76,7 +74,7 @@ def dense_reference(ck, keep):
 
 
 def test_coord_ket_validation():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    layout = SubsystemLayout(("a", "b"), (2, 2))
     with pytest.raises(LayoutError):
         CoordKet(layout, np.array([[0, 2]]), np.array([1.0]), [0])
     with pytest.raises(LayoutError):
@@ -111,7 +109,7 @@ def test_coordinate_gram_matches_dense_on_two_branch_states(seed, n_entries, kee
 
 
 def test_reduced_gram_rejects_input_outside_two_branches():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    layout = SubsystemLayout(("a", "b"), (2, 2))
     occ = np.array([[0, 0], [1, 0]])
     val = np.array([0.6, 0.8])
     # two branch-0 entries at traced b = 0
@@ -230,7 +228,7 @@ def test_block_eigenvalues_reject_sector_that_is_not_a_chain():
 
 
 def test_schmidt_weights_of_bell_pair():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    layout = SubsystemLayout(("a", "b"), (2, 2))
     ck = CoordKet(
         layout, np.array([[0, 0], [1, 1]]), np.array([1.0, 1.0]) / math.sqrt(2.0), [0, 1]
     )
@@ -238,7 +236,7 @@ def test_schmidt_weights_of_bell_pair():
 
 
 def test_schmidt_weights_reject_branches_sharing_a_state():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    layout = SubsystemLayout(("a", "b"), (2, 2))
     ck = CoordKet(layout, np.array([[0, 0], [1, 0]]), np.array([0.6, 0.8]), [0, 0])
     assert np.allclose(schmidt_weights(ck, ("a",)), [1.0, 0.0], atol=1e-15)
     with pytest.raises(DomainError):  # party-B state 0 in both branches
@@ -248,7 +246,7 @@ def test_schmidt_weights_reject_branches_sharing_a_state():
 
 
 def test_schmidt_weights_reject_a_branch_that_is_not_a_product():
-    layout = SubsystemLayout((fermion_mode("a"), fermion_mode("b")))
+    layout = SubsystemLayout(("a", "b"), (2, 2))
     ck = CoordKet(layout, np.array([[0, 0], [1, 1]]), np.array([0.6, 0.8]), [0, 0])
     # rho_a has eigenvalues (0.36, 0.64); the branch norms would claim (0, 1)
     x = densify(ck).reshape(2, 2)
@@ -272,9 +270,7 @@ def test_scenario_branches_are_products_across_the_full_cut(sc):
 @settings(max_examples=200, deadline=None)
 def test_sector_schmidt_weights_match_dense_eigvalsh(seed, n_party_a):
     rng = np.random.default_rng(seed)
-    layout = SubsystemLayout(
-        (boson_mode("a", 3), fermion_mode("b"), boson_mode("c", 3), fermion_mode("d"))
-    )
+    layout = SubsystemLayout(("a", "b", "c", "d"), (4, 2, 4, 2))
     dims = layout.dims
     a_pos = sorted(rng.choice(len(dims), size=n_party_a, replace=False).tolist())
     b_pos = [i for i in range(len(dims)) if i not in a_pos]
@@ -323,7 +319,7 @@ def test_scenario_pipeline_sparse_equals_dense():
         for name, bp in named_bipartitions(sc).items():
             ours_ln = result.systems[name].log_negativity
             if not bp.traced:
-                a_pos = sorted(dense.layout.position(lbl) for lbl in bp.party_a)
+                a_pos = dense.layout.split(bp.party_a)[0]
                 ref_ln = pure_state_log_negativity(dense.amplitudes, dense.layout.dims, a_pos)
                 assert ours_ln == pytest.approx(ref_ln, abs=1e-12)
                 continue
@@ -355,7 +351,7 @@ def test_traced_scalar_systems_match_sparse_oracle_at_cutoff_120(accelerated):
             partial_transpose_sparse(rho, kept_dims, a_pos),
             kept_charges(kept_dims, kept_labels, bp.party_a),
         )
-        keep = sorted(ck.layout.position(lbl) for lbl in bp.kept)
+        keep = ck.layout.split(bp.kept)[0]
         ref = sparse_pt_eigenvalues(ck.occupations, ck.values, ck.layout.dims, keep, a_pos)
         assert np.max(np.abs(ours - ref)) < 1e-12, name
         ref_negativity = -ref[ref < -NEGATIVE_EIGENVALUE_TOL].sum()
