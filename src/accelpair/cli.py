@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bogoliubov import FieldParams, coefficients, mu2_from_field, verify_unitarity
-from .entanglement import ScenarioResult, SweepPlan, closed_form_ln, evaluate_scenario, sweep_plan
+from .entanglement import ScenarioResult, SweepPlan, closed_forms, evaluate_scenario, sweep_plan
 from .errors import DomainError, LayoutError
 from .states import Scenario, scenario_amplitudes
 from .svg import Curve, render_line_plot
@@ -78,6 +78,8 @@ class SweepConfig:
             raise DomainError(f"steps must be an integer, got {self.steps!r}")
         if not 2 <= self.steps <= _STEPS_CAP:
             raise DomainError(f"steps must lie in [2, {_STEPS_CAP}], got {self.steps}")
+        if not isinstance(self.cutoff, numbers.Integral):
+            raise DomainError(f"cutoff must be an integer, got {self.cutoff!r}")
         if not 4 <= self.cutoff < CUTOFF_CAP:  # the ladder must be able to double at least once
             raise DomainError(f"cutoff must lie in [4, {CUTOFF_CAP - 1}], got {self.cutoff}")
         if self.grid_max is None:
@@ -177,14 +179,14 @@ def emit_csv(table: SweepTable, path: Path) -> Path:
     """UTF-8, LF-terminated CSV with 12-significant-digit values; fermion rows
     are exact, so they add the closed-form ``cf_*`` columns and report cutoff 0."""
     cfg = table.config
-    fermion = cfg.statistics == "fermion"
+    fermion, systems = cfg.statistics == "fermion", table.systems
     header: list[str] = []
     if cfg.mu2_grid:
         header.append("mu2")
     header.append("r")
-    header += [f"ln_{_column_key(s)}" for s in table.systems]
+    header += [f"ln_{_column_key(s)}" for s in systems]
     if fermion:
-        header += [f"cf_{_column_key(s)}" for s in table.systems]
+        header += [f"cf_{_column_key(s)}" for s in systems]
     header += ["deficit", "cutoff", "converged"]
 
     path = Path(path)
@@ -196,9 +198,9 @@ def emit_csv(table: SweepTable, path: Path) -> Path:
             squeeze = res.scenario.squeeze
             values = [row.param] if cfg.mu2_grid else []
             values.append(squeeze)
-            values += [res.systems[s].log_negativity for s in table.systems]
+            values += [res.systems[s].log_negativity for s in systems]
             if fermion:
-                values += [closed_form_ln(cfg.scenario, s, squeeze) for s in table.systems]
+                values += closed_forms(cfg.scenario, systems, squeeze)
             values.append(res.deficit)
             cutoff = 0 if fermion else res.scenario.cutoff
             flag = "true" if row.converged else "false"

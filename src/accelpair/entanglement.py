@@ -41,6 +41,7 @@ __all__ = [
     "reduced_density",
     "partial_transpose",
     "closed_form_ln",
+    "closed_forms",
     "named_bipartitions",
     "SystemResult",
     "ScenarioResult",
@@ -163,21 +164,28 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form_ln(scenario: str, system: str, r_f: float) -> float:
-    """Closed-form fermionic logarithmic negativity for a named reduced system."""
+def closed_forms(scenario: str, systems: Iterable[str], r_f: float) -> list[float]:
+    """Closed-form fermionic logarithmic negativity of each named reduced system."""
     try:
         forms = _CLOSED_FORMS[scenario]
     except KeyError:
         raise DomainError(
             f"closed forms exist for 'fermion-one' and 'fermion-both', got {scenario!r}"
         ) from None
-    if system not in forms:
-        raise DomainError(f"unknown reduced system {system!r} for {scenario}: {sorted(forms)}")
+    systems = list(systems)
+    for system in systems:
+        if system not in forms:
+            raise DomainError(f"unknown reduced system {system!r} for {scenario}: {sorted(forms)}")
     if not 0.0 <= r_f <= math.pi / 2.0:
         raise DomainError(f"r_f must lie in [0, pi/2], got {r_f}")
     c2 = math.cos(r_f) ** 2
     s2 = math.sin(r_f) ** 2
-    return forms[system](c2, s2)
+    return [forms[system](c2, s2) for system in systems]
+
+
+def closed_form_ln(scenario: str, system: str, r_f: float) -> float:
+    """Closed-form fermionic logarithmic negativity for a named reduced system."""
+    return closed_forms(scenario, [system], r_f)[0]
 
 
 def named_bipartitions(sc: Scenario) -> dict[str, Bipartition]:

@@ -66,8 +66,8 @@ class SubsystemLayout:
         if len(self.labels) != len(self.dims):
             raise LayoutError(f"{len(self.labels)} labels but {len(self.dims)} dims in layout")
         for label, dim in zip(self.labels, self.dims):
-            if not label:
-                raise LayoutError("sub-mode label must be a non-empty string")
+            if not (isinstance(label, str) and label):
+                raise LayoutError(f"sub-mode label must be a non-empty string, got {label!r}")
             if not isinstance(dim, numbers.Integral):
                 raise LayoutError(f"sub-mode {label!r} dimension must be an integer, got {dim!r}")
             if dim < 2:
@@ -84,7 +84,8 @@ class SubsystemLayout:
         LayoutError on a label the layout lacks."""
         wanted = set(labels)
         if unknown := wanted.difference(self.labels):
-            raise LayoutError(f"unknown sub-mode labels {sorted(unknown)} in layout {self.labels}")
+            names = ", ".join(sorted(map(repr, unknown)))
+            raise LayoutError(f"unknown sub-mode labels {names} in layout {self.labels}")
         pos = [i for i, label in enumerate(self.labels) if label in wanted]
         return pos, [i for i, label in enumerate(self.labels) if label not in wanted]
 

@@ -56,6 +56,7 @@ BAD_CONFIGS = [
     dict(scenario="scalar-one", convergence_tol=math.inf),
     dict(scenario="scalar-one", cutoff=3),
     dict(scenario="scalar-one", cutoff=CUTOFF_CAP + 1),
+    dict(scenario="fermion-one", cutoff=4.5),
 ]
 
 

@@ -14,6 +14,7 @@ from accelpair import (
 from accelpair.entanglement import (
     NEGATIVE_EIGENVALUE_TOL,
     Bipartition,
+    closed_forms,
     partial_transpose,
     reduced_density,
 )
@@ -187,6 +188,16 @@ def test_closed_form_domain_errors():
         closed_form_ln("fermion-one", "p,p", 0.3)
     with pytest.raises(DomainError):
         closed_form_ln("fermion-one", "s,p", 2.0)
+    with pytest.raises(DomainError, match="'p,p'"):  # every system of a row is checked
+        closed_forms("fermion-one", ["full", "s,p", "p,p"], 0.3)
+
+
+@pytest.mark.parametrize("scenario", ["fermion-one", "fermion-both"])
+def test_closed_forms_of_a_row_equal_each_closed_form(scenario):
+    systems = list(named_bipartitions(Scenario(*scenario.split("-"), 0.0)))
+    for r_f in np.linspace(0.0, HALF_PI, 17):
+        each = [closed_form_ln(scenario, name, float(r_f)) for name in systems]
+        assert closed_forms(scenario, iter(systems), float(r_f)) == each
 
 
 def test_one_accelerated_particle_reduction_via_partial_trace():

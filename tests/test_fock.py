@@ -38,8 +38,9 @@ def test_mode_spec_validation():
     # every sub-mode's label and dimension, checked by the layout that holds them
     with pytest.raises(LayoutError, match="dimension >= 2"):
         SubsystemLayout(("x",), (1,))
-    with pytest.raises(LayoutError, match="non-empty"):
-        SubsystemLayout(("x", ""), (2, 2))
+    for label in ("", 1, None):
+        with pytest.raises(LayoutError, match="non-empty string"):
+            SubsystemLayout(("x", label), (2, 2))
     with pytest.raises(LayoutError, match="integer"):
         SubsystemLayout(("x",), (2.5,))
     assert SubsystemLayout(("x",), (np.int64(3),)).dims == (3,)
@@ -72,8 +73,10 @@ def test_layout_split_and_restricted():
     assert layout.restricted({"d", "b"}) == SubsystemLayout(("b", "d"), (3, 5))
     assert layout.restricted(iter(("a",))) == SubsystemLayout(("a",), (2,))
     for lookup in (layout.split, layout.restricted):
-        with pytest.raises(LayoutError, match="unknown sub-mode labels \\['zz'\\]"):
+        with pytest.raises(LayoutError, match="unknown sub-mode labels 'zz' in layout"):
             lookup(("a", "zz"))
+        with pytest.raises(LayoutError, match="labels 'zz', 1 in layout"):
+            lookup(("a", "zz", 1))
 
 
 @pytest.mark.parametrize(
