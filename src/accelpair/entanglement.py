@@ -24,7 +24,12 @@ modes, and so on; "full" keeps every sub-mode, split s side vs w side.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -252,19 +257,48 @@ def pair_spectra(d, lo, c, system, starts) -> tuple[np.ndarray, ...]:
     return negativity, np.minimum.reduceat(low, starts[:-1]), np.bincount(system, neg, n)
 
 
+@functools.cache
+def _dstebz():
+    """LAPACK ``dstebz``, loaded from scipy's ``_flapack`` extension alone.
+
+    ``from scipy.linalg.lapack import dstebz`` runs all of
+    ``scipy/linalg/__init__.py`` to reach this one routine: 0.18-0.34 s and
+    ~24 MB of RSS, a third of a fresh scalar-both sweep.  The extension alone
+    loads in 3-9 ms, and a later ``scipy.linalg.lapack.dstebz`` is the same
+    function.  Falls back to that import when the file is missing or fails to load.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name].dstebz
+    scipy = importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(scipy.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            try:
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except (ImportError, OSError):
+                break
+            sys.modules[name] = module
+            return module.dstebz
+    from scipy.linalg.lapack import dstebz
+
+    return dstebz
+
+
 def chain_spectrum(d, lo, c) -> tuple[float, float, int]:
     """Negativity, smallest eigenvalue as :class:`SystemResult` certifies it,
     and count below -1e-12 of one symmetric tridiagonal (d, couplings c >= 0
-    at (lo, lo + 1)).  One LAPACK ``dstebz`` bisects for the eigenvalues in
-    (Gershgorin bound, -1e-14], if any can lie there."""
+    at (lo, lo + 1)).  One LAPACK ``dstebz`` (:func:`_dstebz`, without the
+    ``scipy.linalg`` import) bisects for the eigenvalues in (Gershgorin bound,
+    -1e-14], if any can lie there."""
     pad = np.zeros(d.size + 1)
     pad[lo + 1] = c
     bound = float(np.min(d - pad[:-1] - pad[1:]))
     if bound >= -_CERTIFIED_TOL:  # also keeps LAPACK from an empty interval
         return 0.0, 0.0, 0
-    from scipy.linalg.lapack import dstebz  # only chains load scipy.linalg (~230 ms)
-
-    m, w, _, _, info = dstebz(d, pad[1:-1], 1, 2 * bound, -_CERTIFIED_TOL, 0, 0, 0.0, b"E")
+    m, w, _, _, info = _dstebz()(d, pad[1:-1], 1, 2 * bound, -_CERTIFIED_TOL, 0, 0, 0.0, b"E")
     if info != 0:
         raise DomainError(f"dstebz failed (info {info})")
     w = w[:m]

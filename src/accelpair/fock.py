@@ -59,6 +59,8 @@ class SubsystemLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str):  # tuple() would make each character a label
+            raise LayoutError(f"layout labels must be a sequence of names, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dims", tuple(self.dims))
         if not self.labels:

@@ -50,6 +50,8 @@ def test_mode_spec_validation():
         SubsystemLayout(("a", "b"), (2,))
     with pytest.raises(LayoutError, match="1 labels but 2 dims"):
         SubsystemLayout(("a",), (2, 2))
+    with pytest.raises(LayoutError, match="sequence of names, got 'ab'"):
+        SubsystemLayout("ab", (2, 2))
 
 
 def test_layout_rejects_duplicates_and_oversize():

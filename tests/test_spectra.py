@@ -1,5 +1,7 @@
 """Negatives-only spectra: closed-form pairs and bisected chains against full ``dsterf``."""
 
+import importlib.machinery
+import itertools
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from scipy.linalg.lapack import dsterf
 from accelpair import Scenario, evaluate_scenario
 from accelpair.entanglement import (
     NEGATIVE_EIGENVALUE_TOL,
+    _dstebz,
     chain_spectrum,
     pair_spectra,
     sweep_plan,
@@ -146,16 +149,24 @@ def test_certified_ppt_chains_call_no_lapack(capfd, cutoff):
 
 SWEEPS = """
 import sys
+import numpy as np
 from accelpair.cli import main
+from accelpair.entanglement import _dstebz
 for scenario in ("fermion-one", "fermion-both", "scalar-one"):
     assert main(["sweep", "--scenario", scenario, "--steps", "2", "--csv", sys.argv[1]]) == 0
     assert "scipy.linalg" not in sys.modules, scenario
+    assert "scipy.linalg._flapack" not in sys.modules, scenario
 assert main(["sweep", "--scenario", "scalar-both", "--steps", "2", "--csv", sys.argv[1]]) == 0
-assert "scipy.linalg" in sys.modules
+assert "scipy.linalg" not in sys.modules
+assert "scipy.linalg._flapack" in sys.modules
+from scipy.linalg.lapack import dstebz, dsterf
+assert dstebz is _dstebz()
+eigs, info = dsterf(np.array([2.0, 2.0]), np.array([1.0]))
+assert info == 0 and np.allclose(eigs, [1.0, 3.0])
 """
 
 
-def test_only_scalar_both_sweeps_load_scipy_linalg(tmp_path):
+def test_sweeps_reach_dstebz_without_importing_scipy_linalg(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SWEEPS, str(tmp_path / "sweep.csv")],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -164,3 +175,43 @@ def test_only_scalar_both_sweeps_load_scipy_linalg(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+FLAPACK = "scipy.linalg._flapack"
+
+
+def pinned_chains():
+    """The subnormal-coupling chain, then seeded chains at traces near both thresholds."""
+    yield np.array([0.0, 0.0, 0.0, 1.0]), np.array([0, 1]), np.array([1e-159, 2 / 19])
+    rng = np.random.default_rng(22)
+    for n, trace in itertools.product([2, 7, 40], [1.0, 1e-8, 2e-12, 2e-14]):
+        d = rng.random(n)
+        lo = np.flatnonzero(rng.random(n - 1) < 0.7)
+        yield d * trace / d.sum(), lo, rng.random(lo.size) * 2.0 * trace / n
+
+
+def dstebz_results():
+    chains = [chain_spectrum(d, lo, c) for d, lo, c in pinned_chains()]
+    rows = [evaluate_scenario(Scenario("scalar", "both", r, cutoff=120)) for r in (0.3, 0.9, 1.2)]
+    return chains, rows
+
+
+@pytest.fixture
+def reload_dstebz(monkeypatch):
+    """``_dstebz`` loads afresh; the process's own ``_flapack`` is restored afterwards."""
+    monkeypatch.delitem(sys.modules, FLAPACK, raising=False)
+    _dstebz.cache_clear()
+    yield monkeypatch
+    _dstebz.cache_clear()
+
+
+def test_private_and_public_dstebz_loads_give_equal_results(reload_dstebz):
+    private = dstebz_results()
+    assert FLAPACK in sys.modules  # loaded from its file
+    assert sum(count for _, _, count in private[0]) > 0
+    reload_dstebz.delitem(sys.modules, FLAPACK)
+    reload_dstebz.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    _dstebz.cache_clear()
+    public = dstebz_results()
+    assert FLAPACK not in sys.modules  # found no file: the public import
+    assert public == private
