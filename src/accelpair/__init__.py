@@ -8,7 +8,7 @@ truncation.  The top level holds what a sweep calls; the dense reference
 route is imported from its modules.
 """
 
-from .bogoliubov import Coefficients, FieldParams, coefficients, mu2_from_field, verify_unitarity
+from .bogoliubov import Coefficients, FieldParams, mu2_from_field, verify_unitarity
 from .entanglement import (
     ScenarioResult,
     SystemResult,
@@ -28,7 +28,6 @@ __all__ = [
     "FieldParams",
     "Coefficients",
     "mu2_from_field",
-    "coefficients",
     "verify_unitarity",
     "Scenario",
     "closed_form_ln",

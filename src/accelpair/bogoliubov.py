@@ -29,26 +29,14 @@ __all__ = [
     "FieldParams",
     "Coefficients",
     "mu2_from_field",
-    "coefficients",
     "gamma_pathway_alpha",
     "verify_unitarity",
 ]
 
-_COEFF_TOL = 1e-12
-
 _B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # Bernoulli B_2 ... B_10, for Stirling
 
-# statistics -> (sigma, alpha(squeeze), beta(squeeze), squeeze(beta))
-_RELATIONS = {
-    "scalar": (-1.0, math.cosh, math.sinh, math.asinh),
-    "fermion": (1.0, math.cos, math.sin, math.asin),
-}
-
-
-def _relations(statistics: str):
-    if statistics not in _RELATIONS:
-        raise DomainError(f"statistics must be 'scalar' or 'fermion', got {statistics!r}")
-    return _RELATIONS[statistics]
+# statistics -> (sigma, squeeze(beta))
+_RELATIONS = {"scalar": (-1.0, math.asinh), "fermion": (1.0, math.asin)}
 
 
 @dataclass(frozen=True)
@@ -69,29 +57,50 @@ class FieldParams:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Coefficient magnitudes with |alpha|^2 + sigma |beta|^2 = 1.
+    """The Bogoliubov transformation of one statistics at mu2.
 
-    ``squeeze`` is r for the scalar (sigma = -1) and r_f in [0, pi/2] for the
-    fermion (sigma = +1).
+    beta = exp(-pi*mu2) and alpha = sqrt(1 - sigma beta^2); the squeeze is
+    r = arsinh(beta) for the scalar and r_f = arcsin(beta) in [0, pi/2] for
+    the fermion, so smaller mu2 (stronger field relative to mass) gives a
+    larger squeeze.
+
+    The fermion takes mu2 >= 0: the massless/infinite-acceleration edge
+    mu2 = 0 gives r_f = pi/2 (complete mode conversion).  The scalar takes
+    mu2 > 0: its magnitudes stay finite at 0, but mu2 = 0 has no preimage
+    (m, E) with finite E at fixed m > 0, and the field-parameter pathway would
+    silently break.
     """
 
     statistics: str
     mu2: float
-    alpha_mag: float
-    beta_mag: float
-    squeeze: float
 
     def __post_init__(self) -> None:
-        name = self.statistics
-        sigma, alpha_of, beta_of, _ = _relations(name)
-        if abs(self.alpha_mag**2 + sigma * self.beta_mag**2 - 1.0) > _COEFF_TOL:
-            raise DomainError(f"{name} coefficients violate |alpha|^2 + sigma |beta|^2 = 1")
-        if name == "fermion" and not 0.0 <= self.squeeze <= math.pi / 2:
-            raise DomainError(f"r_f must lie in [0, pi/2], got {self.squeeze}")
-        if abs(self.alpha_mag - alpha_of(self.squeeze)) > _COEFF_TOL or abs(
-            self.beta_mag - beta_of(self.squeeze)
-        ) > _COEFF_TOL:
-            raise DomainError(f"{name} squeeze parameter inconsistent with magnitudes")
+        name, mu2 = self.statistics, self.mu2
+        if name not in _RELATIONS:
+            raise DomainError(f"statistics must be 'scalar' or 'fermion', got {name!r}")
+        if not math.isfinite(mu2):
+            raise DomainError(f"{name} coefficients require a finite mu2, got {mu2}")
+        scalar = name == "scalar"
+        if not (mu2 > 0.0 if scalar else mu2 >= 0.0):
+            bound = "> 0" if scalar else ">= 0"
+            raise DomainError(f"{name} coefficients require mu2 {bound}, got {mu2}")
+
+    @property
+    def sigma(self) -> float:
+        return _RELATIONS[self.statistics][0]
+
+    @property
+    def beta_mag(self) -> float:
+        return math.exp(-math.pi * self.mu2)
+
+    @property
+    def alpha_mag(self) -> float:
+        beta = self.beta_mag
+        return math.sqrt(max(0.0, 1.0 - self.sigma * beta * beta))
+
+    @property
+    def squeeze(self) -> float:
+        return _RELATIONS[self.statistics][1](self.beta_mag)
 
 
 def mu2_from_field(params: FieldParams) -> float:
@@ -103,31 +112,6 @@ def mu2_from_field(params: FieldParams) -> float:
     if mu2 == 0.0 and params.m > 0.0:
         raise DomainError(f"mu2 = m^2 / (2 E) underflows to 0 for m = {params.m}, E = {params.E}")
     return mu2
-
-
-def coefficients(mu2: float, statistics: str) -> Coefficients:
-    """Coefficient magnitudes of one statistics from mu2.
-
-    beta = exp(-pi*mu2) and alpha = sqrt(1 - sigma beta^2); the squeeze is
-    r = arsinh(beta) for the scalar and r_f = arcsin(beta) for the fermion, so
-    smaller mu2 (stronger field relative to mass) gives a larger squeeze.
-
-    The fermion takes mu2 >= 0: the massless/infinite-acceleration edge
-    mu2 = 0 gives r_f = pi/2 (complete mode conversion).  The scalar takes
-    mu2 > 0: its magnitudes stay finite at 0, but mu2 = 0 has no preimage
-    (m, E) with finite E at fixed m > 0, and the field-parameter pathway would
-    silently break.
-    """
-    sigma, _, _, squeeze_of = _relations(statistics)
-    scalar = statistics == "scalar"
-    if not math.isfinite(mu2):
-        raise DomainError(f"{statistics} coefficients require a finite mu2, got {mu2}")
-    if not (mu2 > 0.0 if scalar else mu2 >= 0.0):
-        bound = "> 0" if scalar else ">= 0"
-        raise DomainError(f"{statistics} coefficients require mu2 {bound}, got {mu2}")
-    beta = math.exp(-math.pi * mu2)
-    alpha = math.sqrt(max(0.0, 1.0 - sigma * beta * beta))
-    return Coefficients(statistics, mu2, alpha, beta, squeeze_of(beta))
 
 
 def gamma_pathway_alpha(mu2: float, statistics: str) -> float:
@@ -143,25 +127,19 @@ def gamma_pathway_alpha(mu2: float, statistics: str) -> float:
     series (DLMF 5.11.1), free of the cancellation between two terms ~pi mu2/2.
 
     This is the slow cross-check route; production code uses the closed
-    exponential forms in :func:`coefficients`.
+    exponential forms of :class:`Coefficients`, which also checks the domain.
     """
+    Coefficients(statistics, mu2)
     # imported here: scipy.special costs each start-up ~3 MB and ~20 ms
     from scipy.special import loggamma
 
-    if not math.isfinite(mu2):
-        raise DomainError(f"gamma pathway requires a finite mu2, got {mu2}")
-    _relations(statistics)  # rejects an unknown statistics
     if statistics == "scalar":
-        if mu2 <= 0.0:
-            raise DomainError("scalar gamma pathway requires mu2 > 0")
         if mu2 >= 20.0:
             z = 0.5 + 1j * mu2
             tail = sum(b / (2 * k * (2 * k - 1) * z ** (2 * k - 1)) for k, b in enumerate(_B2K, 1))
             return math.exp(0.5 - mu2 * math.atan(0.5 / mu2) - tail.real)
         ln_alpha = 0.5 * math.log(2.0 * math.pi) - loggamma(0.5 + 1j * mu2).real
     else:
-        if mu2 < 0.0:
-            raise DomainError("fermion gamma pathway requires mu2 >= 0")
         if mu2 == 0.0:
             # Limit mu2 -> 0: |alpha|^2 = 2 e^{-pi mu2} sinh(pi mu2) -> 0.
             return 0.0
@@ -176,5 +154,5 @@ def verify_unitarity(mu2: float, statistics: str) -> float:
     both statistics.
     """
     alpha = gamma_pathway_alpha(mu2, statistics)
-    beta = math.exp(-math.pi * mu2)
-    return abs(alpha**2 + _RELATIONS[statistics][0] * beta**2 - 1.0)
+    coeff = Coefficients(statistics, mu2)
+    return abs(alpha**2 + coeff.sigma * coeff.beta_mag**2 - 1.0)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bogoliubov import FieldParams, coefficients, mu2_from_field, verify_unitarity
+from .bogoliubov import Coefficients, FieldParams, mu2_from_field, verify_unitarity
 from .entanglement import ScenarioResult, SweepPlan, closed_forms, evaluate_scenario, sweep_plan
 from .errors import DomainError, LayoutError
 from .states import Scenario, scenario_amplitudes
@@ -109,7 +109,7 @@ class SweepConfig:
 
     def squeeze(self, param: float) -> float:
         """The squeeze of a grid value: the value itself, or r(mu2) on a mu2 grid."""
-        return coefficients(param, self.statistics).squeeze if self.mu2_grid else param
+        return Coefficients(self.statistics, param).squeeze if self.mu2_grid else param
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "convert":
             mu2 = mu2_from_field(FieldParams(m=args.mass, E=args.field))
-            coeff = coefficients(mu2, args.statistics)
+            coeff = Coefficients(args.statistics, mu2)
             residual = verify_unitarity(mu2, args.statistics)
             print(f"statistics        {coeff.statistics}")
             print(f"mu2               {coeff.mu2:.12g}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from accelpair import Scenario, closed_form_ln, evaluate_scenario, named_bipartitions, verify_unitarity
-from accelpair.bogoliubov import coefficients, gamma_pathway_alpha
+from accelpair.bogoliubov import Coefficients, gamma_pathway_alpha
 from accelpair.cli import SweepConfig, run_sweep
 from accelpair.entanglement import (
     NEGATIVE_EIGENVALUE_TOL,
@@ -145,8 +145,8 @@ def test_criterion_4_bogoliubov_unitarity_residuals():
         worst = max(worst, verify_unitarity(mu2, "scalar"), verify_unitarity(mu2, "fermion"))
         cross = max(
             cross,
-            abs(gamma_pathway_alpha(mu2, "scalar") - coefficients(mu2, "scalar").alpha_mag),
-            abs(gamma_pathway_alpha(mu2, "fermion") - coefficients(mu2, "fermion").alpha_mag),
+            abs(gamma_pathway_alpha(mu2, "scalar") - Coefficients("scalar", mu2).alpha_mag),
+            abs(gamma_pathway_alpha(mu2, "fermion") - Coefficients("fermion", mu2).alpha_mag),
         )
     ok = worst < 1e-10 and cross < 1e-10
     _report(4, "Bogoliubov unitarity via gamma pathway", ok, f"worst residual {worst:.2e}")

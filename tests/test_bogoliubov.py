@@ -8,7 +8,6 @@ from accelpair import (
     Coefficients,
     DomainError,
     FieldParams,
-    coefficients,
     mu2_from_field,
     verify_unitarity,
 )
@@ -37,7 +36,7 @@ def test_field_params_rejects_bad_inputs(m, E):
 
 def test_scalar_coefficients_weak_field_limit():
     # e^(-10*pi) evaluated to machine precision
-    coeff = coefficients(10.0, "scalar")
+    coeff = Coefficients("scalar", 10.0)
     assert coeff.beta_mag == pytest.approx(2.2711010683240965e-14, rel=1e-12)
     assert coeff.squeeze == pytest.approx(2.2711010683240965e-14, rel=1e-12)
     assert coeff.alpha_mag == pytest.approx(1.0, abs=1e-15)
@@ -45,7 +44,7 @@ def test_scalar_coefficients_weak_field_limit():
 
 def test_scalar_coefficients_half_occupation_point():
     # mu2 chosen so that e^(-2*pi*mu2) = 1/2
-    coeff = coefficients(math.log(2.0) / (2.0 * math.pi), "scalar")
+    coeff = Coefficients("scalar", math.log(2.0) / (2.0 * math.pi))
     assert coeff.beta_mag**2 == pytest.approx(0.5, abs=1e-14)
     assert coeff.alpha_mag**2 == pytest.approx(1.5, abs=1e-14)
 
@@ -53,11 +52,11 @@ def test_scalar_coefficients_half_occupation_point():
 @pytest.mark.parametrize("mu2", [0.0, -0.3, math.nan])
 def test_scalar_coefficients_domain(mu2):
     with pytest.raises(DomainError):
-        coefficients(mu2, "scalar")
+        Coefficients("scalar", mu2)
 
 
 def test_fermion_coefficients_infinite_acceleration_edge():
-    coeff = coefficients(0.0, "fermion")
+    coeff = Coefficients("fermion", 0.0)
     assert coeff.squeeze == pytest.approx(HALF_PI, abs=1e-15)
     assert coeff.beta_mag == 1.0
     assert coeff.alpha_mag == 0.0
@@ -65,19 +64,19 @@ def test_fermion_coefficients_infinite_acceleration_edge():
 
 def test_fermion_coefficients_half_point():
     # mu2 chosen so that e^(-pi*mu2) = 1/2
-    coeff = coefficients(math.log(2.0) / math.pi, "fermion")
+    coeff = Coefficients("fermion", math.log(2.0) / math.pi)
     assert coeff.beta_mag == pytest.approx(0.5, abs=1e-14)
     assert coeff.squeeze == pytest.approx(math.pi / 6.0, abs=1e-14)
 
 
 def test_fermion_coefficients_domain():
     with pytest.raises(DomainError):
-        coefficients(-1e-9, "fermion")
+        Coefficients("fermion", -1e-9)
 
 
 @pytest.mark.parametrize("statistics", ["boson", "anyon"])
 def test_unknown_statistics_is_rejected_everywhere(statistics):
-    for call in (coefficients, gamma_pathway_alpha, verify_unitarity):
+    for call in (lambda mu2, s: Coefficients(s, mu2), gamma_pathway_alpha, verify_unitarity):
         with pytest.raises(DomainError):
             call(0.5, statistics)
 
@@ -85,12 +84,13 @@ def test_unknown_statistics_is_rejected_everywhere(statistics):
 @pytest.mark.parametrize(
     "fields",
     [
-        ("boson", 0.5, 1.0, 0.0, 0.0),  # unknown statistics
-        ("scalar", 0.5, 1.0, 0.1, 0.1),  # |alpha|^2 - |beta|^2 != 1
-        ("fermion", 0.5, 1.0, 0.1, 0.1),  # |alpha|^2 + |beta|^2 != 1
-        ("scalar", 0.5, math.cosh(0.3), math.sinh(0.3), 0.3 + 1e-9),  # r off the magnitudes
-        ("fermion", 0.5, 0.6, 0.8, math.asin(0.8) + 1e-9),  # r_f off the magnitudes
-        ("fermion", 0.5, math.cos(-0.3), math.sin(-0.3), -0.3),  # r_f outside [0, pi/2]
+        ("boson", 0.5),  # unknown statistics
+        ("scalar", math.nan),
+        ("scalar", math.inf),
+        ("scalar", -math.inf),
+        ("scalar", 0.0),  # no (m, E) preimage at finite E
+        ("scalar", -5.0),
+        ("fermion", -1e-300),
     ],
 )
 def test_coefficients_record_checks_its_invariants(fields):
@@ -101,7 +101,7 @@ def test_coefficients_record_checks_its_invariants(fields):
 @given(st.floats(min_value=1e-3, max_value=20.0))
 @settings(max_examples=60, deadline=None)
 def test_scalar_relation_holds(mu2):
-    coeff = coefficients(mu2, "scalar")
+    coeff = Coefficients("scalar", mu2)
     assert abs(coeff.alpha_mag**2 - coeff.beta_mag**2 - 1.0) < 1e-12
     assert abs(math.sinh(coeff.squeeze) - coeff.beta_mag) < 1e-14
 
@@ -109,7 +109,7 @@ def test_scalar_relation_holds(mu2):
 @given(st.floats(min_value=0.0, max_value=20.0))
 @settings(max_examples=60, deadline=None)
 def test_fermion_relation_holds(mu2):
-    coeff = coefficients(mu2, "fermion")
+    coeff = Coefficients("fermion", mu2)
     assert abs(coeff.alpha_mag**2 + coeff.beta_mag**2 - 1.0) < 1e-12
     assert abs(math.sin(coeff.squeeze) - coeff.beta_mag) < 1e-14
 
@@ -123,8 +123,8 @@ def test_squeeze_parameters_decrease_with_mu2(a, b):
     lo, hi = sorted((a, b))
     if hi - lo < 1e-9:
         return
-    assert coefficients(lo, "scalar").squeeze > coefficients(hi, "scalar").squeeze
-    assert coefficients(lo, "fermion").squeeze > coefficients(hi, "fermion").squeeze
+    assert Coefficients("scalar", lo).squeeze > Coefficients("scalar", hi).squeeze
+    assert Coefficients("fermion", lo).squeeze > Coefficients("fermion", hi).squeeze
 
 
 def test_gamma_reflection_identity_on_half_line():
@@ -169,10 +169,10 @@ def test_verify_unitarity_residuals():
 def test_gamma_pathway_matches_closed_forms():
     for mu2 in (0.05, 0.3, 1.0, 3.0):
         assert gamma_pathway_alpha(mu2, "scalar") == pytest.approx(
-            coefficients(mu2, "scalar").alpha_mag, abs=1e-12
+            Coefficients("scalar", mu2).alpha_mag, abs=1e-12
         )
         assert gamma_pathway_alpha(mu2, "fermion") == pytest.approx(
-            coefficients(mu2, "fermion").alpha_mag, abs=1e-12
+            Coefficients("fermion", mu2).alpha_mag, abs=1e-12
         )
 
 

@@ -12,7 +12,6 @@ from accelpair import (
     DomainError,
     FieldParams,
     Scenario,
-    coefficients,
     evaluate_scenario,
     mu2_from_field,
     verify_unitarity,
@@ -315,7 +314,7 @@ def test_emit_plot_solid_for_both_accelerated(tmp_path):
 def convert(m, E, statistics):
     """What ``accelpair convert`` prints: the coefficients and the unitarity residual."""
     mu2 = mu2_from_field(FieldParams(m=m, E=E))
-    return coefficients(mu2, statistics), verify_unitarity(mu2, statistics)
+    return Coefficients(statistics, mu2), verify_unitarity(mu2, statistics)
 
 
 def test_convert_fermion_values():
@@ -580,6 +579,38 @@ mu2               480.5
 r                 0
 unitarity residual 0.000e+00
 """,
+    "--mass 10 --field 1 --statistics scalar": """\
+statistics        scalar
+mu2               50
+|alpha|           1
+|beta|            6.04202207832e-69
+r                 6.04202207832e-69
+unitarity residual 0.000e+00
+""",
+    "--mass 1e-154 --field 1 --statistics scalar": """\
+statistics        scalar
+mu2               5e-309
+|alpha|           1.41421356237
+|beta|            1
+r                 0.88137358702
+unitarity residual 5.329e-15
+""",
+    "--mass 1e-154 --field 1 --statistics fermion": """\
+statistics        fermion
+mu2               5e-309
+|alpha|           0
+|beta|            1
+r_f               1.57079632679
+unitarity residual 0.000e+00
+""",
+    "--mass 1 --field 3 --statistics fermion": """\
+statistics        fermion
+mu2               0.166666666667
+|alpha|           0.805655132685
+|beta|            0.592384847188
+r_f               0.634015764698
+unitarity residual 2.220e-16
+""",
 }
 
 
@@ -588,6 +619,12 @@ def test_main_convert_stdout_is_pinned(capsys, args):
     assert main(["convert", *args.split()]) == 0
     out, err = capsys.readouterr()
     assert out == CONVERT_STDOUT[args] and err == ""
+
+
+def test_main_convert_rejects_massless_scalar(capsys):
+    assert main(["convert", "--mass", "0", "--field", "1", "--statistics", "scalar"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: scalar coefficients require mu2 > 0, got 0.0\n"
 
 
 @pytest.mark.parametrize("statistics", ["scalar", "fermion"])

@@ -1,6 +1,8 @@
 """Negatives-only spectra: closed-form pairs and bisected chains against full ``dsterf``."""
 
+import ast
 import importlib.machinery
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -152,15 +154,19 @@ import sys
 import numpy as np
 from accelpair.cli import main
 from accelpair.entanglement import _dstebz
+csv = ["--steps", "2", "--csv", sys.argv[1]]
 for scenario in ("fermion-one", "fermion-both", "scalar-one"):
-    assert main(["sweep", "--scenario", scenario, "--steps", "2", "--csv", sys.argv[1]]) == 0
-    assert "scipy.linalg" not in sys.modules, scenario
-    assert "scipy.linalg._flapack" not in sys.modules, scenario
-assert main(["sweep", "--scenario", "scalar-both", "--steps", "2", "--csv", sys.argv[1]]) == 0
-assert "scipy.linalg" not in sys.modules
-assert "scipy.linalg._flapack" in sys.modules
+    assert main(["sweep", "--scenario", scenario, *csv]) == 0
+    assert _dstebz.cache_info().currsize == 0, scenario
+assert main(["sweep", "--scenario", "scalar-both", *csv]) == 0
+assert _dstebz.cache_info().currsize == 1
+assert main(["sweep", "--scenario", "scalar-one", "--mu2", "--min", "0.1", "--max", "1", *csv]) == 0
+assert not [name for name in sys.modules if name.startswith("scipy")]
+assert main(["convert", "--mass", "1", "--field", "1"]) == 0
+assert "scipy.special" in sys.modules
+import scipy.linalg
 from scipy.linalg.lapack import dstebz, dsterf
-assert dstebz is _dstebz()
+assert scipy.linalg._flapack.dstebz is _dstebz() and dstebz is _dstebz()
 eigs, info = dsterf(np.array([2.0, 2.0]), np.array([1.0]))
 assert info == 0 and np.allclose(eigs, [1.0, 3.0])
 """
@@ -175,6 +181,31 @@ def test_sweeps_reach_dstebz_without_importing_scipy_linalg(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def scipy_imports(node):
+    """The import statements under ``node`` that name scipy or one of its modules."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            names = [alias.name for alias in sub.names]
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 0:
+            names = [sub.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield sub
+
+
+def test_scipy_is_imported_inside_functions_only():
+    # a module-level scipy import would put its load back into every start-up
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        inside = {id(node) for f in funcs for node in scipy_imports(f)}
+        assert {id(node) for node in scipy_imports(tree)} == inside, path.name
+        importers += [f.name for f in funcs if any(scipy_imports(f))]
+    assert sorted(importers) == ["_dstebz", "gamma_pathway_alpha", "hermitian_block_eigenvalues"]
 
 
 FLAPACK = "scipy.linalg._flapack"
@@ -206,12 +237,19 @@ def reload_dstebz(monkeypatch):
 
 
 def test_private_and_public_dstebz_loads_give_equal_results(reload_dstebz):
+    calls = []
+    spec_from_file_location = importlib.util.spec_from_file_location
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return spec_from_file_location(*args, **kwargs)
+
+    reload_dstebz.setattr(importlib.util, "spec_from_file_location", spy)
     private = dstebz_results()
-    assert FLAPACK in sys.modules  # loaded from its file
+    assert len(calls) == 1  # loaded from its file
     assert sum(count for _, _, count in private[0]) > 0
-    reload_dstebz.delitem(sys.modules, FLAPACK)
     reload_dstebz.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
     _dstebz.cache_clear()
     public = dstebz_results()
-    assert FLAPACK not in sys.modules  # found no file: the public import
+    assert len(calls) == 1  # found no file: the public import
     assert public == private
