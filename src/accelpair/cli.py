@@ -80,7 +80,7 @@ class SweepConfig:
             raise DomainError(f"steps must lie in [2, {_STEPS_CAP}], got {self.steps}")
         if not isinstance(self.cutoff, numbers.Integral):
             raise DomainError(f"cutoff must be an integer, got {self.cutoff!r}")
-        if not 4 <= self.cutoff < CUTOFF_CAP:  # the ladder must be able to double at least once
+        if not 4 <= self.cutoff < CUTOFF_CAP:  # the ladder needs one rung above its start
             raise DomainError(f"cutoff must lie in [4, {CUTOFF_CAP - 1}], got {self.cutoff}")
         if self.grid_max is None:
             if self.mu2_grid:
@@ -147,7 +147,8 @@ def _evaluate_point(cfg: SweepConfig, param: float, plans: dict[int, SweepPlan])
         return evaluate_scenario(sc, plans[n])
 
     cutoff, res, converged = cfg.cutoff, at_cutoff(cfg.cutoff), False
-    while not converged and cutoff < CUTOFF_CAP:  # a row that reaches the cap stays unconverged
+    # a row can converge on the rung into the cap; one still moving there stays false
+    while not converged and cutoff < CUTOFF_CAP:
         cutoff = min(2 * cutoff, CUTOFF_CAP)
         smaller, res = res, at_cutoff(cutoff)
         delta = max(

@@ -12,9 +12,10 @@ partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 pass, through the two-branch pipeline of :mod:`accelpair.sparse`, on a
 :class:`SweepPlan` that holds the squeeze-independent index structure (its
 docstring says which checks run when built and which per point).  Only the
-negative eigenvalues are computed: in closed form where a system's chains are
-2-state pairs (:func:`pair_spectra`), by bisection otherwise
-(:func:`chain_spectrum`).  It is the package's one LN route.  The per-state
+negative eigenvalues are computed.  A plan is pairs or chains: the traced
+systems of fermions and scalar-one are 2-state pairs, solved together in
+closed form (:func:`pair_spectra`); scalar-both's are longer chains, one
+bisection each (:func:`chain_spectrum`).  It is the package's one LN route.  The per-state
 functions of :mod:`accelpair.sparse` and the dense :func:`reduced_density`
 and :func:`partial_transpose` here are the reference routes it is tested
 against.  Reduced systems carry conventional names: "s,p" pairs the inert s
@@ -36,7 +37,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, LayoutError
-from .fock import DensityMatrix, Ket
+from .fock import DensityMatrix, Ket, label_names
 from .sparse import ChainPlan, cut_sides, plan_chain, stacked
 from .states import Scenario, kept_charges, scenario_amplitudes, scenario_support
 
@@ -80,9 +81,8 @@ class Bipartition:
     traced: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "party_a", frozenset(self.party_a))
-        object.__setattr__(self, "party_b", frozenset(self.party_b))
-        object.__setattr__(self, "traced", frozenset(self.traced))
+        for side in ("party_a", "party_b", "traced"):
+            object.__setattr__(self, side, frozenset(label_names(getattr(self, side))))
         if not self.party_a or not self.party_b:
             raise LayoutError("both parties of a bipartition must be non-empty")
         if (
@@ -139,17 +139,14 @@ def partial_transpose(rho: DensityMatrix, party_a: Iterable[str]) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(rho.entries.shape))
 
 
-def _ln_from_schmidt(weights) -> tuple[float, float, float]:
-    """(LN, negativity, min PT eigenvalue), as floats, of a pure state's Schmidt weights.
-
-    For a pure state the partial-transpose spectrum is {w_i} plus
-    {+-sqrt(w_i w_j)}, so the trace norm is (sum_i sqrt(w_i))^2.
-    """
+def _ln_from_schmidt(weights) -> SystemResult:
+    """:class:`SystemResult` of a pure state's Schmidt weights: the partial transpose's
+    spectrum is {w_i} plus {+-sqrt(w_i w_j)}, so the trace norm is (sum_i sqrt(w_i))^2."""
     roots = [math.sqrt(w) for w in sorted(weights, reverse=True) if w > _SCHMIDT_WEIGHT_TOL]
     total = math.fsum(roots)
     neg = max((total * total - 1.0) / 2.0, 0.0)
     min_eig = -(roots[0] * roots[1]) if len(roots) >= 2 else 0.0
-    return math.log2(2.0 * neg + 1.0), neg, min_eig
+    return _system_result(neg, min_eig, min_eig < -NEGATIVE_EIGENVALUE_TOL)
 
 
 _CLOSED_FORMS = {
@@ -309,17 +306,17 @@ def chain_spectrum(d, lo, c) -> tuple[float, float, int]:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Index structure of one (statistics, accelerated, cutoff): each system's
-    :class:`~accelpair.sparse.ChainPlan`, None for the untraced "full" system,
-    whose Schmidt weights are the norms of the branches in ``branch``.  The
-    systems whose chains are all 2-state ``pairs`` are also joined, in order,
-    into one plan, ``batch``; each point solves them together."""
+    """Index structure of one (statistics, accelerated, cutoff).  "full" needs
+    only each support entry's ``branch``.  If every chain of the traced systems,
+    ``names``, is a 2-state pair (``paired``), ``plans`` is the one
+    :class:`~accelpair.sparse.ChainPlan` that joins them in order; otherwise it
+    holds each system's own plan."""
 
     key: tuple[str, str, int | None]
     branch: np.ndarray
-    systems: Mapping[str, ChainPlan | None]
-    pairs: tuple[str, ...]
-    batch: ChainPlan | None
+    names: tuple[str, ...]
+    plans: tuple[ChainPlan, ...]
+    paired: bool
 
 
 def _plan_key(sc: Scenario) -> tuple[str, str, int | None]:
@@ -327,27 +324,26 @@ def _plan_key(sc: Scenario) -> tuple[str, str, int | None]:
 
 
 def sweep_plan(sc: Scenario) -> SweepPlan:
-    """The plan of every scenario with ``sc``'s statistics, accelerated modes and cutoff."""
+    """The plan of every scenario with ``sc``'s statistics, accelerated modes and
+    cutoff: pairs for fermions and scalar-one, chains for scalar-both."""
     layout, occ, branch = scenario_support(sc)
-    systems: dict[str, ChainPlan | None] = {}
+    names, plans = [], []
     for name, bp in named_bipartitions(sc).items():
         bp.check_layout(layout.labels)
         if not bp.traced:
             cut_sides(layout, occ, branch, bp.party_a)
-            systems[name] = None
             continue
         kept = layout.restricted(bp.kept)
         charge = kept_charges(kept.dims, kept.labels, bp.party_a)
-        systems[name] = plan_chain(layout, occ, branch, bp.kept, bp.party_a, charge)
-    pairs = tuple(n for n, p in systems.items() if p is not None and (np.diff(p.edge) > 1).all())
-    if not pairs:
-        return SweepPlan(_plan_key(sc), branch, systems, pairs, None)
-    # one plan for the pairs: each system's bins run over the support once more
-    starts = np.cumsum([0] + [systems[n].starts[-1] for n in pairs])
-    parts = zip((systems[n] for n in pairs), starts, range(len(pairs)))
-    joined = [(p.bins + s, p.first, p.second, p.edge + s, p.system + i) for p, s, i in parts]
-    batch = ChainPlan(*map(np.concatenate, zip(*joined)), starts)
-    return SweepPlan(_plan_key(sc), branch, systems, pairs, batch)
+        names.append(name)
+        plans.append(plan_chain(layout, occ, branch, bp.kept, bp.party_a, charge))
+    paired = all((np.diff(p.edge) > 1).all() for p in plans)
+    if paired:  # one plan: each system's bins run over the support once more
+        starts = np.cumsum([0] + [p.starts[-1] for p in plans])
+        parts = zip(plans, starts, range(len(plans)))
+        joined = [(p.bins + s, p.first, p.second, p.edge + s, p.system + i) for p, s, i in parts]
+        plans = [ChainPlan(*map(np.concatenate, zip(*joined)), starts)]
+    return SweepPlan(_plan_key(sc), branch, tuple(names), tuple(plans), paired)
 
 
 def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan | None = None):
@@ -362,10 +358,11 @@ def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan 
     terms on one chain edge, branches sharing a state on one side of the
     "full" cut.  Per point, the amplitudes are checked (finite, norm at most
     1 + 1e-12, summed over the nonzero entries) and renormalized.  Up to 4096
-    points are the rows of one array: their pair systems take one bincount,
-    gather and :func:`pair_spectra`, "full" one bincount, and a longer chain
-    :func:`chain_spectrum` per point.  Only elementwise arithmetic and
-    in-order reductions are shared: each point gets what it gets alone.
+    points are the rows of one array: "full" takes one bincount, a paired
+    plan one bincount, gather and :func:`pair_spectra` for all points and
+    systems, and a plan of chains one :func:`chain_spectrum` per point and
+    system.  Only elementwise arithmetic and in-order reductions are shared:
+    each point gets what it gets alone.
     """
     single = isinstance(scenarios, Scenario)
     batch = [scenarios] if single else list(scenarios)
@@ -380,23 +377,16 @@ def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan 
 def _rows(batch: list[Scenario], plan: SweepPlan) -> list[ScenarioResult]:
     """:func:`evaluate_scenario` of at most ``_ROWS`` scenarios on their plan."""
     val, deficits = scenario_amplitudes(batch)
-    weights, n, width = (val * val.conj()).real, len(batch), len(plan.pairs)
+    weights, n, width = (val * val.conj()).real, len(batch), len(plan.names)
     norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n).tolist()
-    if plan.batch is not None:
-        joined, tiled = plan.batch.repeat(n, val.shape[1]), np.concatenate([weights] * width, 1)
-        spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
-        paired = list(map(_system_result, *map(np.ndarray.tolist, spectra)))
     full = map(_ln_from_schmidt, zip(norms[::2], norms[1::2]))  # one negative, -sqrt(w0 w1)
-    full = [SystemResult(*f, int(f[2] < -NEGATIVE_EIGENVALUE_TOL)) for f in full]
-    results = []
-    for p, (sc, deficit) in enumerate(zip(batch, deficits)):
-        systems: dict[str, SystemResult] = {}
-        for name, chain in plan.systems.items():
-            if chain is None:
-                systems[name] = full[p]
-            elif name in plan.pairs:
-                systems[name] = paired[p * width + plan.pairs.index(name)]
-            else:
-                systems[name] = _system_result(*chain_spectrum(*chain.entries(weights[p], val[p])))
-        results.append(ScenarioResult(sc, deficit, systems))
-    return results
+    if plan.paired:
+        joined, tiled = plan.plans[0].repeat(n, val.shape[1]), np.concatenate([weights] * width, 1)
+        spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
+        solved = list(map(_system_result, *map(np.ndarray.tolist, spectra)))
+    else:  # point by point, each point's systems in turn: the order of the joined plan
+        entries = (c.entries(weights[p], val[p]) for p in range(n) for c in plan.plans)
+        solved = [_system_result(*chain_spectrum(*e)) for e in entries]
+    traced = [dict(zip(plan.names, solved[at : at + width])) for at in range(0, n * width, width)]
+    rows = zip(batch, deficits, full, traced)
+    return [ScenarioResult(sc, deficit, {"full": f, **t}) for sc, deficit, f, t in rows]

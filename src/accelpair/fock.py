@@ -28,6 +28,7 @@ from .errors import DomainError, LayoutError
 __all__ = [
     "DEFAULT_AMPLITUDE_LIMIT",
     "check_dense",
+    "label_names",
     "SubsystemLayout",
     "Ket",
     "DensityMatrix",
@@ -49,6 +50,13 @@ def check_dense(n: int) -> None:
         raise LayoutError(f"refusing to allocate {n} dense amplitudes (limit {DEFAULT_AMPLITUDE_LIMIT})")
 
 
+def label_names(labels: Iterable[str]) -> Iterable[str]:
+    """``labels`` itself; LayoutError on a bare ``str``, one label per character."""
+    if isinstance(labels, str):
+        raise LayoutError(f"sub-mode labels must be a sequence of names, got {labels!r}")
+    return labels
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered sub-modes, each a unique non-empty label and an integer dimension
@@ -59,9 +67,7 @@ class SubsystemLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.labels, str):  # tuple() would make each character a label
-            raise LayoutError(f"layout labels must be a sequence of names, got {self.labels!r}")
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", tuple(label_names(self.labels)))
         object.__setattr__(self, "dims", tuple(self.dims))
         if not self.labels:
             raise LayoutError("layout needs at least one sub-mode")
@@ -83,8 +89,8 @@ class SubsystemLayout:
 
     def split(self, labels: Iterable[str]) -> tuple[list[int], list[int]]:
         """Positions of ``labels``, in layout order, and of the other sub-modes;
-        LayoutError on a label the layout lacks."""
-        wanted = set(labels)
+        LayoutError on a label the layout lacks or on a bare ``str``."""
+        wanted = set(label_names(labels))
         if unknown := wanted.difference(self.labels):
             names = ", ".join(sorted(map(repr, unknown)))
             raise LayoutError(f"unknown sub-mode labels {names} in layout {self.labels}")

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, LayoutError
-from .fock import SubsystemLayout, check_dense
+from .fock import SubsystemLayout, check_dense, label_names
 
 __all__ = [
     "CoordKet",
@@ -140,7 +140,7 @@ def _entry_at(traced: np.ndarray, branch: np.ndarray, which: int, size: int) -> 
 
 def _cross_terms(layout, occupations, branch, keep) -> tuple:
     """(kept layout, each entry's kept index, the entry pairs of the cross terms)."""
-    keep = set(keep)
+    keep = set(label_names(keep))
     kept, (keep_pos, traced_pos) = layout.restricted(keep), layout.split(keep)
     rows = _ravel(occupations, layout.dims, keep_pos)
     traced = _ravel(occupations, layout.dims, traced_pos)

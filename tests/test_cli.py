@@ -482,18 +482,20 @@ def test_main_does_not_converge_rows_whose_state_lost_its_norm(tmp_path, capsys)
 
 
 def test_main_converged_scalar_one_rows_match_infinite_cutoff_series(tmp_path):
-    # the grid's ladders end at cutoffs 60, 120 and 128; a converged row must
-    # sit within --tol of the untruncated LN(s,p) (cutoff 30 at r = 1.2 is 9e-6 off)
+    # a converged row must sit within --tol of the untruncated LN(s,p) (cutoff 30
+    # at r = 1.2 is 9e-6 off).  From the default start the ladders end at cutoffs
+    # 60, 120 and 128; from 127 every row has one rung, to 128, that is no doubling.
     csv_path = tmp_path / "series.csv"
     argv = ["sweep", "--scenario", "scalar-one", "--min", "0", "--max", "1.6", "--steps", "17"]
-    assert main([*argv, "--csv", str(csv_path)]) == 0
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 17 and all(row["converged"] == "true" for row in rows)
-    assert {int(row["cutoff"]) for row in rows} == {60, 120, CUTOFF_CAP}
-    for row in rows:
-        series = math.log2(2.0 * scalar_one_sp_negativity(float(row["r"])) + 1.0)
-        assert abs(float(row["ln_sp"]) - series) < 1e-8, row["r"]
+    for start, cutoffs in [([], {60, 120, CUTOFF_CAP}), (["--cutoff", "127"], {CUTOFF_CAP})]:
+        assert main([*argv, *start, "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 17 and all(row["converged"] == "true" for row in rows)
+        assert {int(row["cutoff"]) for row in rows} == cutoffs
+        for row in rows:
+            series = math.log2(2.0 * scalar_one_sp_negativity(float(row["r"])) + 1.0)
+            assert abs(float(row["ln_sp"]) - series) < 1e-8, (start, row["r"])
 
 
 def test_default_scalar_both_rows_match_cutoff_240():

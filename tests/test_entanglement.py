@@ -66,6 +66,10 @@ def test_bipartition_validation():
         Bipartition({"a"}, {"a"})
     with pytest.raises(LayoutError):
         Bipartition({"a"}, {"b"}, {"a"})
+    # a bare str would be one label per character: "ab" the party {"a", "b"}
+    for parties in [("ab", {"c"}), ({"a"}, "b"), ({"a"}, {"b"}, "c"), ("s_p", "w_p")]:
+        with pytest.raises(LayoutError, match="sequence of names, got '"):
+            Bipartition(*parties)
     bp = Bipartition({"a"}, {"b"})
     with pytest.raises(LayoutError):
         bp.check_layout(("a", "b", "c"))

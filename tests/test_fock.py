@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelpair import DomainError, LayoutError
-from accelpair.entanglement import Bipartition, reduced_density
+from accelpair.entanglement import Bipartition, partial_transpose, reduced_density
 from accelpair.fock import (
     DensityMatrix,
     Ket,
     SubsystemLayout,
     hermitian_eigenvalues,
 )
+from accelpair.sparse import CoordKet, cut_sides, plan_chain, reduced_gram
 from accelpair.states import Scenario, build_final_state
 
 from oracles import jacobi_hermitian_eigenvalues, random_pure_amplitudes
@@ -79,6 +80,21 @@ def test_layout_split_and_restricted():
             lookup(("a", "zz"))
         with pytest.raises(LayoutError, match="labels 'zz', 1 in layout"):
             lookup(("a", "zz", 1))
+    # a bare str is not read one label per character ("ab" as {"a", "b"}), by any lookup
+    abc = SubsystemLayout(("a", "b", "c"), (2, 2, 2))
+    occ, branch, charge = np.array([[0, 0, 0], [1, 1, 1]]), np.array([0, 1]), np.zeros(4, int)
+    rho = DensityMatrix(abc, np.eye(8) / 8)
+    for bare in [
+        lambda: abc.split("ab"),
+        lambda: abc.restricted("ab"),
+        lambda: partial_transpose(rho, "ab"),
+        lambda: cut_sides(abc, occ, branch, "ab"),
+        lambda: reduced_gram(CoordKet(abc, occ, [0.6, 0.8], branch), "ab"),
+        lambda: plan_chain(abc, occ, branch, "ab", ("a",), charge),
+        lambda: plan_chain(abc, occ, branch, ("a", "b"), "a", charge),
+    ]:
+        with pytest.raises(LayoutError, match="sequence of names, got 'a"):
+            bare()
 
 
 @pytest.mark.parametrize(

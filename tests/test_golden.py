@@ -9,14 +9,20 @@ scalar grids end at r >= 1.2, so their last points climb the cutoff ladder to
 120.  Cases in ``DIGESTS`` are pinned by the SHA-256 of their bytes, the
 others by files in ``tests/golden/``.
 
-Regenerate the files (only when an output change is intended) with
+Compare every case against its pinned bytes, without pytest, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which also prints the digests of the ``DIGESTS`` cases.
+which prints the digests of the ``DIGESTS`` cases, names each case whose
+bytes or exit code differ, and exits 1 if any does.  The files are never
+regenerated to land a change; only when an output change is intended, add
+``--write`` to overwrite the files of the cases whose bytes differ
+(never those of a case whose exit code differs).
 """
 
+import argparse
 import hashlib
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -81,14 +87,32 @@ def test_sweep_output_matches_golden_bytes(name, tmp_path, capsys):
         assert svg_path.read_bytes() == (GOLDEN / svg_path.name).read_bytes()
 
 
-if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+def _compare(write: bool) -> list[str]:
+    """Run every case and print its digests or verdict; the names of the cases that differ."""
+    differ = []
     for name, (_, expected) in CASES.items():
-        if name in DIGESTS:
-            with tempfile.TemporaryDirectory() as tmp:
-                code, csv_path, svg_path = _sweep(name, Path(tmp))
-                print(f'    "{name}": ("{_sha256(csv_path)}", "{_sha256(svg_path)}"),')
-        else:
-            code = _sweep(name, GOLDEN)[0]
-        if code != expected:
-            sys.exit(f"{name}: sweep exited {code}, expected {expected}")
+        with tempfile.TemporaryDirectory() as tmp:
+            code, *outputs = _sweep(name, Path(tmp))
+            digests = tuple(map(_sha256, outputs))
+            if name in DIGESTS:
+                print(f'    "{name}": ("{digests[0]}", "{digests[1]}"),')
+                same = digests == DIGESTS[name]
+            else:
+                golden = [GOLDEN / out.name for out in outputs]
+                same = all(g.is_file() and _sha256(g) == d for g, d in zip(golden, digests))
+                if write and not same and code == expected:
+                    GOLDEN.mkdir(exist_ok=True)
+                    for out, g in zip(outputs, golden):
+                        shutil.copyfile(out, g)
+        if code != expected or not same:
+            differ.append(name)
+            print(f"{name}: differs (exit {code}, expected {expected}; bytes equal: {same})")
+    return differ
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Compare sweep outputs with their pinned bytes.")
+    parser.add_argument("--write", action="store_true", help="overwrite differing golden files")
+    differ = _compare(parser.parse_args().write)
+    print(f"{len(differ)} of {len(CASES)} cases differ: {', '.join(differ) or 'none'}")
+    sys.exit(1 if differ else 0)

@@ -14,7 +14,6 @@ from accelpair import DomainError, LayoutError, Scenario, evaluate_scenario, nam
 from accelpair import entanglement
 from accelpair.cli import CUTOFF_CAP
 from accelpair.entanglement import (
-    SystemResult,
     _ln_from_schmidt,
     _system_result,
     chain_spectrum,
@@ -84,8 +83,7 @@ def reference_result(sc):
     for name, (d, e, _) in traced.items():
         if name not in systems:
             systems[name] = _system_result(*chain_spectrum(d, lo[name], e[lo[name]]))
-    ln, neg, low = _ln_from_schmidt(schmidt_weights(ck, named_bipartitions(sc)["full"].party_a))
-    systems["full"] = SystemResult(ln, neg, low, int(low < -1e-12))
+    systems["full"] = _ln_from_schmidt(schmidt_weights(ck, named_bipartitions(sc)["full"].party_a))
     return deficit, {name: systems[name] for name in named_bipartitions(sc)}
 
 
@@ -143,9 +141,8 @@ def test_shuffled_grid_through_one_plan_matches_fresh_plans(kind):
 def test_plan_arrays_are_read_only_int32(kind):
     plan = sweep_plan(Scenario(*kind, 0.3, cutoff=6))
     arrays = [plan.branch, *scenario_support(Scenario(*kind, 0.3, cutoff=6))[1:]]
-    for chain in [*plan.systems.values(), plan.batch]:
-        if chain is not None:
-            arrays += [chain.bins, chain.first, chain.second, chain.edge, chain.system, chain.starts]
+    for chain in plan.plans:
+        arrays += [chain.bins, chain.first, chain.second, chain.edge, chain.system, chain.starts]
     for a in arrays:
         assert a.dtype == np.int32
         assert not a.flags.writeable
@@ -157,9 +154,8 @@ def test_plan_arrays_are_read_only_int32(kind):
 @pytest.mark.parametrize("kind", SCENARIOS)
 def test_plan_edges_strictly_increase(kind, cutoff):
     plan = sweep_plan(Scenario(*kind, 0.3, cutoff=cutoff))
-    for chain in [*plan.systems.values(), plan.batch]:
-        if chain is not None:
-            assert (np.diff(chain.edge) > 0).all()
+    for chain in plan.plans:
+        assert (np.diff(chain.edge) > 0).all()
 
 
 def swap_by_round_trip(rows, cols, dims, a_positions):
@@ -383,7 +379,7 @@ def test_list_longer_than_one_pass_is_split_exactly(kind, monkeypatch):
 
 
 def test_repeated_chain_plan_is_the_plan_for_each_state_in_turn():
-    plan = sweep_plan(Scenario("fermion", "both", 0.3)).batch
+    (plan,) = sweep_plan(Scenario("fermion", "both", 0.3)).plans
     support = int(plan.first.max()) + 2
     repeated = plan.repeat(3, support)
     assert plan.repeat(1, support) is plan

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dsterf
 
 from accelpair import Scenario, evaluate_scenario
+from accelpair.cli import CUTOFF_CAP
 from accelpair.entanglement import (
     NEGATIVE_EIGENVALUE_TOL,
     _dstebz,
@@ -127,15 +128,18 @@ def test_chain_spectrum_matches_full_dsterf(systems):
             assert (neg, low, count) == (0.0, 0.0, 0)
 
 
-@pytest.mark.parametrize("cutoff", [4, 30, 120])
+@pytest.mark.parametrize("cutoff", [4, 30, 60, 120, CUTOFF_CAP])
 def test_structure_picks_pairs_or_chains(cutoff):
-    for kind, pairs in [
-        (("fermion", "one"), ("s,p", "s,a")),
-        (("fermion", "both"), ("p,p", "p,a", "a,p", "a,a")),
-        (("scalar", "one"), ("s,p", "s,a")),
-        (("scalar", "both"), ()),
+    both = ("p,p", "p,a", "a,p", "a,a")
+    for kind, paired, names in [
+        (("fermion", "one"), True, ("s,p", "s,a")),
+        (("fermion", "both"), True, both),
+        (("scalar", "one"), True, ("s,p", "s,a")),
+        (("scalar", "both"), False, both),
     ]:
-        assert sweep_plan(Scenario(*kind, 0.3, cutoff=cutoff)).pairs == pairs
+        plan = sweep_plan(Scenario(*kind, 0.3, cutoff=cutoff))
+        assert (plan.paired, plan.names) == (paired, names)
+        assert len(plan.plans) == (1 if paired else len(names))  # each system planned once
 
 
 @pytest.mark.parametrize("cutoff", [30, 120])
