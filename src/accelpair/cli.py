@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 domain/configuration error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import numbers
 import sys
@@ -28,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .bogoliubov import Coefficients, FieldParams, mu2_from_field, verify_unitarity
-from .entanglement import ScenarioResult, SweepPlan, closed_forms, evaluate_scenario, sweep_plan
+from .entanglement import ScenarioResult, SweepPlan, _closed_form_row, evaluate_scenario, sweep_plan
 from .errors import DomainError, LayoutError
 from .states import Scenario, scenario_amplitudes
 from .svg import Curve, render_line_plot
@@ -165,8 +164,8 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     fermion grid is one :func:`evaluate_scenario` call; scalar points climb a ladder each."""
     grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
     if cfg.statistics == "fermion":
-        squeezes = map(cfg.squeeze, grid)
-        scs = [Scenario(cfg.statistics, cfg.accelerated, r, cutoff=cfg.cutoff) for r in squeezes]
+        statistics, accelerated, squeezes = cfg.statistics, cfg.accelerated, map(cfg.squeeze, grid)
+        scs = [Scenario(statistics, accelerated, r, cutoff=cfg.cutoff) for r in squeezes]
         return SweepTable(cfg, [SweepRow(v, r, True) for v, r in zip(grid, evaluate_scenario(scs))])
     plans: dict[int, SweepPlan] = {}  # by cutoff, for this sweep only
     return SweepTable(cfg, [_evaluate_point(cfg, p, plans) for p in grid])
@@ -181,31 +180,27 @@ def emit_csv(table: SweepTable, path: Path) -> Path:
     are exact, so they add the closed-form ``cf_*`` columns and report cutoff 0."""
     cfg = table.config
     fermion, systems = cfg.statistics == "fermion", table.systems
-    header: list[str] = []
-    if cfg.mu2_grid:
-        header.append("mu2")
-    header.append("r")
+    header = ["mu2", "r"] if cfg.mu2_grid else ["r"]
     header += [f"ln_{_column_key(s)}" for s in systems]
     if fermion:
         header += [f"cf_{_column_key(s)}" for s in systems]
     header += ["deficit", "cutoff", "converged"]
 
+    forms = _closed_form_row(cfg.scenario, systems) if fermion else None
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")  # no field holds a comma, quote or newline
         for row in table.rows:
             res = row.result
             squeeze = res.scenario.squeeze
-            values = [row.param] if cfg.mu2_grid else []
-            values.append(squeeze)
+            values = [row.param, squeeze] if cfg.mu2_grid else [squeeze]
             values += [res.systems[s].log_negativity for s in systems]
             if fermion:
-                values += closed_forms(cfg.scenario, systems, squeeze)
+                values += forms(squeeze)  # a fermion squeeze lies in [0, pi/2]
             values.append(res.deficit)
             cutoff = 0 if fermion else res.scenario.cutoff
             flag = "true" if row.converged else "false"
-            writer.writerow([*(f"{v:.12g}" for v in values), f"{cutoff:d}", flag])
+            fh.write(",".join([*["%.12g" % v for v in values], "%d" % cutoff, flag]) + "\n")
     return path
 
 

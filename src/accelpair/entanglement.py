@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -139,13 +139,14 @@ def partial_transpose(rho: DensityMatrix, party_a: Iterable[str]) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(rho.entries.shape))
 
 
-def _ln_from_schmidt(weights) -> SystemResult:
-    """:class:`SystemResult` of a pure state's Schmidt weights: the partial transpose's
-    spectrum is {w_i} plus {+-sqrt(w_i w_j)}, so the trace norm is (sum_i sqrt(w_i))^2."""
-    roots = [math.sqrt(w) for w in sorted(weights, reverse=True) if w > _SCHMIDT_WEIGHT_TOL]
-    total = math.fsum(roots)
+def _ln_from_schmidt(w0: float, w1: float) -> SystemResult:
+    """:class:`SystemResult` of a pure state with Schmidt weights w0, w1: the partial
+    transpose's spectrum is {w0, w1, +-sqrt(w0 w1)}, so the trace norm is (sum_i sqrt(w_i))^2."""
+    r0 = math.sqrt(w0) if w0 > _SCHMIDT_WEIGHT_TOL else 0.0
+    r1 = math.sqrt(w1) if w1 > _SCHMIDT_WEIGHT_TOL else 0.0
+    total = r0 + r1  # correctly rounded, as math.fsum of two terms is
     neg = max((total * total - 1.0) / 2.0, 0.0)
-    min_eig = -(roots[0] * roots[1]) if len(roots) >= 2 else 0.0
+    min_eig = 0.0 - r0 * r1  # +0.0 where a weight is dropped
     return _system_result(neg, min_eig, min_eig < -NEGATIVE_EIGENVALUE_TOL)
 
 
@@ -166,23 +167,31 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_forms(scenario: str, systems: Iterable[str], r_f: float) -> list[float]:
-    """Closed-form fermionic logarithmic negativity of each named reduced system."""
-    try:
-        forms = _CLOSED_FORMS[scenario]
-    except KeyError:
-        raise DomainError(
-            f"closed forms exist for 'fermion-one' and 'fermion-both', got {scenario!r}"
-        ) from None
-    systems = list(systems)
+def _closed_form_row(scenario: str, systems: Iterable[str]) -> Callable[[float], list[float]]:
+    """The closed forms of the named reduced systems, checked once, as one function of r_f."""
+    forms = _CLOSED_FORMS.get(scenario)
+    if forms is None:
+        raise DomainError(f"closed forms exist for fermion-one and fermion-both, got {scenario!r}")
+    if isinstance(systems, str):
+        raise DomainError(f"reduced systems must be a sequence of names, got {systems!r}")
+    row = []
     for system in systems:
         if system not in forms:
             raise DomainError(f"unknown reduced system {system!r} for {scenario}: {sorted(forms)}")
+        row.append(forms[system])
+
+    def at(r_f: float) -> list[float]:
+        c2, s2 = math.cos(r_f) ** 2, math.sin(r_f) ** 2
+        return [form(c2, s2) for form in row]
+
+    return at
+
+
+def closed_forms(scenario: str, systems: Iterable[str], r_f: float) -> list[float]:
+    """Closed-form fermionic logarithmic negativity of each named reduced system."""
     if not 0.0 <= r_f <= math.pi / 2.0:
         raise DomainError(f"r_f must lie in [0, pi/2], got {r_f}")
-    c2 = math.cos(r_f) ** 2
-    s2 = math.sin(r_f) ** 2
-    return [forms[system](c2, s2) for system in systems]
+    return _closed_form_row(scenario, systems)(r_f)
 
 
 def closed_form_ln(scenario: str, system: str, r_f: float) -> float:
@@ -207,7 +216,7 @@ def named_bipartitions(sc: Scenario) -> dict[str, Bipartition]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemResult:
     """Entanglement figures for one named reduced system.
 
@@ -223,7 +232,7 @@ class SystemResult:
     negative_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioResult:
     """LN of every named bipartition of a scenario state, plus its deficit."""
 
@@ -379,7 +388,7 @@ def _rows(batch: list[Scenario], plan: SweepPlan) -> list[ScenarioResult]:
     val, deficits = scenario_amplitudes(batch)
     weights, n, width = (val * val.conj()).real, len(batch), len(plan.names)
     norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n).tolist()
-    full = map(_ln_from_schmidt, zip(norms[::2], norms[1::2]))  # one negative, -sqrt(w0 w1)
+    full = map(_ln_from_schmidt, norms[::2], norms[1::2])  # one negative, -sqrt(w0 w1)
     if plan.paired:
         joined, tiled = plan.plans[0].repeat(n, val.shape[1]), np.concatenate([weights] * width, 1)
         spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
@@ -387,6 +396,6 @@ def _rows(batch: list[Scenario], plan: SweepPlan) -> list[ScenarioResult]:
     else:  # point by point, each point's systems in turn: the order of the joined plan
         entries = (c.entries(weights[p], val[p]) for p in range(n) for c in plan.plans)
         solved = [_system_result(*chain_spectrum(*e)) for e in entries]
-    traced = [dict(zip(plan.names, solved[at : at + width])) for at in range(0, n * width, width)]
-    rows = zip(batch, deficits, full, traced)
-    return [ScenarioResult(sc, deficit, {"full": f, **t}) for sc, deficit, f, t in rows]
+    names = ("full", *plan.names)
+    rows = zip(batch, deficits, full, *(solved[i::width] for i in range(width)))
+    return [ScenarioResult(sc, deficit, dict(zip(names, s))) for sc, deficit, *s in rows]

@@ -37,10 +37,6 @@ _FONT = "Helvetica, Arial, sans-serif"
 _TICKS = 5  # per axis, both ends included
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _tick_values(lo: float, hi: float) -> list[float]:
     step = (hi - lo) / (_TICKS - 1)
     return [lo + i * step for i in range(_TICKS)]
@@ -117,7 +113,7 @@ def render_line_plot(
     dash_attrs = [_DASH[c.dash] for c in curves]
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in zip(c.x, c.y)))
+        pts = " ".join(["%.2f,%.2f" % to_px(x, y) for x, y in zip(c.x, c.y)])
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"{dash_attrs[i]}/>'

@@ -206,6 +206,19 @@ def test_scalar_sweep_converges_and_zeroes_antiparticles():
         assert _ln(row, "s,a") == pytest.approx(0.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("steps", [101, 1001])
+@pytest.mark.parametrize("scenario", ["fermion-one", "fermion-both", "scalar-one"])
+def test_sweep_ln_is_math_log2_of_each_negativity(scenario, steps):
+    # LN stays one math.log2 per value: on an AVX-512 host with numpy 2.4,
+    # np.log2 differs from math.log2 in the last bit at 6,955 of 2,300,001
+    # evenly spaced inputs in [1, 2], so a vectorized LN could move rows of
+    # grids whose golden bytes happen not to include such an input.  On that
+    # host the default 101-point grids hold none; the 1001-point grids hold 4, 31 and 2.
+    for row in run_sweep(SweepConfig(scenario, steps=steps)).rows:
+        for system in row.result.systems.values():
+            assert system.log_negativity == math.log2(2.0 * system.negativity + 1.0)
+
+
 # --- CSV -------------------------------------------------------------------------
 
 

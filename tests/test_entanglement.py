@@ -194,6 +194,9 @@ def test_closed_form_domain_errors():
         closed_form_ln("fermion-one", "s,p", 2.0)
     with pytest.raises(DomainError, match="'p,p'"):  # every system of a row is checked
         closed_forms("fermion-one", ["full", "s,p", "p,p"], 0.3)
+    for bare in ("s,p", "full"):  # one name, not a sequence of one-character names
+        with pytest.raises(DomainError, match=f"got {bare!r}$"):
+            closed_forms("fermion-one", bare, 0.3)
 
 
 @pytest.mark.parametrize("scenario", ["fermion-one", "fermion-both"])

@@ -21,7 +21,9 @@ regenerated to land a change; only when an output change is intended, add
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import shutil
 import sys
 import tempfile
@@ -85,6 +87,16 @@ def test_sweep_output_matches_golden_bytes(name, tmp_path, capsys):
     else:
         assert csv_path.read_bytes() == (GOLDEN / csv_path.name).read_bytes()
         assert svg_path.read_bytes() == (GOLDEN / svg_path.name).read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.csv")), ids=lambda p: p.name)
+def test_golden_csv_needs_no_quoting(path):
+    # emit_csv joins its fields with commas; csv.writer would write these bytes too
+    data = path.read_bytes()
+    out = io.StringIO()
+    rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    assert out.getvalue().encode("utf-8") == data
 
 
 def _compare(write: bool) -> list[str]:

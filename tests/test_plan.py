@@ -83,7 +83,7 @@ def reference_result(sc):
     for name, (d, e, _) in traced.items():
         if name not in systems:
             systems[name] = _system_result(*chain_spectrum(d, lo[name], e[lo[name]]))
-    systems["full"] = _ln_from_schmidt(schmidt_weights(ck, named_bipartitions(sc)["full"].party_a))
+    systems["full"] = _ln_from_schmidt(*schmidt_weights(ck, named_bipartitions(sc)["full"].party_a))
     return deficit, {name: systems[name] for name in named_bipartitions(sc)}
 
 
