@@ -10,13 +10,13 @@ partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 
 :func:`evaluate_scenario` runs all four scenarios, one point or a list in one
 pass, through the two-branch pipeline of :mod:`accelpair.sparse`, on a
-:class:`SweepPlan` that holds the squeeze-independent index structure (its
-docstring says which checks run when built and which per point).  Only the
-negative eigenvalues are computed.  A plan is pairs or chains: the traced
-systems of fermions and scalar-one are 2-state pairs, solved together in
-closed form (:func:`pair_spectra`); scalar-both's are longer chains, one
-bisection each (:func:`chain_spectrum`).  It is the package's one LN route.  The per-state
-functions of :mod:`accelpair.sparse` and the dense :func:`reduced_density`
+:class:`SweepPlan` that holds the squeeze-independent index structure, as
+the state's shift rule gives it (:func:`accelpair.states.traced_plan`).
+Only the negative eigenvalues are computed.  A plan is pairs or chains: the
+traced systems of fermions and scalar-one are 2-state pairs, solved together
+in closed form (:func:`pair_spectra`); scalar-both's are longer chains, one
+bisection each (:func:`chain_spectrum`).  It is the package's one LN route.
+The per-state functions of :mod:`accelpair.sparse` and the dense :func:`reduced_density`
 and :func:`partial_transpose` here are the reference routes it is tested
 against.  Reduced systems carry conventional names: "s,p" pairs the inert s
 mode with the w particles, "p,p" pairs the particles of both accelerated
@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DomainError, LayoutError
 from .fock import DensityMatrix, Ket, label_names
-from .sparse import ChainPlan, cut_sides, plan_chain, stacked
-from .states import Scenario, kept_charges, scenario_amplitudes, scenario_support
+from .sparse import ChainPlan, stacked
+from .states import Scenario, scenario_amplitudes, scenario_branch, traced_plan
 
 __all__ = [
     "NEGATIVE_EIGENVALUE_TOL",
@@ -147,7 +147,7 @@ def _ln_from_schmidt(w0: float, w1: float) -> SystemResult:
     total = r0 + r1  # correctly rounded, as math.fsum of two terms is
     neg = max((total * total - 1.0) / 2.0, 0.0)
     min_eig = 0.0 - r0 * r1  # +0.0 where a weight is dropped
-    return _system_result(neg, min_eig, min_eig < -NEGATIVE_EIGENVALUE_TOL)
+    return _system_result(neg, min_eig, int(min_eig < -NEGATIVE_EIGENVALUE_TOL))
 
 
 _CLOSED_FORMS = {
@@ -241,9 +241,8 @@ class ScenarioResult:
     systems: Mapping[str, SystemResult]
 
 
-def _system_result(negativity, min_pt, count) -> SystemResult:
-    neg = float(negativity)
-    return SystemResult(math.log2(2.0 * neg + 1.0), neg, float(min_pt), int(count))
+def _system_result(negativity: float, min_pt: float, count: int) -> SystemResult:
+    return SystemResult(math.log2(2.0 * negativity + 1.0), negativity, min_pt, count)
 
 
 def pair_spectra(d, lo, c, system, starts) -> tuple[np.ndarray, ...]:
@@ -260,7 +259,8 @@ def pair_spectra(d, lo, c, system, starts) -> tuple[np.ndarray, ...]:
     low.put(lo, np.minimum(a, minus))
     neg, n = minus < -NEGATIVE_EIGENVALUE_TOL, starts.size - 1
     negativity = np.bincount(system, -minus * neg, n)  # -0.0 terms add nothing
-    return negativity, np.minimum.reduceat(low, starts[:-1]), np.bincount(system, neg, n)
+    count = np.bincount(system[neg], minlength=n)
+    return negativity, np.minimum.reduceat(low, starts[:-1]), count
 
 
 @functools.cache
@@ -315,11 +315,11 @@ def chain_spectrum(d, lo, c) -> tuple[float, float, int]:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Index structure of one (statistics, accelerated, cutoff).  "full" needs
-    only each support entry's ``branch``.  If every chain of the traced systems,
-    ``names``, is a 2-state pair (``paired``), ``plans`` is the one
-    :class:`~accelpair.sparse.ChainPlan` that joins them in order; otherwise it
-    holds each system's own plan."""
+    """Index structure of one (statistics, accelerated, cutoff), from the shift
+    rule alone.  "full" needs only each support entry's ``branch``.  If every
+    chain of the traced systems, ``names``, is a 2-state pair (``paired``),
+    ``plans`` is the one :class:`~accelpair.sparse.ChainPlan` that joins them
+    in order; otherwise it holds each system's own plan."""
 
     key: tuple[str, str, int | None]
     branch: np.ndarray
@@ -334,25 +334,17 @@ def _plan_key(sc: Scenario) -> tuple[str, str, int | None]:
 
 def sweep_plan(sc: Scenario) -> SweepPlan:
     """The plan of every scenario with ``sc``'s statistics, accelerated modes and
-    cutoff: pairs for fermions and scalar-one, chains for scalar-both."""
-    layout, occ, branch = scenario_support(sc)
-    names, plans = [], []
-    for name, bp in named_bipartitions(sc).items():
-        bp.check_layout(layout.labels)
-        if not bp.traced:
-            cut_sides(layout, occ, branch, bp.party_a)
-            continue
-        kept = layout.restricted(bp.kept)
-        charge = kept_charges(kept.dims, kept.labels, bp.party_a)
-        names.append(name)
-        plans.append(plan_chain(layout, occ, branch, bp.kept, bp.party_a, charge))
+    cutoff, by :func:`~accelpair.states.traced_plan`'s shift rule: pairs for
+    fermions and scalar-one, chains for scalar-both."""
+    traced = {name: bp for name, bp in named_bipartitions(sc).items() if bp.traced}
+    plans = [traced_plan(sc, *bp.party_a, *bp.party_b) for bp in traced.values()]
     paired = all((np.diff(p.edge) > 1).all() for p in plans)
     if paired:  # one plan: each system's bins run over the support once more
         starts = np.cumsum([0] + [p.starts[-1] for p in plans])
         parts = zip(plans, starts, range(len(plans)))
         joined = [(p.bins + s, p.first, p.second, p.edge + s, p.system + i) for p, s, i in parts]
         plans = [ChainPlan(*map(np.concatenate, zip(*joined)), starts)]
-    return SweepPlan(_plan_key(sc), branch, tuple(names), tuple(plans), paired)
+    return SweepPlan(_plan_key(sc), scenario_branch(sc), tuple(traced), tuple(plans), paired)
 
 
 def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan | None = None):
@@ -361,16 +353,15 @@ def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan 
     One :class:`Scenario` gives one :class:`ScenarioResult`, a list sharing
     one plan key a list in order; one scenario runs as a list of one.
     ``plan`` is their :func:`sweep_plan` (built from the first if not given).
-    Its build runs every structural check once, on the whole support: a
-    branch with two entries at one traced index, branches sharing a tuple, a
-    cross term coupling two charges, a sector that is not a chain, two cross
-    terms on one chain edge, branches sharing a state on one side of the
-    "full" cut.  Per point, the amplitudes are checked (finite, norm at most
-    1 + 1e-12, summed over the nonzero entries) and renormalized.  Up to 4096
-    points are the rows of one array: "full" takes one bincount, a paired
-    plan one bincount, gather and :func:`pair_spectra` for all points and
-    systems, and a plan of chains one :func:`chain_spectrum` per point and
-    system.  Only elementwise arithmetic and in-order reductions are shared:
+    Its build checks nothing: the shift rule fixes the structure, and the
+    tests hold every plan to the reference route, which checks it (no two
+    entries of a branch at one traced index, no tuple or "full"-cut state
+    shared by the branches, every sector a chain).  Per point, the
+    amplitudes are checked (finite, norm at most 1 + 1e-12, summed over the
+    nonzero entries) and renormalized.  Up to 4096 points are the rows of
+    one array: "full" takes one bincount, a paired plan one bincount, gather
+    and :func:`pair_spectra` for all points and systems, and a plan of
+    chains one :func:`chain_spectrum` per point and system.  Only elementwise arithmetic and in-order reductions are shared:
     each point gets what it gets alone.
     """
     single = isinstance(scenarios, Scenario)

@@ -11,14 +11,15 @@ only.  Sorted by a conserved charge, every sector is a chain: the matrix is
 one symmetric tridiagonal (d, |e|).  The untraced system's Schmidt weights
 are the two branch norms.  Input outside this structure is a DomainError.
 
-:func:`plan_chain` builds this index structure once per support and runs
-the structural checks there, on every entry, zero amplitudes included; per
+A :class:`ChainPlan` holds this index structure for one support, as the
+state's shift rule gives it (:func:`accelpair.states.traced_plan`): per
 state, or per batch of states on one support (:meth:`ChainPlan.repeat`),
-:meth:`ChainPlan.entries` is one bincount and one gather.  The cross terms
-are never sorted or hashed: the partial transpose swaps party A's digits by
-stride arithmetic on the flat indices, and one scatter over the chain's edge
-slots both checks that no edge is hit twice and puts the cross terms in edge
-order.  The per-state functions, the reference route, share its helpers.
+:meth:`ChainPlan.entries` is one bincount and one gather, and nothing is
+checked.  The per-state functions are the reference route: they find the
+structure from the occupation tuples and check it on every call, and the
+tests hold the plans to them with ``==``.  Their cross terms are never
+sorted or hashed: the partial transpose swaps party A's digits by stride
+arithmetic on the flat indices.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "ChainPlan",
     "norm_squared",
     "stacked",
-    "plan_chain",
-    "cut_sides",
     "reduced_gram",
     "partial_transpose_sparse",
     "tridiagonal",
@@ -279,38 +278,6 @@ class ChainPlan:
         return ChainPlan(*index, np.append(stacked(self.starts[:-1], n, count), n * count))
 
 
-def plan_chain(layout, occupations, branch, keep, party_a, charge) -> ChainPlan:
-    """Plan the partial transpose over ``party_a`` of rho over ``keep``, ``charge`` per
-    kept state.  Runs the checks of reduced_gram and tridiagonal on the
-    whole support; two cross terms on one chain edge are a DomainError.
-    That check writes each cross term's number into its edge's slot: fewer
-    filled slots than cross terms means an edge was hit twice, and otherwise
-    the filled slots, read in order, are the cross terms in edge order."""
-    kept, rows, first, second = _cross_terms(layout, occupations, branch, keep)
-    pt = _swap(rows[first], rows[second], kept.dims, kept.split(party_a)[0])
-    _, place, *pt = _chain(charge, kept.total_dim, *pt)
-    edge = np.minimum(*pt)
-    slot = np.full(kept.total_dim, -1)
-    slot[edge] = np.arange(edge.size)
-    by = slot[slot >= 0]
-    if by.size != edge.size:
-        raise DomainError("two cross terms land on one chain edge")
-    one_system = np.zeros_like(by), [0, kept.total_dim]
-    return ChainPlan(place[rows], first[by], second[by], edge[by], *one_system)
-
-
-def cut_sides(layout, occupations, branch, party_a: Iterable[str]) -> list[np.ndarray]:
-    """Each entry's party-A and party-B index; DomainError if the branches share one."""
-    one, sides = np.asarray(branch) == 1, []
-    for pos in layout.split(party_a):
-        sides.append(_ravel(occupations, layout.dims, pos))
-        seen = np.zeros(math.prod(layout.dims[p] for p in pos), dtype=bool)
-        seen[sides[-1][~one]] = True
-        if seen[sides[-1][one]].any():
-            raise DomainError("the two branches share a state on one side of the cut")
-    return sides
-
-
 def schmidt_weights(k: CoordKet, party_a: Iterable[str]) -> np.ndarray:
     """Nonzero eigenvalues of rho over ``party_a``: the two branch norms, descending.
 
@@ -319,7 +286,14 @@ def schmidt_weights(k: CoordKet, party_a: Iterable[str]) -> np.ndarray:
     is, and the branches must share no state on either side; then they are
     the two Schmidt terms.  Anything else is a DomainError.
     """
-    side_a, side_b = cut_sides(k.layout, k.occupations, k.branch, party_a)
+    one, sides = k.branch == 1, []
+    for pos in k.layout.split(party_a):
+        sides.append(_ravel(k.occupations, k.layout.dims, pos))
+        seen = np.zeros(math.prod(k.layout.dims[p] for p in pos), dtype=bool)
+        seen[sides[-1][~one]] = True
+        if seen[sides[-1][one]].any():
+            raise DomainError("the two branches share a state on one side of the cut")
+    side_a, side_b = sides
     for which in np.unique(k.branch):
         mine = k.branch == which
         rows, ia = np.unique(side_a[mine], return_inverse=True)

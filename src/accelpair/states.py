@@ -15,7 +15,13 @@ coordinates (:func:`scenario_support`, :func:`scenario_amplitudes`);
 :func:`build_final_state` is that state made dense.  Bosonic expansions are
 truncated at a cutoff, renormalized, and the norm deficit is reported;
 fermionic states are exact.
-"""
+
+The support is two grids over the modes (s, w), the vacuum block row-major
+and then the one-particle block, an unaccelerated s mode being a one-point
+grid.  Its shift rule, a particle sub-mode's occupation g on the vacuum
+block and j + 1 on the one-particle block (an antiparticle's g and j), fixes
+every traced system's partial transpose: :func:`traced_plan` builds its
+:class:`~accelpair.sparse.ChainPlan` by index arithmetic alone."""
 
 from __future__ import annotations
 
@@ -27,24 +33,20 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import Ket, SubsystemLayout, check_dense
-from .sparse import CoordKet, norm_squared
+from .sparse import ChainPlan, CoordKet, norm_squared
 
 __all__ = [
     "Scenario",
     "scenario_layout",
     "build_final_state",
     "build_final_state_coords",
+    "scenario_branch",
     "scenario_support",
     "scenario_amplitudes",
-    "CHARGE_SIGNS",
-    "kept_charges",
+    "traced_plan",
 ]
 
 _HALF_PI = math.pi / 2.0
-
-# Every scenario state obeys the selection rule (s_p - s_a) = (w_p - w_a):
-# the charge sum(sign * occupation) vanishes on each populated tuple.
-CHARGE_SIGNS = {"s_p": 1, "s_a": -1, "w_p": -1, "w_a": 1}
 
 
 @dataclass(frozen=True)
@@ -128,24 +130,67 @@ def build_final_state(sc: Scenario) -> tuple[Ket, float]:
     return Ket(layout, amps), deficit
 
 
+def _grids(sc: Scenario) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Shapes over the modes (s, w) of the vacuum block and the one-particle
+    block; an unaccelerated s mode is a one-point grid."""
+    n_vac, n_one = (2, 1) if sc.is_fermion else (sc.cutoff + 1, sc.cutoff + 1)
+    s = (1, 1) if sc.accelerated == "one" else (n_vac, n_one)
+    return (s[0], n_vac), (s[1], n_one)
+
+
+def _occupations(sc: Scenario) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each sub-mode's occupation on the vacuum block and on the one-particle
+    block, in support order: g, and j + 1 for a particle (j for an antiparticle)."""
+    g, j = (np.indices(shape, np.int32).reshape(2, -1) for shape in _grids(sc))
+    return {f"{m}_{x}": (g[i], j[i] + (x == "p")) for i, m in enumerate("sw") for x in "pa"}
+
+
+def scenario_branch(sc: Scenario) -> np.ndarray:
+    """Branch of each :func:`scenario_support` entry (int32, read-only): 0 on
+    the vacuum block, then 1 on the one-particle block."""
+    branch = np.repeat(np.array([0, 1], np.int32), [math.prod(g) for g in _grids(sc)])
+    branch.flags.writeable = False
+    return branch
+
+
 def scenario_support(sc: Scenario) -> tuple[SubsystemLayout, np.ndarray, np.ndarray]:
     """Layout, tuples and branches (int32, read-only) of every entry a state of
     ``sc``'s statistics, accelerated modes and cutoff can hold, at any squeeze."""
-    # per accelerated mode: vacuum entries |n_p, n_a>, one-particle entries |(n+1)_p, n_a>
-    n_vac, n_one = (2, 1) if sc.is_fermion else (sc.cutoff + 1, sc.cutoff + 1)
-    nc, nd = np.arange(n_vac, dtype=np.int32), np.arange(n_one, dtype=np.int32)
-    layout = scenario_layout(sc)
-    if sc.accelerated == "one":
-        vac = np.stack([np.zeros_like(nc), nc, nc], axis=1)  # |0_s> (x) vacuum
-        one = np.stack([np.ones_like(nd), nd + 1, nd], axis=1)  # |1_s> (x) one particle
-    else:
-        cs, cw = np.divmod(np.arange(nc.size**2, dtype=np.int32), nc.size)  # row-major (s, w)
-        ds, dw = np.divmod(np.arange(nd.size**2, dtype=np.int32), nd.size)
-        vac, one = np.stack([cs, cs, cw, cw], axis=1), np.stack([ds + 1, ds, dw + 1, dw], axis=1)
-    occ = np.concatenate([vac, one])
-    branch = np.repeat(np.array([0, 1], dtype=np.int32), [len(vac), len(one)])
-    occ.flags.writeable = branch.flags.writeable = False
-    return layout, occ, branch
+    layout, occ = scenario_layout(sc), _occupations(sc)
+    occ = np.stack([np.concatenate(occ[label]) for label in layout.labels], axis=1)
+    occ.flags.writeable = False
+    return layout, occ, scenario_branch(sc)
+
+
+def traced_plan(sc: Scenario, party_a: str, party_b: str) -> ChainPlan:
+    """Plan of the partial transpose over ``party_a`` (an s sub-mode) of rho over
+    it and ``party_b`` (a w sub-mode), on :func:`scenario_support`, by the shift rule.
+
+    With p = 1 for a particle sub-mode, the vacuum entry at grid point g sits
+    at kept index g and the one-particle entry at j at j + p; the two meet at
+    one traced index where j = g - (1 - p) in each mode, and transposing
+    party A exchanges their kept A-coordinates.  States are ordered by a
+    stable sort of the flipped charge, sum(sign * occupation) with sign -1 for
+    a particle and +1 for an antiparticle sub-mode.  The
+    reference route (:func:`~accelpair.sparse.reduced_gram`,
+    :func:`~accelpair.sparse.tridiagonal`) gives the same (d, edges, |e|).
+    """
+    (vac, one), occ = _grids(sc), _occupations(sc)
+    p = np.array([label.endswith("_p") for label in (party_a, party_b)], dtype=np.int64)
+    dims = [max(v, o + x) for v, o, x in zip(vac, one, p)]
+    a, b = (np.concatenate(occ[label]) for label in (party_a, party_b))
+    charge = np.add.outer(*((1 - 2 * x) * np.arange(dim) for x, dim in zip(p, dims))).ravel()
+    place = np.empty(charge.size, np.int64)
+    place[np.argsort(charge, kind="stable")] = np.arange(charge.size)
+    lo = 1 - p  # the one-particle grid point j meets the vacuum's g = j + lo
+    j = np.indices([min(v - x, o) for v, o, x in zip(vac, one, lo)]).reshape(2, -1)
+    first = np.ravel_multi_index(j + lo[:, None], vac)
+    second = math.prod(vac) + np.ravel_multi_index(j, one)
+    swapped = a[second] * dims[1] + b[first], a[first] * dims[1] + b[second]  # party A's swap
+    edge = np.minimum(*(place[i] for i in swapped))
+    by = np.argsort(edge)
+    bins = place[a * dims[1] + b]
+    return ChainPlan(bins, first[by], second[by], edge[by], np.zeros_like(by), [0, charge.size])
 
 
 def scenario_amplitudes(scenarios: Scenario | list[Scenario]) -> tuple[np.ndarray, float | list]:
@@ -183,16 +228,3 @@ def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:
     val, deficit = scenario_amplitudes(sc)
     populated = val != 0.0  # keep the stored support tight (r = 0, underflow)
     return CoordKet(layout, occ[populated], val[populated], branch[populated]), deficit
-
-
-def kept_charges(dims: tuple[int, ...], labels: tuple[str, ...], flipped=frozenset()) -> np.ndarray:
-    """Charge of each kept occupation tuple, row-major, with ``flipped`` signs reversed.
-
-    Reduced density matrices of scenario states conserve it; their partial
-    transposes over party A conserve it with party A flipped.
-    """
-    charge = np.zeros((), dtype=np.int64)
-    for dim, label in zip(dims, labels):
-        sign = -CHARGE_SIGNS[label] if label in flipped else CHARGE_SIGNS[label]
-        charge = np.add.outer(charge, sign * np.arange(dim))
-    return charge.ravel()

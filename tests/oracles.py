@@ -10,6 +10,23 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+# Every scenario state obeys the selection rule (s_p - s_a) = (w_p - w_a):
+# the charge sum(sign * occupation) vanishes on each populated tuple.
+CHARGE_SIGNS = {"s_p": 1, "s_a": -1, "w_p": -1, "w_a": 1}
+
+
+def kept_charges(dims, labels, flipped=frozenset()):
+    """Charge of each kept occupation tuple, row-major, with ``flipped`` signs reversed.
+
+    Reduced density matrices of scenario states conserve it; their partial
+    transposes over party A conserve it with party A flipped.
+    """
+    charge = np.zeros((), dtype=np.int64)
+    for dim, label in zip(dims, labels):
+        sign = -CHARGE_SIGNS[label] if label in flipped else CHARGE_SIGNS[label]
+        charge = np.add.outer(charge, sign * np.arange(dim))
+    return charge.ravel()
+
 
 def jacobi_hermitian_eigenvalues(mat, sweeps=100, tol=1e-14):
     """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi rotations.

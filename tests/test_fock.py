@@ -15,7 +15,7 @@ from accelpair.fock import (
     SubsystemLayout,
     hermitian_eigenvalues,
 )
-from accelpair.sparse import CoordKet, cut_sides, plan_chain, reduced_gram
+from accelpair.sparse import CoordKet, reduced_gram, schmidt_weights
 from accelpair.states import Scenario, build_final_state
 
 from oracles import jacobi_hermitian_eigenvalues, random_pure_amplitudes
@@ -82,16 +82,14 @@ def test_layout_split_and_restricted():
             lookup(("a", "zz", 1))
     # a bare str is not read one label per character ("ab" as {"a", "b"}), by any lookup
     abc = SubsystemLayout(("a", "b", "c"), (2, 2, 2))
-    occ, branch, charge = np.array([[0, 0, 0], [1, 1, 1]]), np.array([0, 1]), np.zeros(4, int)
+    ck = CoordKet(abc, np.array([[0, 0, 0], [1, 1, 1]]), [0.6, 0.8], np.array([0, 1]))
     rho = DensityMatrix(abc, np.eye(8) / 8)
     for bare in [
         lambda: abc.split("ab"),
         lambda: abc.restricted("ab"),
         lambda: partial_transpose(rho, "ab"),
-        lambda: cut_sides(abc, occ, branch, "ab"),
-        lambda: reduced_gram(CoordKet(abc, occ, [0.6, 0.8], branch), "ab"),
-        lambda: plan_chain(abc, occ, branch, "ab", ("a",), charge),
-        lambda: plan_chain(abc, occ, branch, ("a", "b"), "a", charge),
+        lambda: schmidt_weights(ck, "ab"),
+        lambda: reduced_gram(ck, "ab"),
     ]:
         with pytest.raises(LayoutError, match="sequence of names, got 'a"):
             bare()

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelpair import DomainError, LayoutError, Scenario, evaluate_scenario, named_bipartitions
-from accelpair import entanglement
-from accelpair.cli import CUTOFF_CAP
+from accelpair import entanglement, sparse
+from accelpair.cli import CUTOFF_CAP, main
 from accelpair.entanglement import (
     _ln_from_schmidt,
     _system_result,
@@ -22,12 +22,11 @@ from accelpair.entanglement import (
 )
 from accelpair.fock import SubsystemLayout
 from accelpair.sparse import (
+    ChainPlan,
     CoordKet,
     _swap,
-    cut_sides,
     norm_squared,
     partial_transpose_sparse,
-    plan_chain,
     reduced_gram,
     schmidt_weights,
     tridiagonal,
@@ -35,11 +34,12 @@ from accelpair.sparse import (
 from accelpair.states import (
     _expansion,
     build_final_state_coords,
-    kept_charges,
     scenario_amplitudes,
-    scenario_layout,
     scenario_support,
 )
+
+from oracles import kept_charges
+from test_golden import CASES, GOLDEN
 
 SCENARIOS = [(stat, acc) for stat in ("scalar", "fermion") for acc in ("one", "both")]
 
@@ -79,7 +79,7 @@ def reference_result(sc):
             np.repeat(np.arange(len(pairs)), [lo[name].size for name in pairs]),
             starts,
         )
-        systems.update(zip(pairs, map(_system_result, *spectra)))
+        systems.update(zip(pairs, map(_system_result, *map(np.ndarray.tolist, spectra))))
     for name, (d, e, _) in traced.items():
         if name not in systems:
             systems[name] = _system_result(*chain_spectrum(d, lo[name], e[lo[name]]))
@@ -150,12 +150,57 @@ def test_plan_arrays_are_read_only_int32(kind):
             a[:1] = 0
 
 
-@pytest.mark.parametrize("cutoff", [6, 30, 120])
+@pytest.mark.parametrize("cutoff", [6, 30, 120, 480])
 @pytest.mark.parametrize("kind", SCENARIOS)
 def test_plan_edges_strictly_increase(kind, cutoff):
     plan = sweep_plan(Scenario(*kind, 0.3, cutoff=cutoff))
     for chain in plan.plans:
         assert (np.diff(chain.edge) > 0).all()
+
+
+def system_entries(plan, values):
+    """Each traced system's (d, edge, |e| on it) from ``plan``, split out of a joined one."""
+    weights = (values * values.conj()).real
+    if not plan.paired:
+        return {name: chain.entries(weights, values) for name, chain in zip(plan.names, plan.plans)}
+    (joined,) = plan.plans
+    d, edge, e = joined.entries(np.concatenate([weights] * len(plan.names)), values)
+    out = {}
+    for i, name in enumerate(plan.names):
+        lo, hi, mine = joined.starts[i], joined.starts[i + 1], joined.system == i
+        out[name] = d[lo:hi], edge[mine] - lo, e[mine]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [4, 30, 60, 120, CUTOFF_CAP, 480])
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_plan_entries_equal_the_reference_route(kind, cutoff):
+    # the shift rule's plan against the structure the reference route finds and
+    # checks: every system's diagonal, sorted edges and |e| on them, with ==
+    sc = Scenario(*kind, 2.0 if kind[0] == "scalar" else 1.2, phase=0.7, cutoff=cutoff)
+    values = scenario_amplitudes(sc)[0]
+    ck = build_final_state_coords(sc)[0]
+    assert ck.values.size == values.size  # nothing underflows: the reference sees every entry
+    reference, ours = traced_tridiagonals(ck, sc), system_entries(sweep_plan(sc), values)
+    assert list(ours) == list(reference)
+    for name, (d, e, edges) in reference.items():
+        lo = np.sort(edges)
+        assert np.array_equal(ours[name][0], d), name
+        assert np.array_equal(ours[name][1], lo), name
+        assert np.array_equal(ours[name][2], e[lo]), name
+
+
+def test_sweeps_never_discover_structure(monkeypatch, tmp_path):
+    def discover(*args):
+        raise AssertionError("a sweep discovered the plan's structure")
+
+    for name in ("_cross_terms", "_swap", "_chain", "_entry_at"):
+        monkeypatch.setattr(sparse, name, discover)
+    for case in ("fermion-one", "fermion-both", "scalar-one", "scalar-both"):
+        args, code = CASES[case]
+        csv_path = tmp_path / f"{case}.csv"
+        assert main(["sweep", *args, "--csv", str(csv_path)]) == code == 0
+        assert csv_path.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes(), case
 
 
 def swap_by_round_trip(rows, cols, dims, a_positions):
@@ -221,57 +266,35 @@ SUM_CHARGE = np.add.outer(np.arange(3), np.arange(3)).ravel()  # a + b: (1, 0) a
         ([[0, 0, 0], [0, 0, 0]], [0, 1], SUM_CHARGE, "share an occupation tuple"),
         ([[0, 0, 0], [1, 1, 0]], [0, 1], np.arange(9), "different charge"),
         ([[0, 0, 0], [1, 1, 0]], [0, 1], np.zeros(9, int), "not a chain"),
-        ([[0, 0, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]], [0, 1, 0, 1], SUM_CHARGE, "one chain edge"),
-        # cross terms at t = 0, 1, 2: the first and the last share an edge, the middle does not
-        (
-            [[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 2, 1], [0, 0, 2], [1, 1, 2]],
-            [0, 1, 0, 1, 0, 1],
-            SUM_CHARGE,
-            "one chain edge",
-        ),
     ],
 )
 def test_chain_plan_build_runs_the_structural_checks(occ, branch, charge, message):
-    occ, branch = np.array(occ), np.array(branch)
+    # the checks a plan's structure passes, run by the reference route it is tested against
+    ck = CoordKet(TRIPLE, np.array(occ), [0.6, 0.8], np.array(branch))
     with pytest.raises(DomainError, match=message):
-        plan_chain(TRIPLE, occ, branch, ("a", "b"), ("a",), charge)
+        rho, kept_dims, _ = reduced_gram(ck, ("a", "b"))
+        tridiagonal(partial_transpose_sparse(rho, kept_dims, [0]), charge)
 
 
 def test_chain_plan_matches_reference_on_a_valid_support():
     occ, branch = np.array([[0, 0, 0], [1, 1, 0], [2, 0, 1]]), np.array([0, 1, 0])
-    plan = plan_chain(TRIPLE, occ, branch, ("a", "b"), ("a",), SUM_CHARGE)
+    # worked by hand: the kept states (0,0), (1,1), (2,0) take places 0, 4, 5 in
+    # charge order; the cross term at t = 0 swaps to (1,0)-(0,1), places 2 and 1
+    plan = ChainPlan([0, 4, 5], [0], [1], [1], [0], [0, 9])
     values = np.array([0.6, 0.48j, -0.64]).astype(complex)
     ck = CoordKet(TRIPLE, occ, values, branch)
     rho, kept_dims, _ = reduced_gram(ck, ("a", "b"))
     d, e, edges = tridiagonal(partial_transpose_sparse(rho, kept_dims, [0]), SUM_CHARGE)
     ours = plan.entries((values * values.conj()).real, values)
-    assert not plan.system.any() and np.array_equal(plan.starts, [0, 9])  # one system
     assert np.array_equal(ours[0], d)
     assert np.array_equal(ours[1], np.sort(edges)) and np.array_equal(ours[2], e[ours[1]])
 
 
 def test_cut_check_rejects_branches_sharing_a_state():
     layout = SubsystemLayout(("a", "b"), (2, 2))
+    ck = CoordKet(layout, np.array([[0, 0], [1, 0]]), [0.6, 0.8], np.array([0, 1]))
     with pytest.raises(DomainError, match="share a state"):
-        cut_sides(layout, np.array([[0, 0], [1, 0]]), np.array([0, 1]), ("a",))
-
-
-def test_sweep_plan_raises_at_build_on_a_bad_support(monkeypatch):
-    sc = Scenario("scalar", "one", 0.3, cutoff=4)
-    layout = scenario_layout(sc)
-    # (s_p, w_p, w_a): "s,p" gets the cross term (0,0)-(1,1) from traced w_a = 0 and w_a = 1
-    occ = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1]])
-    monkeypatch.setattr(
-        entanglement, "scenario_support", lambda _: (layout, occ, np.array([0, 0, 1, 1]))
-    )
-    with pytest.raises(DomainError, match="one chain edge"):
-        sweep_plan(sc)
-    # the same tuple in both branches fails the "full" cut first
-    monkeypatch.setattr(
-        entanglement, "scenario_support", lambda _: (layout, occ[[0, 0]], np.array([0, 1]))
-    )
-    with pytest.raises(DomainError, match="share a state"):
-        sweep_plan(sc)
+        schmidt_weights(ck, ("a",))
 
 
 # --- lists of scenarios: one pass, bit for bit the single evaluations ---------------

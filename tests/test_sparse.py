@@ -23,13 +23,14 @@ from accelpair.sparse import (
     reduced_gram,
     schmidt_weights,
 )
-from accelpair.states import build_final_state, build_final_state_coords, kept_charges
+from accelpair.states import build_final_state, build_final_state_coords
 
 from oracles import (
     brute_force_partial_transpose,
     dense_amplitudes,
     dense_hermitian,
     graph_block_eigenvalues,
+    kept_charges,
     pure_state_log_negativity,
     sparse_pt_eigenvalues,
 )

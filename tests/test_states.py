@@ -8,13 +8,12 @@ from accelpair import DomainError, Scenario
 from accelpair.states import (
     build_final_state,
     build_final_state_coords,
-    kept_charges,
     scenario_amplitudes,
     scenario_layout,
     scenario_support,
 )
 
-from oracles import dense_amplitudes, kronecker_scenario_state
+from oracles import dense_amplitudes, kept_charges, kronecker_scenario_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
