@@ -3,11 +3,12 @@
 ``accelpair sweep`` evaluates the logarithmic negativity of every named
 bipartition of a scenario over a grid of squeeze parameters (or, with
 ``--mu2``, of field parameters mu2 that are first converted to squeeze
-values).  A fermion grid is exact: one :func:`evaluate_scenario` call takes it
-whole.  A scalar point doubles its cutoff, one call per rung, until LN is
-stable and the truncation deficit below the same tolerance.  Each row keeps
-its :class:`ScenarioResult`.  The flags are the fields of :class:`SweepConfig`,
-which alone states their defaults and the grid's domain.
+values).  The grid climbs the cutoff ladder together, one
+:func:`evaluate_scenario` call per rung on the points still moving: a scalar
+point doubles its cutoff until LN is stable and the truncation deficit below
+the same tolerance; a fermion grid is exact, so its one rung takes it whole.
+Each row keeps its :class:`ScenarioResult`.  The flags are the fields of
+:class:`SweepConfig`, which alone states their defaults and the grid's domain.
 ``accelpair convert`` reports the Bogoliubov data for one (m, E) pair.
 
 Exit codes: 0 success, 1 domain/configuration error, 2 I/O error,
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bogoliubov import Coefficients, FieldParams, mu2_from_field, verify_unitarity
-from .entanglement import ScenarioResult, SweepPlan, _closed_form_row, evaluate_scenario, sweep_plan
+from .entanglement import ScenarioResult, _closed_form_row, evaluate_scenario, sweep_plan
 from .errors import DomainError, LayoutError
 from .states import Scenario, scenario_amplitudes
 from .svg import Curve, render_line_plot
@@ -134,41 +135,31 @@ class SweepTable:
         return all(r.converged for r in self.rows)
 
 
-def _evaluate_point(cfg: SweepConfig, param: float, plans: dict[int, SweepPlan]) -> SweepRow:
-    """One scalar grid point, one :func:`evaluate_scenario` call per rung of its ladder.
-    ``plans`` holds the sweep's plan of each cutoff, and gains those it lacks."""
-    squeeze = cfg.squeeze(param)
-
-    def at_cutoff(n: int):
-        sc = Scenario(cfg.statistics, cfg.accelerated, squeeze, cutoff=n)
-        if n not in plans:
-            plans[n] = sweep_plan(sc)
-        return evaluate_scenario(sc, plans[n])
-
-    cutoff, res, converged = cfg.cutoff, at_cutoff(cfg.cutoff), False
-    # a row can converge on the rung into the cap; one still moving there stays false
-    while not converged and cutoff < CUTOFF_CAP:
-        cutoff = min(2 * cutoff, CUTOFF_CAP)
-        smaller, res = res, at_cutoff(cutoff)
-        delta = max(
-            abs(res.systems[name].log_negativity - smaller.systems[name].log_negativity)
-            for name in res.systems
-        )
-        # LN also stops moving once the truncation has lost the whole norm
-        converged = delta < cfg.convergence_tol and res.deficit < cfg.convergence_tol
-    return SweepRow(param, res, converged)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepTable:
-    """Evaluate every grid point, in grid order.  Fermion states are exact, so a
-    fermion grid is one :func:`evaluate_scenario` call; scalar points climb a ladder each."""
+    """Evaluate every grid point, in grid order, one rung of the cutoff ladder at a
+    time: each rung is one :func:`evaluate_scenario` call on the points whose rows
+    still move, and those go on to the next.  Fermion states are exact, so a
+    fermion grid is one rung, where every row converges."""
     grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
-    if cfg.statistics == "fermion":
-        statistics, accelerated, squeezes = cfg.statistics, cfg.accelerated, map(cfg.squeeze, grid)
-        scs = [Scenario(statistics, accelerated, r, cutoff=cfg.cutoff) for r in squeezes]
-        return SweepTable(cfg, [SweepRow(v, r, True) for v, r in zip(grid, evaluate_scenario(scs))])
-    plans: dict[int, SweepPlan] = {}  # by cutoff, for this sweep only
-    return SweepTable(cfg, [_evaluate_point(cfg, p, plans) for p in grid])
+    squeezes = [cfg.squeeze(v) for v in grid]
+    results: list[ScenarioResult | None] = [None] * len(grid)
+    converged = [cfg.statistics == "fermion"] * len(grid)
+    kind, moving, cutoff = (cfg.statistics, cfg.accelerated), range(len(grid)), cfg.cutoff
+    while moving:
+        scs = [Scenario(*kind, squeezes[i], cutoff=cutoff) for i in moving]
+        for i, res in zip(moving, evaluate_scenario(scs, sweep_plan(scs[0]))):
+            smaller, results[i] = results[i], res
+            if smaller is not None:
+                delta = max(
+                    abs(res.systems[name].log_negativity - smaller.systems[name].log_negativity)
+                    for name in res.systems
+                )
+                # LN also stops moving once the truncation has lost the whole norm
+                converged[i] = delta < cfg.convergence_tol and res.deficit < cfg.convergence_tol
+        # a row can converge on the rung into the cap; one still moving there stays false
+        moving = [i for i in moving if not converged[i]] if cutoff < CUTOFF_CAP else []
+        cutoff = min(2 * cutoff, CUTOFF_CAP)
+    return SweepTable(cfg, [SweepRow(*row) for row in zip(grid, results, converged)])
 
 
 def _column_key(system: str) -> str:

@@ -69,7 +69,7 @@ _TINY = np.finfo(float).tiny
 _SCHMIDT_WEIGHT_TOL = 1e-12
 
 _UNIT_NORM_TOL = 1e-10
-_ROWS = 4096  # points per pass of evaluate_scenario: bounds the arrays a large grid holds
+_ENTRIES = 1 << 13  # support entries per pass of evaluate_scenario: bounds the arrays a list holds
 
 
 @dataclass(frozen=True)
@@ -358,11 +358,12 @@ def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan 
     entries of a branch at one traced index, no tuple or "full"-cut state
     shared by the branches, every sector a chain).  Per point, the
     amplitudes are checked (finite, norm at most 1 + 1e-12, summed over the
-    nonzero entries) and renormalized.  Up to 4096 points are the rows of
-    one array: "full" takes one bincount, a paired plan one bincount, gather
-    and :func:`pair_spectra` for all points and systems, and a plan of
-    chains one :func:`chain_spectrum` per point and system.  Only elementwise arithmetic and in-order reductions are shared:
-    each point gets what it gets alone.
+    nonzero entries) and renormalized.  As many points as fit in 8192 support
+    entries (at least one) are the rows of one array: "full" takes one
+    bincount, a paired plan one bincount, gather and :func:`pair_spectra` for
+    all points and systems, and a plan of chains one :func:`chain_spectrum`
+    per point and system.  Only elementwise arithmetic and in-order
+    reductions are shared: each point gets what it gets alone.
     """
     single = isinstance(scenarios, Scenario)
     batch = [scenarios] if single else list(scenarios)
@@ -370,12 +371,14 @@ def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan 
     for i, sc in enumerate(batch):
         if _plan_key(sc) != plan.key:
             raise DomainError(f"plan for {plan.key} does not fit scenario {i}, {_plan_key(sc)}")
-    results = [r for at in range(0, len(batch), _ROWS) for r in _rows(batch[at : at + _ROWS], plan)]
+    step = max(1, _ENTRIES // plan.branch.size) if batch else 1
+    results = [r for at in range(0, len(batch), step) for r in _rows(batch[at : at + step], plan)]
     return results[0] if single else results
 
 
 def _rows(batch: list[Scenario], plan: SweepPlan) -> list[ScenarioResult]:
-    """:func:`evaluate_scenario` of at most ``_ROWS`` scenarios on their plan."""
+    """:func:`evaluate_scenario` of one pass's scenarios, at most ``_ENTRIES``
+    support entries together or a single point, on their plan."""
     val, deficits = scenario_amplitudes(batch)
     weights, n, width = (val * val.conj()).real, len(batch), len(plan.names)
     norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n).tolist()

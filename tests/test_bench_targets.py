@@ -2,11 +2,12 @@
 
 The benchmark tracer skips a traced function that no longer exists, so a
 renamed layer would only show up as a missing metric; this catches it here.
-It counts the cutoff ladder from the ``evaluate_scenario`` calls that ``cli``
-makes through its module binding, so a sweep that bypassed that binding
-would report no ladder at all; the ladder test catches that, and the
-per-workload test checks that each workload emits every declared metric and
-calls no traced function outside the sweep route.
+The tracer sees the ``evaluate_scenario`` calls that ``cli`` makes through
+its module binding, one per rung of the cutoff ladder, so a sweep that
+bypassed that binding would report no ladder at all; the ladder test
+catches that and counts each rung's points, and the per-workload test
+checks that each workload emits every declared metric and calls no traced
+function outside the sweep route.
 """
 
 import ast
@@ -47,7 +48,15 @@ def test_traced_ladder_counts_match_the_cutoff_column(monkeypatch, tmp_path):
     csv_path = tmp_path / "ladder.csv"
     # scalar-one rows go on to cutoff 120 from r ~ 0.925
     argv = ["sweep", "--scenario", "scalar-one", "--min", "0.91", "--max", "0.95", "--steps", "5"]
-    with spans.Tracer() as tracer:
+    points = Counter()
+    with spans.Tracer() as tracer, monkeypatch.context() as patch:
+        traced = cli.evaluate_scenario
+
+        def counted(scenarios, plan=None):  # a rung: the points still moving, at one cutoff
+            points[scenarios[0].cutoff] += len(scenarios)
+            return traced(scenarios, plan)
+
+        patch.setattr(cli, "evaluate_scenario", counted)
         assert cli.main([*argv, "--csv", str(csv_path)]) == 0
     expected = Counter()
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -58,8 +67,9 @@ def test_traced_ladder_counts_match_the_cutoff_column(monkeypatch, tmp_path):
                 cutoff = min(2 * cutoff, cli.CUTOFF_CAP)
                 expected[cutoff] += 1
     assert expected[60] == 5 and 0 < expected[120] < 5
+    assert points == expected
     metrics = spans.summarize(tracer.spans, 5, tracer.absent)
-    assert {n: metrics[f"ladder.evals.n{n}"] for n in (30, 60, 120)} == dict(expected)
+    assert metrics["entanglement.evaluate_scenario.calls"] == len(expected)  # one per rung
 
 
 def workload_scenarios() -> dict[str, tuple[str, ...]]:

@@ -16,7 +16,7 @@ from accelpair import (
     mu2_from_field,
     verify_unitarity,
 )
-from accelpair import cli
+from accelpair import cli, entanglement
 from accelpair.cli import CUTOFF_CAP, SweepConfig, emit_csv, emit_plot, main, run_sweep
 from accelpair.entanglement import sweep_plan
 
@@ -665,7 +665,7 @@ def test_main_help_exits_cleanly():
     assert main(["--help"]) == 0
 
 
-# --- one evaluate_scenario call per fermion grid, one per rung per scalar point ------
+# --- one evaluate_scenario call per rung, on the points still moving ------------------
 
 
 def counting_evaluations(monkeypatch):
@@ -688,17 +688,22 @@ def test_fermion_sweep_is_one_evaluation(monkeypatch, tmp_path, scenario):
 
 
 @pytest.mark.parametrize("scenario", ["scalar-one", "scalar-both"])
-def test_scalar_sweep_is_one_evaluation_per_point_per_rung(monkeypatch, tmp_path, scenario):
+def test_scalar_sweep_is_one_evaluation_per_rung(monkeypatch, tmp_path, scenario):
     calls = counting_evaluations(monkeypatch)
     csv_path = tmp_path / "s.csv"
     argv = ["sweep", "--scenario", scenario, "--min", "0.3", "--max", "1.2", "--steps", "4"]
     assert main([*argv, "--cutoff", "20", "--csv", str(csv_path)]) == 0
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        # rungs 20, 40, 80 and the cap: each row climbs until its final cutoff
         finals = [int(row["cutoff"]) for row in csv.DictReader(fh)]
-    rungs = [2 + [40, 80, CUTOFF_CAP].index(final) for final in finals]
-    assert all(isinstance(sc, Scenario) for sc in calls)
-    assert len(calls) == sum(rungs) and max(rungs) > 2
+    ladder = [20, 40, 80, CUTOFF_CAP]  # each row climbs until its final cutoff
+    rungs = [2 + ladder[1:].index(final) for final in finals]
+    assert max(rungs) > 2 and len(calls) == max(rungs)
+    grid = [float(v) for v in np.linspace(0.3, 1.2, 4)]
+    for k, (cutoff, call) in enumerate(zip(ladder, calls)):
+        # rung k takes, in grid order, exactly the points whose ladder reaches it
+        moving = [r for r, n in zip(grid, rungs) if n > k]
+        assert call == [Scenario(*scenario.split("-"), r, cutoff=cutoff) for r in moving]
+        assert len(call) == sum(final >= cutoff for final in finals)
 
 
 def test_underflowing_grid_end_fails_before_any_evaluation(monkeypatch, tmp_path, capsys):
@@ -740,3 +745,89 @@ def test_fermion_sweep_files_equal_per_point_files(tmp_path, flags, config):
     table = per_point_table(SweepConfig(**config))
     assert emit_csv(table, tmp_path / "points.csv").read_bytes() == csv_path.read_bytes()
     assert emit_plot(table, tmp_path / "points.svg").read_bytes() == svg_path.read_bytes()
+
+
+# --- the rung-batched ladder against each point climbing its own --------------------
+
+
+def per_point_ladder(cfg):
+    """The sweep's table from each grid point climbing its own cutoff ladder:
+    one single-scenario evaluation per point per rung, as the rows' definition reads."""
+    plans, rows = {}, []
+
+    def at_cutoff(squeeze, n):
+        sc = Scenario(cfg.statistics, cfg.accelerated, squeeze, cutoff=n)
+        plans[n] = plans.get(n) or sweep_plan(sc)
+        return evaluate_scenario(sc, plans[n])
+
+    for param in [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]:
+        squeeze = cfg.squeeze(param)
+        cutoff, res, converged = cfg.cutoff, at_cutoff(squeeze, cfg.cutoff), False
+        while not converged and cutoff < CUTOFF_CAP:
+            cutoff = min(2 * cutoff, CUTOFF_CAP)
+            smaller, res = res, at_cutoff(squeeze, cutoff)
+            ln, was = res.systems, smaller.systems
+            delta = max(abs(ln[s].log_negativity - was[s].log_negativity) for s in ln)
+            converged = delta < cfg.convergence_tol and res.deficit < cfg.convergence_tol
+        rows.append(cli.SweepRow(param, res, converged))
+    return cli.SweepTable(cfg, rows)
+
+
+LADDER_GRIDS = {  # flags and exit code; the rows stop at different rungs
+    "one-cap": (["--scenario", "scalar-one", "--max", "1.7"], 3),
+    "both": (["--scenario", "scalar-both", "--steps", "13"], 0),
+    "one-cutoff-4": (["--scenario", "scalar-one", "--cutoff", "4", "--steps", "21"], 0),
+    "both-cutoff-4": (["--scenario", "scalar-both", "--cutoff", "4", "--steps", "7"], 0),
+    "one-cutoff-127": (["--scenario", "scalar-one", "--cutoff", "127", "--steps", "11"], 0),
+    "both-cutoff-127": (["--scenario", "scalar-both", "--cutoff", "127", "--steps", "5"], 0),
+    "one-mu2": (
+        ["--scenario", "scalar-one", "--mu2", "--min", "0.005", "--max", "3", "--steps", "23"]
+        + ["--cutoff", "8"],
+        0,
+    ),
+    "both-tol": (["--scenario", "scalar-both", "--tol", "1e-5", "--steps", "11"], 0),
+}
+
+
+@pytest.mark.parametrize("entries", [None, 300], ids=["bound", "small-bound"])
+@pytest.mark.parametrize("flags, code", LADDER_GRIDS.values(), ids=list(LADDER_GRIDS))
+def test_rung_ladder_equals_the_per_point_ladder(monkeypatch, tmp_path, flags, code, entries):
+    if entries is not None:  # a rung's list then spans several passes
+        monkeypatch.setattr(entanglement, "_ENTRIES", entries)
+    tables = []
+
+    def sweep(cfg):
+        tables.append(run_sweep(cfg))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    assert main(["sweep", *flags, "--csv", str(tmp_path / "s.csv")]) == code
+    (table,) = tables
+    reference = per_point_ladder(table.config)
+    assert table.rows == reference.rows
+    assert code == (0 if reference.all_converged else 3)
+
+
+@pytest.mark.parametrize("cutoff, failing, named", [(30, [2, 4], 2), (120, [1, 3, 4], 3)])
+def test_error_inside_a_rung_is_the_per_point_ladders(
+    monkeypatch, tmp_path, capsys, cutoff, failing, named
+):
+    # r = 0.85 stops at cutoff 60, so the rung at 120 never meets it
+    cfg = SweepConfig("scalar-one", 0.8, 1.0, steps=5)
+    grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
+    amplitudes = entanglement.scenario_amplitudes
+
+    def failing_at(scenarios):
+        for sc in scenarios:
+            if sc.cutoff == cutoff and sc.squeeze in [grid[i] for i in failing]:
+                raise DomainError(f"injected at r = {sc.squeeze}, cutoff {sc.cutoff}")
+        return amplitudes(scenarios)
+
+    monkeypatch.setattr(entanglement, "scenario_amplitudes", failing_at)
+    with pytest.raises(DomainError, match=f"injected at r = {grid[named]}, ") as exc:
+        per_point_ladder(cfg)
+    csv_path = tmp_path / "s.csv"
+    argv = ["sweep", "--scenario", "scalar-one", "--min", "0.8", "--max", "1.0", "--steps", "5"]
+    assert main([*argv, "--csv", str(csv_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {exc.value}\n" and not csv_path.exists()

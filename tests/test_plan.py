@@ -397,8 +397,22 @@ def test_fermion_cutoffs_share_one_plan_in_a_list():
 
 @pytest.mark.parametrize("kind", SCENARIOS)
 def test_list_longer_than_one_pass_is_split_exactly(kind, monkeypatch):
-    monkeypatch.setattr(entanglement, "_ROWS", 3)
-    assert_list_equals_points([Scenario(*kind, r, cutoff=5) for r in np.linspace(0, 1.5, 11)])
+    scenarios = [Scenario(*kind, r, cutoff=5) for r in np.linspace(0, 1.5, 11)]
+    entries = sweep_plan(scenarios[0]).branch.size  # per point
+    monkeypatch.setattr(entanglement, "_ENTRIES", 3 * entries + 1)  # room for 3 points
+    passes, rows = [], entanglement._rows
+
+    def counted(batch, plan):
+        passes.append(len(batch))
+        return rows(batch, plan)
+
+    monkeypatch.setattr(entanglement, "_rows", counted)
+    assert_list_equals_points(scenarios)
+    assert passes == [3, 3, 3, 2] + [1] * 11  # the list's passes, then each point alone
+    monkeypatch.setattr(entanglement, "_ENTRIES", entries - 1)  # a point over the bound
+    passes.clear()
+    evaluate_scenario(scenarios)
+    assert passes == [1] * 11
 
 
 def test_repeated_chain_plan_is_the_plan_for_each_state_in_turn():
