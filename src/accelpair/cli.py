@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bogoliubov import Coefficients, FieldParams, mu2_from_field, verify_unitarity
-from .entanglement import ScenarioResult, _closed_form_row, evaluate_scenario, sweep_plan
+from .entanglement import ScenarioResult, _closed_form_row, evaluate_scenario
 from .errors import DomainError, LayoutError
 from .states import Scenario, scenario_amplitudes
 from .svg import Curve, render_line_plot
@@ -147,7 +147,7 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     kind, moving, cutoff = (cfg.statistics, cfg.accelerated), range(len(grid)), cfg.cutoff
     while moving:
         scs = [Scenario(*kind, squeezes[i], cutoff=cutoff) for i in moving]
-        for i, res in zip(moving, evaluate_scenario(scs, sweep_plan(scs[0]))):
+        for i, res in zip(moving, evaluate_scenario(scs)):
             smaller, results[i] = results[i], res
             if smaller is not None:
                 delta = max(
