@@ -11,15 +11,15 @@ only.  Sorted by a conserved charge, every sector is a chain: the matrix is
 one symmetric tridiagonal (d, |e|).  The untraced system's Schmidt weights
 are the two branch norms.  Input outside this structure is a DomainError.
 
-A :class:`ChainPlan` holds this index structure for one support, as the
-state's shift rule gives it (:func:`accelpair.states.traced_plan`): per
-state, or per batch of states on one support (:meth:`ChainPlan.repeat`),
-:meth:`ChainPlan.entries` is one bincount and one gather, and nothing is
-checked.  The per-state functions are the reference route: they find the
-structure from the occupation tuples and check it on every call, and the
-tests hold the plans to them with ``==``.  Their cross terms are never
-sorted or hashed: the partial transpose swaps party A's digits by stride
-arithmetic on the flat indices.
+A :class:`ChainPlan` holds this index structure for one support, written down
+from the state's shift rule in closed form, with no sort
+(:func:`accelpair.states.traced_plan`): per state, or per batch of states on
+one support (:meth:`ChainPlan.repeat`), :meth:`ChainPlan.entries` is one
+bincount and one gather, and nothing is checked.  The per-state functions are
+the reference route: they find the structure from the occupation tuples and
+check it on every call, and the tests hold the plans to them with ``==``.
+Their cross terms are never sorted or hashed: the partial transpose swaps
+party A's digits by stride arithmetic on the flat indices.
 """
 
 from __future__ import annotations

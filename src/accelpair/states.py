@@ -20,8 +20,9 @@ The support is two grids over the modes (s, w), the vacuum block row-major
 and then the one-particle block, an unaccelerated s mode being a one-point
 grid.  Its shift rule, a particle sub-mode's occupation g on the vacuum
 block and j + 1 on the one-particle block (an antiparticle's g and j), fixes
-every traced system's partial transpose: :func:`traced_plan` builds its
-:class:`~accelpair.sparse.ChainPlan` by index arithmetic alone."""
+every traced system's partial transpose.  Its charge sectors are diagonals of
+the kept grid, so :func:`traced_plan` writes its
+:class:`~accelpair.sparse.ChainPlan` down in closed form, with no sort."""
 
 from __future__ import annotations
 
@@ -138,13 +139,6 @@ def _grids(sc: Scenario) -> tuple[tuple[int, int], tuple[int, int]]:
     return (s[0], n_vac), (s[1], n_one)
 
 
-def _occupations(sc: Scenario) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each sub-mode's occupation on the vacuum block and on the one-particle
-    block, in support order: g, and j + 1 for a particle (j for an antiparticle)."""
-    g, j = (np.indices(shape, np.int32).reshape(2, -1) for shape in _grids(sc))
-    return {f"{m}_{x}": (g[i], j[i] + (x == "p")) for i, m in enumerate("sw") for x in "pa"}
-
-
 def scenario_branch(sc: Scenario) -> np.ndarray:
     """Branch of each :func:`scenario_support` entry (int32, read-only): 0 on
     the vacuum block, then 1 on the one-particle block."""
@@ -156,8 +150,10 @@ def scenario_branch(sc: Scenario) -> np.ndarray:
 def scenario_support(sc: Scenario) -> tuple[SubsystemLayout, np.ndarray, np.ndarray]:
     """Layout, tuples and branches (int32, read-only) of every entry a state of
     ``sc``'s statistics, accelerated modes and cutoff can hold, at any squeeze."""
-    layout, occ = scenario_layout(sc), _occupations(sc)
-    occ = np.stack([np.concatenate(occ[label]) for label in layout.labels], axis=1)
+    layout = scenario_layout(sc)
+    g, j = (np.indices(shape, np.int32).reshape(2, -1) for shape in _grids(sc))
+    modes = (("sw".index(label[0]), label.endswith("_p")) for label in layout.labels)
+    occ = np.stack([np.concatenate([g[i], j[i] + p]) for i, p in modes], axis=1)
     occ.flags.writeable = False
     return layout, occ, scenario_branch(sc)
 
@@ -169,28 +165,32 @@ def traced_plan(sc: Scenario, party_a: str, party_b: str) -> ChainPlan:
     With p = 1 for a particle sub-mode, the vacuum entry at grid point g sits
     at kept index g and the one-particle entry at j at j + p; the two meet at
     one traced index where j = g - (1 - p) in each mode, and transposing
-    party A exchanges their kept A-coordinates.  States are ordered by a
-    stable sort of the flipped charge, sum(sign * occupation) with sign -1 for
-    a particle and +1 for an antiparticle sub-mode.  The
-    reference route (:func:`~accelpair.sparse.reduced_gram`,
+    party A exchanges their kept A-coordinates.  The flipped charge (sign -1
+    for a particle, +1 for an antiparticle) is constant on the kept grid's
+    diagonals u + b = k, u = a for equal p and d_A - 1 - a otherwise.  States
+    go by ascending charge (descending k where B is a particle), then by a,
+    so a place is its sector's offset plus a - min(a); the distinct edges are
+    ordered by one scatter.  Nothing is sorted or gathered over the support.
+    The reference route (:func:`~accelpair.sparse.reduced_gram`,
     :func:`~accelpair.sparse.tridiagonal`) gives the same (d, edges, |e|).
     """
-    (vac, one), occ = _grids(sc), _occupations(sc)
-    p = np.array([label.endswith("_p") for label in (party_a, party_b)], dtype=np.int64)
-    dims = [max(v, o + x) for v, o, x in zip(vac, one, p)]
-    a, b = (np.concatenate(occ[label]) for label in (party_a, party_b))
-    charge = np.add.outer(*((1 - 2 * x) * np.arange(dim) for x, dim in zip(p, dims))).ravel()
-    place = np.empty(charge.size, np.int64)
-    place[np.argsort(charge, kind="stable")] = np.arange(charge.size)
-    lo = 1 - p  # the one-particle grid point j meets the vacuum's g = j + lo
-    j = np.indices([min(v - x, o) for v, o, x in zip(vac, one, lo)]).reshape(2, -1)
-    first = np.ravel_multi_index(j + lo[:, None], vac)
-    second = math.prod(vac) + np.ravel_multi_index(j, one)
-    swapped = a[second] * dims[1] + b[first], a[first] * dims[1] + b[second]  # party A's swap
-    edge = np.minimum(*(place[i] for i in swapped))
-    by = np.argsort(edge)
-    bins = place[a * dims[1] + b]
-    return ChainPlan(bins, first[by], second[by], edge[by], np.zeros_like(by), [0, charge.size])
+    (vac, one), p = _grids(sc), [int(label.endswith("_p")) for label in (party_a, party_b)]
+    (da, db), q = (max(v, o + x) for v, o, x in zip(vac, one, p)), 1 - 2 * (p[0] != p[1])
+    k, flip = np.arange(da + db - 1, dtype=np.int32), slice(None, None, 1 - 2 * p[1])
+    top, low = np.minimum(k, da - 1), np.maximum(k - db + 1, 0)  # u's range in sector k
+    size = (top - low + 1)[flip]
+    base = (np.cumsum(size, dtype=np.int32) - size)[flip] - (low if q > 0 else da - 1 - top)
+    place = np.lib.stride_tricks.sliding_window_view(base, db)[::q] + k[:da, None]
+    bins = place[: vac[0], : vac[1]], place[p[0] : p[0] + one[0], p[1] : p[1] + one[1]]
+    m = [min(v - 1 + x, o) for v, o, x in zip(vac, one, p)]  # the cross terms' j grid
+    swapped = (place[x : x + m[0], 1 - y : 1 - y + m[1]] for x, y in (p, [1 - x for x in p]))
+    slot = np.full(da * db, -1, np.int32)
+    slot[np.minimum(*swapped).ravel()] = np.arange(m[0] * m[1], dtype=np.int32)  # party A's swap
+    edge = np.flatnonzero(slot >= 0)
+    js, jw = divmod(slot[edge], m[1])
+    first = (js + 1 - p[0]) * vac[1] + jw + 1 - p[1]
+    second = math.prod(vac) + js * one[1] + jw
+    return ChainPlan(np.concatenate(bins, axis=None), first, second, edge, 0 * js, [0, da * db])
 
 
 def scenario_amplitudes(scenarios: Scenario | list[Scenario]) -> tuple[np.ndarray, float | list]:

@@ -189,6 +189,41 @@ def scalar_one_sp_negativity(r, terms=4000, threshold=1e-12):
     return float(-lower[lower < -threshold].sum())
 
 
+def scalar_both_pp_negativity(r, threshold=1e-12, tail=1e-18):
+    """N(p,p) of the untruncated scalar-both state, summed over sectors L = n_s + n_w.
+
+    With t = tanh r, C = cosh r and s = 1 / sinh^2 r, the partial transpose
+    is the direct sum over L of alpha_L M_L, alpha_L = t^(2L) / (2 C^4), where
+    M_L is the (L+1)-square tridiagonal I + s^2 diag(a (L - a)) +
+    s offdiag(sqrt((a + 1) (L - a))), a = 0..L: a Lipkin-Meshkov-Glick-type
+    matrix, from the per-mode expansions of Fuentes-Schuller & Mann, PRL 95,
+    120404 (2005).  As in the library, an eigenvalue alpha_L lambda above
+    -threshold counts as 0.  Every eigenvalue of M_L is >= 1 - s L (the
+    diagonal term is >= 0 and the coupling has norm s L), so sector L adds at
+    most u_L = alpha_L (L + 1) s L.  From L on, u shrinks by rho =
+    t^2 (L + 2) / L or more per sector, so once rho < 1 the sum stops when
+    u_L / (1 - rho) < ``tail``: the result is within ``tail`` of the whole
+    series.  At r = 0 only the Bell pair is left: 1/2.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    if r == 0.0:
+        return 0.5
+    x, c4, s = math.tanh(r) ** 2, math.cosh(r) ** 4, 1.0 / math.sinh(r) ** 2
+    total, n = 0.0, 0
+    while True:
+        alpha = x**n / (2.0 * c4)
+        rho = x * (n + 2) / n if n else math.inf
+        if rho < 1.0 and alpha * (n + 1) * s * n / (1.0 - rho) < tail:
+            return total
+        if alpha * (s * n - 1.0) > threshold:  # else no eigenvalue can pass the threshold
+            a = np.arange(n + 1.0)
+            diag, off = 1.0 + s * s * a * (n - a), s * np.sqrt((a[:-1] + 1.0) * (n - a[:-1]))
+            scaled = alpha * eigh_tridiagonal(diag, off, eigvals_only=True)
+            total -= float(scaled[scaled < -threshold].sum())
+        n += 1
+
+
 def scalar_full_ln(accelerated, r, cutoff):
     """LN(full) of a scalar scenario truncated at ``cutoff``, from its branch norms.
 

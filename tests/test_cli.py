@@ -20,7 +20,7 @@ from accelpair import cli, entanglement
 from accelpair.cli import CUTOFF_CAP, SweepConfig, emit_csv, emit_plot, main, run_sweep
 from accelpair.entanglement import sweep_plan
 
-from oracles import scalar_one_sp_negativity
+from oracles import scalar_both_pp_negativity, scalar_one_sp_negativity
 
 HALF_PI = math.pi / 2
 
@@ -511,10 +511,15 @@ def test_main_converged_scalar_one_rows_match_infinite_cutoff_series(tmp_path):
             assert abs(float(row["ln_sp"]) - series) < 1e-8, (start, row["r"])
 
 
-def test_default_scalar_both_rows_match_cutoff_240():
+@pytest.fixture(scope="module")
+def default_scalar_both():
+    return run_sweep(SweepConfig(scenario="scalar-both"))
+
+
+def test_default_scalar_both_rows_match_cutoff_240(default_scalar_both):
     # the row set is fixed by rule, not by result: every row whose ladder
     # reached cutoff 120, and every 5th row of the default 101-point grid
-    table = run_sweep(SweepConfig(scenario="scalar-both"))
+    table = default_scalar_both
     cutoffs = [row.result.scenario.cutoff for row in table.rows]
     picked = [row for i, row in enumerate(table.rows) if cutoffs[i] == 120 or i % 5 == 0]
     assert cutoffs.count(120) == 22 and len(picked) == 38
@@ -524,6 +529,15 @@ def test_default_scalar_both_rows_match_cutoff_240():
         ref = evaluate_scenario(Scenario("scalar", "both", squeeze, cutoff=240), plan)
         for name, sr in ref.systems.items():
             assert abs(_ln(row, name) - sr.log_negativity) < 1e-8, (squeeze, name)
+
+
+def test_default_scalar_both_rows_match_the_untruncated_sector_series(default_scalar_both):
+    # every converged row's LN(p,p) within --tol of the untruncated state's
+    rows, tol = default_scalar_both.rows, default_scalar_both.config.convergence_tol
+    assert len(rows) == 101 and all(row.converged for row in rows)
+    for row in rows:
+        series = math.log2(2.0 * scalar_both_pp_negativity(row.result.scenario.squeeze) + 1.0)
+        assert abs(_ln(row, "p,p") - series) < tol, row.result.scenario
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from accelpair.states import build_final_state
 from oracles import (
     partial_trace,
     random_pure_amplitudes,
+    scalar_both_pp_negativity,
     scalar_full_ln,
     scalar_one_sp_negativity,
     trace_norm_negativity,
@@ -293,6 +294,15 @@ def test_scalar_one_matches_infinite_cutoff_series(r):
     for systems in at.values():
         assert systems["s,a"].min_pt_eigenvalue >= 0.0
         assert systems["s,a"].negativity == 0.0
+
+
+@pytest.mark.parametrize("r", [0.9, 1.2])
+def test_scalar_both_matches_untruncated_sector_series(r):
+    # the p,p sectors of the untruncated state against the plan at cutoff 120
+    series = scalar_both_pp_negativity(r)
+    pp = evaluate_scenario(Scenario("scalar", "both", r, cutoff=120)).systems["p,p"]
+    assert abs(pp.negativity - series) < 1e-15
+    assert abs(scalar_both_pp_negativity(r, threshold=0.0) - series) > 1e-13  # it has teeth
 
 
 @pytest.mark.parametrize("accelerated", ["one", "both"])

@@ -33,9 +33,11 @@ from accelpair.sparse import (
 )
 from accelpair.states import (
     _expansion,
+    _grids,
     build_final_state_coords,
     scenario_amplitudes,
     scenario_support,
+    traced_plan,
 )
 
 from oracles import kept_charges
@@ -158,6 +160,82 @@ def test_plan_edges_strictly_increase(kind, cutoff):
         assert (np.diff(chain.edge) > 0).all()
 
 
+def traced_plan_by_sorting(sc, party_a, party_b):
+    """:func:`~accelpair.states.traced_plan` by the sorting route it replaced, kept as
+    its oracle: places from a stable argsort of the flipped charge over the kept
+    grid, gathered per support entry, and the cross terms in argsort order of edge."""
+    (vac, one), (layout, occ, _) = _grids(sc), scenario_support(sc)
+    p = np.array([label.endswith("_p") for label in (party_a, party_b)], dtype=np.int64)
+    dims = [max(v, o + x) for v, o, x in zip(vac, one, p)]
+    a, b = (occ[:, layout.labels.index(label)] for label in (party_a, party_b))
+    charge = np.add.outer(*((1 - 2 * x) * np.arange(dim) for x, dim in zip(p, dims))).ravel()
+    place = np.empty(charge.size, np.int64)
+    place[np.argsort(charge, kind="stable")] = np.arange(charge.size)
+    lo = 1 - p  # the one-particle grid point j meets the vacuum's g = j + lo
+    j = np.indices([min(v - x, o) for v, o, x in zip(vac, one, lo)]).reshape(2, -1)
+    first = np.ravel_multi_index(j + lo[:, None], vac)
+    second = math.prod(vac) + np.ravel_multi_index(j, one)
+    swapped = a[second] * dims[1] + b[first], a[first] * dims[1] + b[second]  # party A's swap
+    edge = np.minimum(*(place[i] for i in swapped))
+    by = np.argsort(edge)
+    bins = place[a * dims[1] + b]
+    return ChainPlan(bins, first[by], second[by], edge[by], np.zeros_like(by), [0, charge.size])
+
+
+# fermions ignore the cutoff; 241 is an odd cutoff above 200
+CLOSED_FORM_CASES = [
+    *itertools.product(["scalar"], ["one", "both"], [4, 5, 30, 60, 120, CUTOFF_CAP, 241, 480]),
+    *itertools.product(["fermion"], ["one", "both"], [4]),
+]
+
+
+@pytest.mark.parametrize("statistics, accelerated, cutoff", CLOSED_FORM_CASES)
+def test_closed_form_plan_equals_the_sorting_route(statistics, accelerated, cutoff):
+    sc = Scenario(statistics, accelerated, 0.3, cutoff=cutoff)
+    traced = [bp for bp in named_bipartitions(sc).values() if bp.traced]
+    assert len(traced) == (4 if accelerated == "both" else 2)
+    for bp in traced:
+        ours = traced_plan(sc, *bp.party_a, *bp.party_b)
+        oracle = traced_plan_by_sorting(sc, *bp.party_a, *bp.party_b)
+        for f in dataclasses.fields(ChainPlan):
+            got, want = getattr(ours, f.name), getattr(oracle, f.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (bp, f.name)
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 30])
+def test_scalar_both_sectors_are_the_kept_grids_diagonals(cutoff):
+    # written from the physics alone: p,p conserves n_s + n_w and transposing s_p
+    # flips its sign, so its sectors are the anti-diagonals a + b = L of the
+    # (N+2)^2 grid, in descending L (ascending flipped charge -L), each by
+    # ascending a; p,a's are the diagonals b - a, in ascending b - a
+    n = cutoff
+    sc = Scenario("scalar", "both", 0.3, cutoff=n)
+    plan = sweep_plan(sc)
+    layout, occ, _ = scenario_support(sc)
+    sizes = {}
+    for name, party_b, dim_b, key in [
+        ("p,p", "w_p", n + 2, lambda a, b: -(a + b)),
+        ("p,a", "w_a", n + 1, lambda a, b: b - a),
+    ]:
+        kept = [(a, b) for a in range(n + 2) for b in range(dim_b)]
+        order = sorted(kept, key=lambda ab: (key(*ab), ab[0]))
+        place = {ab: i for i, ab in enumerate(order)}
+        sectors = [key(*ab) for ab in order]
+        sizes[name] = [sectors.count(k) for k in sorted(set(sectors))]
+        chain = plan.plans[plan.names.index(name)]
+        a, b = (occ[:, layout.labels.index(label)] for label in ("s_p", party_b))
+        assert chain.starts.tolist() == [0, len(kept)]
+        assert chain.bins.tolist() == [place[ab] for ab in zip(a.tolist(), b.tolist())]
+        for e, i, k in zip(chain.edge.tolist(), chain.first.tolist(), chain.second.tolist()):
+            # the cross term |a_i b_i><a_k b_k| couples (a_k, b_i) and (a_i, b_k)
+            pair = sorted([place[a[k], b[i]], place[a[i], b[k]]])
+            assert pair == [e, e + 1] and sectors[e] == sectors[e + 1]
+        assert sum(sizes[name]) == len(kept)
+    assert len(sizes["p,p"]) == 2 * n + 3
+    assert sizes["p,p"] == [min(L, 2 * n + 2 - L) + 1 for L in range(2 * n + 2, -1, -1)]
+    assert len(sizes["p,a"]) == 2 * n + 2
+
+
 def system_entries(plan, values):
     """Each traced system's (d, edge, |e| on it) from ``plan``, split out of a joined one."""
     weights = (values * values.conj()).real
@@ -188,6 +266,16 @@ def test_plan_entries_equal_the_reference_route(kind, cutoff):
         assert np.array_equal(ours[name][0], d), name
         assert np.array_equal(ours[name][1], lo), name
         assert np.array_equal(ours[name][2], e[lo]), name
+
+
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_plan_build_sorts_nothing(kind, monkeypatch):
+    def sort(*args, **kwargs):
+        raise AssertionError("the plan build sorted")
+
+    for name in ("sort", "argsort", "lexsort"):
+        monkeypatch.setattr(np, name, sort)
+    sweep_plan(Scenario(*kind, 0.3, cutoff=30))
 
 
 def test_sweeps_never_discover_structure(monkeypatch, tmp_path):
