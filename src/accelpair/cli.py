@@ -56,6 +56,8 @@ SCENARIOS = ("fermion-one", "fermion-both", "scalar-one", "scalar-both")
 
 _SQUEEZE_NAME = {"scalar": "r", "fermion": "r_f"}
 
+_CSV_ROWS = 4096  # rows formatted and written per chunk: bounds what emit_csv holds
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -162,36 +164,30 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     return SweepTable(cfg, [SweepRow(*row) for row in zip(grid, results, converged)])
 
 
-def _column_key(system: str) -> str:
-    return system.replace(",", "")
-
-
 def emit_csv(table: SweepTable, path: Path) -> Path:
     """UTF-8, LF-terminated CSV with 12-significant-digit values; fermion rows
     are exact, so they add the closed-form ``cf_*`` columns and report cutoff 0."""
     cfg = table.config
     fermion, systems = cfg.statistics == "fermion", table.systems
-    header = ["mu2", "r"] if cfg.mu2_grid else ["r"]
-    header += [f"ln_{_column_key(s)}" for s in systems]
-    if fermion:
-        header += [f"cf_{_column_key(s)}" for s in systems]
+    keys = [s.replace(",", "") for s in systems]
+    header = (["mu2", "r"] if cfg.mu2_grid else ["r"]) + [f"ln_{k}" for k in keys]
+    header += [f"cf_{k}" for k in keys] if fermion else []
     header += ["deficit", "cutoff", "converged"]
-
     forms = _closed_form_row(cfg.scenario, systems) if fermion else None
+    line = ",".join(["%.12g"] * (len(header) - 2) + ["%d", "%s"]) + "\n"  # then cutoff, flag
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")  # no field holds a comma, quote or newline
-        for row in table.rows:
-            res = row.result
-            squeeze = res.scenario.squeeze
-            values = [row.param, squeeze] if cfg.mu2_grid else [squeeze]
-            values += [res.systems[s].log_negativity for s in systems]
-            if fermion:
-                values += forms(squeeze)  # a fermion squeeze lies in [0, pi/2]
-            values.append(res.deficit)
-            cutoff = 0 if fermion else res.scenario.cutoff
-            flag = "true" if row.converged else "false"
-            fh.write(",".join([*["%.12g" % v for v in values], "%d" % cutoff, flag]) + "\n")
+        for at in range(0, len(table.rows), _CSV_ROWS):
+            rows = table.rows[at : at + _CSV_ROWS]
+            squeezes = [row.result.scenario.squeeze for row in rows]
+            cols = [[row.param for row in rows], squeezes] if cfg.mu2_grid else [squeezes]
+            cols += [[row.result.systems[s].log_negativity for row in rows] for s in systems]
+            cols += forms(squeezes) if fermion else []  # a fermion squeeze lies in [0, pi/2]
+            cols.append([row.result.deficit for row in rows])
+            cols.append([0 if fermion else row.result.scenario.cutoff for row in rows])
+            cols.append(["true" if row.converged else "false" for row in rows])
+            fh.writelines(map(line.__mod__, zip(*cols)))
     return path
 
 

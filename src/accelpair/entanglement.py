@@ -16,6 +16,7 @@ Only the negative eigenvalues are computed.  A plan is pairs or chains: the
 traced systems of fermions and scalar-one are 2-state pairs, solved together
 in closed form (:func:`pair_spectra`); scalar-both's are longer chains, one
 bisection each (:func:`chain_spectrum`).  It is the package's one LN route.
+A pass's figures stay columns until :func:`_system_results` makes the records.
 The per-state functions of :mod:`accelpair.sparse` and the dense :func:`reduced_density`
 and :func:`partial_transpose` here are the reference routes it is tested
 against.  Reduced systems carry conventional names: "s,p" pairs the inert s
@@ -139,36 +140,37 @@ def partial_transpose(rho: DensityMatrix, party_a: Iterable[str]) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(rho.entries.shape))
 
 
-def _ln_from_schmidt(w0: float, w1: float) -> SystemResult:
-    """:class:`SystemResult` of a pure state with Schmidt weights w0, w1: the partial
-    transpose's spectrum is {w0, w1, +-sqrt(w0 w1)}, so the trace norm is (sum_i sqrt(w_i))^2."""
-    r0 = math.sqrt(w0) if w0 > _SCHMIDT_WEIGHT_TOL else 0.0
-    r1 = math.sqrt(w1) if w1 > _SCHMIDT_WEIGHT_TOL else 0.0
-    total = r0 + r1  # correctly rounded, as math.fsum of two terms is
-    neg = max((total * total - 1.0) / 2.0, 0.0)
-    min_eig = 0.0 - r0 * r1  # +0.0 where a weight is dropped
-    return _system_result(neg, min_eig, int(min_eig < -NEGATIVE_EIGENVALUE_TOL))
+def _schmidt_spectra(norms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Negativity, smallest eigenvalue and count below -1e-12 of pure states with
+    Schmidt weights the (points x 2) ``norms``: the partial transpose's spectrum is
+    {w0, w1, +-sqrt(w0 w1)}, so the trace norm is (sqrt(w0) + sqrt(w1))^2."""
+    r = np.where(norms > _SCHMIDT_WEIGHT_TOL, np.sqrt(norms), 0.0)
+    total, min_eig = r[:, 0] + r[:, 1], 0.0 - r[:, 0] * r[:, 1]  # +0.0 where a weight is dropped
+    neg = np.maximum((total * total - 1.0) / 2.0, 0.0)
+    return neg, min_eig, (min_eig < -NEGATIVE_EIGENVALUE_TOL).astype(int)
 
 
+# the argument of log2 in each closed form, of c2 = cos(r_f)^2 and s2 = sin(r_f)^2
 _CLOSED_FORMS = {
     "fermion-one": {
-        "full": lambda c2, s2: 1.0,
-        "s,p": lambda c2, s2: math.log2(1.0 + c2),
-        "s,a": lambda c2, s2: math.log2(1.0 + s2),
+        "full": lambda c2, s2: np.full_like(c2, 2.0),
+        "s,p": lambda c2, s2: 1.0 + c2,
+        "s,a": lambda c2, s2: 1.0 + s2,
     },
     "fermion-both": {
-        "full": lambda c2, s2: 1.0,
-        "p,p": lambda c2, s2: math.log2(1.0 + c2 * c2),
-        "a,a": lambda c2, s2: math.log2(1.0 + s2 * s2),
+        "full": lambda c2, s2: np.full_like(c2, 2.0),
+        "p,p": lambda c2, s2: 1.0 + c2 * c2,
+        "a,a": lambda c2, s2: 1.0 + s2 * s2,
         # LN(a,p) = LN(p,a) by the particle/antiparticle exchange symmetry.
-        "p,a": lambda c2, s2: math.log2(1.0 + c2 * s2),
-        "a,p": lambda c2, s2: math.log2(1.0 + c2 * s2),
+        "p,a": lambda c2, s2: 1.0 + c2 * s2,
+        "a,p": lambda c2, s2: 1.0 + c2 * s2,
     },
 }
 
 
-def _closed_form_row(scenario: str, systems: Iterable[str]) -> Callable[[float], list[float]]:
-    """The closed forms of the named reduced systems, checked once, as one function of r_f."""
+def _closed_form_row(scenario: str, systems: Iterable[str]) -> Callable[..., list[list[float]]]:
+    """The closed forms of the named reduced systems, checked once, as one function
+    of a list of r_f giving one column per system."""
     forms = _CLOSED_FORMS.get(scenario)
     if forms is None:
         raise DomainError(f"closed forms exist for fermion-one and fermion-both, got {scenario!r}")
@@ -180,9 +182,9 @@ def _closed_form_row(scenario: str, systems: Iterable[str]) -> Callable[[float],
             raise DomainError(f"unknown reduced system {system!r} for {scenario}: {sorted(forms)}")
         row.append(forms[system])
 
-    def at(r_f: float) -> list[float]:
-        c2, s2 = math.cos(r_f) ** 2, math.sin(r_f) ** 2
-        return [form(c2, s2) for form in row]
+    def at(r_f: list[float]) -> list[list[float]]:
+        c2, s2 = (np.array([f(r) ** 2 for r in r_f]) for f in (math.cos, math.sin))
+        return [list(map(math.log2, form(c2, s2).tolist())) for form in row]
 
     return at
 
@@ -191,7 +193,7 @@ def closed_forms(scenario: str, systems: Iterable[str], r_f: float) -> list[floa
     """Closed-form fermionic logarithmic negativity of each named reduced system."""
     if not 0.0 <= r_f <= math.pi / 2.0:
         raise DomainError(f"r_f must lie in [0, pi/2], got {r_f}")
-    return _closed_form_row(scenario, systems)(r_f)
+    return [column[0] for column in _closed_form_row(scenario, systems)([r_f])]
 
 
 def closed_form_ln(scenario: str, system: str, r_f: float) -> float:
@@ -241,8 +243,10 @@ class ScenarioResult:
     systems: Mapping[str, SystemResult]
 
 
-def _system_result(negativity: float, min_pt: float, count: int) -> SystemResult:
-    return SystemResult(math.log2(2.0 * negativity + 1.0), negativity, min_pt, count)
+def _system_results(negativity, min_pt, count) -> list[SystemResult]:
+    """:class:`SystemResult` of each value of the (negativity, min_pt, count) columns."""
+    ln = map(math.log2, (2.0 * negativity + 1.0).tolist())
+    return list(map(SystemResult, ln, negativity.tolist(), min_pt.tolist(), count.tolist()))
 
 
 def pair_spectra(d, lo, c, system, starts) -> tuple[np.ndarray, ...]:
@@ -381,15 +385,15 @@ def _rows(batch: list[Scenario], plan: SweepPlan) -> list[ScenarioResult]:
     support entries together or a single point, on their plan."""
     val, deficits = scenario_amplitudes(batch)
     weights, n, width = (val * val.conj()).real, len(batch), len(plan.names)
-    norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n).tolist()
-    full = map(_ln_from_schmidt, norms[::2], norms[1::2])  # one negative, -sqrt(w0 w1)
+    norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n)
+    full = _system_results(*_schmidt_spectra(norms.reshape(n, 2)))  # one negative, -sqrt(w0 w1)
     if plan.paired:
         joined, tiled = plan.plans[0].repeat(n, val.shape[1]), np.concatenate([weights] * width, 1)
         spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
-        solved = list(map(_system_result, *map(np.ndarray.tolist, spectra)))
     else:  # point by point, each point's systems in turn: the order of the joined plan
         entries = (c.entries(weights[p], val[p]) for p in range(n) for c in plan.plans)
-        solved = [_system_result(*chain_spectrum(*e)) for e in entries]
+        spectra = map(np.array, zip(*(chain_spectrum(*e) for e in entries)))
+    solved = _system_results(*spectra)
     names = ("full", *plan.names)
     rows = zip(batch, deficits, full, *(solved[i::width] for i in range(width)))
     return [ScenarioResult(sc, deficit, dict(zip(names, s))) for sc, deficit, *s in rows]

@@ -257,7 +257,7 @@ class ChainPlan:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            index = np.array(getattr(self, f.name), dtype=np.int32)
+            index = np.asarray(getattr(self, f.name), dtype=np.int32)  # owns int32 input, no copy
             index.flags.writeable = False
             object.__setattr__(self, f.name, index)
 

@@ -7,14 +7,16 @@ becomes sum_n c_n |n_p, n_a> and its one-particle state sum_n d_n
 * scalar:  c_n = tanh(r)^n / cosh(r),  d_n = sqrt(n+1) tanh(r)^n / cosh(r)^2
 * fermion: c = (cos(r_f) e^{-i phi}, -sin(r_f)),  d = (1)
 
-:func:`_expansion` is the one statement of these weights.  A scenario starts
-from the maximally entangled combination (|0_s 0_w> + |1_s 1_w>)/sqrt(2) and
-substitutes the out expansion for every accelerated mode; an unaccelerated
-mode stays a bare two-level particle sub-mode.  Each state is built once, in
-coordinates (:func:`scenario_support`, :func:`scenario_amplitudes`);
-:func:`build_final_state` is that state made dense.  Bosonic expansions are
-truncated at a cutoff, renormalized, and the norm deficit is reported;
-fermionic states are exact.
+:func:`_expansion` is the one statement of these weights, for a list of
+points at once: fermions by column (``math.cos`` and ``math.sin`` per value,
+one ``np.exp`` of the phases), scalars one ``np.tanh`` power per point.  A
+scenario starts from the maximally entangled combination (|0_s 0_w> +
+|1_s 1_w>)/sqrt(2) and substitutes the out expansion for every accelerated
+mode; an unaccelerated mode stays a bare two-level particle sub-mode.  Each
+state is built once, in coordinates (:func:`scenario_support`,
+:func:`scenario_amplitudes`); :func:`build_final_state` is that state made
+dense.  Bosonic expansions are truncated at a cutoff, renormalized, and the
+norm deficit is reported; fermionic states are exact.
 
 The support is two grids over the modes (s, w), the vacuum block row-major
 and then the one-particle block, an unaccelerated s mode being a one-point
@@ -108,13 +110,18 @@ def _cosh_squared(r: float) -> float:
         raise DomainError(f"squeeze r = {r} overflows cosh(r)^2") from None
 
 
-def _expansion(sc: Scenario) -> tuple:
-    """Weights c_n of |n_p, n_a> (vacuum) and d_n of |(n+1)_p, n_a> (one particle)."""
-    if sc.is_fermion:
-        return (math.cos(sc.squeeze) * np.exp(-1j * sc.phase), -math.sin(sc.squeeze)), (1.0,)
-    n, r = np.arange(sc.cutoff + 1), sc.squeeze
-    t_n = np.tanh(r) ** n
-    return t_n / math.cosh(r), np.sqrt(n + 1.0) * t_n / _cosh_squared(r)
+def _expansion(batch: list[Scenario]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights c_n of |n_p, n_a> (vacuum) and d_n of |(n+1)_p, n_a> (one particle),
+    as (points x n) rows, of scenarios sharing one statistics and cutoff."""
+    r = [sc.squeeze for sc in batch]
+    if batch[0].is_fermion:  # math.cos and math.sin per value, the rest per column
+        cos, sin = (np.array(list(map(f, r))) for f in (math.cos, math.sin))
+        c = np.stack([cos * np.exp(-1j * np.array([sc.phase for sc in batch])), -sin], 1)
+        return c, np.ones((len(r), 1))
+    n = np.arange(batch[0].cutoff + 1)
+    t_n = np.array([np.tanh(x) ** n for x in r])
+    cosh = np.array([[math.cosh(x), _cosh_squared(x)] for x in r])
+    return t_n / cosh[:, :1], np.sqrt(n + 1.0) * t_n / cosh[:, 1:]
 
 
 def build_final_state(sc: Scenario) -> tuple[Ket, float]:
@@ -199,12 +206,10 @@ def scenario_amplitudes(scenarios: Scenario | list[Scenario]) -> tuple[np.ndarra
     a list, of a list sharing one support; scalars renormalized, fermions exact."""
     single = isinstance(scenarios, Scenario)
     batch, count = [scenarios] if single else scenarios, 1 if single else len(scenarios)
-    parts = [w for sc in batch for w in _expansion(sc)]  # c, d of each point in turn
+    c, d = _expansion(batch)
     if batch[0].accelerated == "both":  # the outer products of all points at once
-        cc, dd = (w[:, :, None] * w[:, None, :] for w in map(np.array, (parts[::2], parts[1::2])))
-        val = np.concatenate([cc.reshape(count, -1), dd.reshape(count, -1)], axis=1)
-    else:
-        val = np.concatenate(parts).reshape(count, -1)
+        c, d = (w[:, :, None] * w[:, None, :] for w in (c, d))
+    val = np.concatenate([c.reshape(count, -1), d.reshape(count, -1)], axis=1)
     val = val * (1.0 / math.sqrt(2.0))
     n2, deficits = norm_squared(val), [0.0] * count
     if not batch[0].is_fermion:

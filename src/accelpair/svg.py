@@ -4,12 +4,15 @@ Hand-rolled on purpose: the plots ship as reproducible artifacts, so the
 bytes must depend only on the data.  No plotting library keeps that promise
 across versions.  The plot has one fixed style: canvas size, margins, font
 and the colour cycle are module constants, and a curve chooses only its dash.
+Each polyline is placed as arrays and its points are formatted with one ``%``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 __all__ = ["Curve", "render_line_plot"]
 
@@ -60,7 +63,7 @@ def render_line_plot(
     px_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     px_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
+    def to_px(x, y):  # a point, or a curve as arrays in the same operation order
         fx = _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * px_w
         fy = _MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * px_h
         return fx, fy
@@ -113,7 +116,9 @@ def render_line_plot(
     dash_attrs = [_DASH[c.dash] for c in curves]
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(["%.2f,%.2f" % to_px(x, y) for x, y in zip(c.x, c.y)])
+        n = min(len(c.x), len(c.y))  # the points zip pairs
+        fx, fy = to_px(np.array(c.x[:n], float), np.array(c.y[:n], float))
+        pts = " ".join(["%.2f,%.2f"] * n) % tuple(np.stack([fx, fy], 1).ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"{dash_attrs[i]}/>'
@@ -137,5 +142,5 @@ def render_line_plot(
         parts.append(f'<text x="{lx + 38}" y="{yy + 4}">{c.label}</text>')
 
     parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # the document's last newline, with no copy of the whole
+    return "\n".join(parts)

@@ -315,3 +315,64 @@ def trace_norm_negativity(pt_matrix):
 def random_pure_amplitudes(rng, dim):
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return amp / np.linalg.norm(amp)
+
+
+# The argument of log2 in each fermionic closed form, less 1, of c2 = cos(r_f)^2 and
+# s2 = sin(r_f)^2; no system name is shared by fermion-one and fermion-both but "full".
+CLOSED_FORM_ARGS = {
+    "full": lambda c2, s2: 1.0,
+    "s,p": lambda c2, s2: c2,
+    "s,a": lambda c2, s2: s2,
+    "p,p": lambda c2, s2: c2 * c2,
+    "a,a": lambda c2, s2: s2 * s2,
+    "p,a": lambda c2, s2: c2 * s2,
+    "a,p": lambda c2, s2: c2 * s2,
+}
+
+
+def closed_form_per_value(system, r_f):
+    """Closed-form fermionic LN of one reduced system at one r_f, in Python floats."""
+    c2, s2 = math.cos(r_f) ** 2, math.sin(r_f) ** 2
+    return math.log2(1 + CLOSED_FORM_ARGS[system](c2, s2))
+
+
+def csv_per_value(table):
+    """The bytes of ``emit_csv`` for a sweep table, one ``"%.12g"`` per value and
+    one ``",".join`` per row, as the per-row writer made them."""
+    cfg = table.config
+    fermion, systems = cfg.statistics == "fermion", table.systems
+    keys = [system.replace(",", "") for system in systems]
+    header = (["mu2", "r"] if cfg.mu2_grid else ["r"]) + [f"ln_{k}" for k in keys]
+    header += [f"cf_{k}" for k in keys] if fermion else []
+    lines = [",".join(header + ["deficit", "cutoff", "converged"]) + "\n"]
+    for row in table.rows:
+        res = row.result
+        squeeze = res.scenario.squeeze
+        values = [row.param, squeeze] if cfg.mu2_grid else [squeeze]
+        values += [res.systems[s].log_negativity for s in systems]
+        if fermion:
+            values += [closed_form_per_value(s, squeeze) for s in systems]
+        values.append(res.deficit)
+        cutoff = 0 if fermion else res.scenario.cutoff
+        flag = "true" if row.converged else "false"
+        lines.append(",".join([*["%.12g" % v for v in values], "%d" % cutoff, flag]) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def polylines_per_point(curves):
+    """The ``points`` attribute of each curve's polyline in ``render_line_plot``'s
+    frame (720 x 480, margins 64/16/40/52), one ``"%.2f,%.2f" % to_px(x, y)`` per point."""
+    xs = [v for c in curves for v in c.x]
+    ys = [v for c in curves for v in c.y]
+    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    y_lo, y_hi = 0.0, max(1.0, max(ys) if ys else 1.0) * 1.06
+    px_w, px_h = 720 - 64 - 16, 480 - 40 - 52
+
+    def to_px(x, y):
+        fx = 64 + (x - x_lo) / (x_hi - x_lo) * px_w
+        fy = 40 + (1.0 - (y - y_lo) / (y_hi - y_lo)) * px_h
+        return fx, fy
+
+    return [" ".join(["%.2f,%.2f" % to_px(x, y) for x, y in zip(c.x, c.y)]) for c in curves]

@@ -14,8 +14,8 @@ from accelpair import DomainError, LayoutError, Scenario, evaluate_scenario, nam
 from accelpair import entanglement, sparse
 from accelpair.cli import CUTOFF_CAP, main
 from accelpair.entanglement import (
-    _ln_from_schmidt,
-    _system_result,
+    _schmidt_spectra,
+    _system_results,
     chain_spectrum,
     pair_spectra,
     sweep_plan,
@@ -81,11 +81,13 @@ def reference_result(sc):
             np.repeat(np.arange(len(pairs)), [lo[name].size for name in pairs]),
             starts,
         )
-        systems.update(zip(pairs, map(_system_result, *map(np.ndarray.tolist, spectra))))
+        systems.update(zip(pairs, _system_results(*spectra)))
     for name, (d, e, _) in traced.items():
         if name not in systems:
-            systems[name] = _system_result(*chain_spectrum(d, lo[name], e[lo[name]]))
-    systems["full"] = _ln_from_schmidt(*schmidt_weights(ck, named_bipartitions(sc)["full"].party_a))
+            spectrum = chain_spectrum(d, lo[name], e[lo[name]])
+            systems[name] = _system_results(*map(np.array, zip(spectrum)))[0]
+    weights = schmidt_weights(ck, named_bipartitions(sc)["full"].party_a)
+    systems["full"] = _system_results(*_schmidt_spectra(weights[None, :]))[0]
     return deficit, {name: systems[name] for name in named_bipartitions(sc)}
 
 
@@ -426,7 +428,7 @@ def test_scalar_list_with_zero_rows_at_cutoff_120(accelerated):
     val, deficits = scenario_amplitudes(scenarios)
     assert (val[1] != 0.0).all() and deficits == [res.deficit for res in batch]
     # the r = 0 rows hold zeros, and each is normed over its nonzero entries alone
-    c, d = _expansion(scenarios[0])
+    c, d = (w[0] for w in _expansion(scenarios[:1]))
     if accelerated == "both":
         c, d = np.outer(c, c).ravel(), np.outer(d, d).ravel()
     raw = np.concatenate([c, d]) * (1.0 / math.sqrt(2.0))
