@@ -3,12 +3,11 @@
 ``accelpair sweep`` evaluates the logarithmic negativity of every named
 bipartition of a scenario over a grid of squeeze parameters (or, with
 ``--mu2``, of field parameters mu2 that are first converted to squeeze
-values).  The grid climbs the cutoff ladder together, one
-:func:`evaluate_scenario` call per rung on the points still moving: a scalar
-point doubles its cutoff until LN is stable and the truncation deficit below
-the same tolerance; a fermion grid is exact, so its one rung takes it whole.
-Each row keeps its :class:`ScenarioResult`.  The flags are the fields of
-:class:`SweepConfig`, which alone states their defaults and the grid's domain.
+values), one rung of the cutoff ladder at a time: a scalar point doubles its
+cutoff until LN is stable and the truncation deficit below the same
+tolerance; a fermion grid is exact.  The figures stay columns from the
+amplitudes to the files.  The flags are the fields of :class:`SweepConfig`,
+which alone states their defaults and the grid's domain.
 ``accelpair convert`` reports the Bogoliubov data for one (m, E) pair.
 
 Exit codes: 0 success, 1 domain/configuration error, 2 I/O error,
@@ -21,6 +20,7 @@ import argparse
 import math
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -28,10 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from .bogoliubov import Coefficients, FieldParams, mu2_from_field, verify_unitarity
-from .entanglement import ScenarioResult, _closed_form_row, evaluate_scenario
+from .entanglement import _closed_form_row, _results, evaluate_scenario
 from .errors import DomainError, LayoutError
-from .states import Scenario, scenario_amplitudes
-from .svg import Curve, render_line_plot
+from .states import Rung, Scenario, scenario_amplitudes
+from .svg import render_line_plot
 
 __all__ = [
     "CUTOFF_CAP",
@@ -49,7 +49,7 @@ __all__ = [
 # flagged as non-converged instead of silently accepted.
 CUTOFF_CAP = 128
 
-# 100x the largest grid the package runs (1001 points): 10^5 fermion-both rows peak at ~200 MB RSS
+# 100x the largest grid the package runs (1001 points): 10^5 fermion-both points peak at ~80 MB RSS
 _STEPS_CAP = 100_000
 
 SCENARIOS = ("fermion-one", "fermion-both", "scalar-one", "scalar-both")
@@ -57,6 +57,7 @@ SCENARIOS = ("fermion-one", "fermion-both", "scalar-one", "scalar-both")
 _SQUEEZE_NAME = {"scalar": "r", "fermion": "r_f"}
 
 _CSV_ROWS = 4096  # rows formatted and written per chunk: bounds what emit_csv holds
+_SVG_CHARS = 1 << 16  # characters of the SVG document encoded and written per chunk
 
 
 @dataclass(frozen=True)
@@ -114,54 +115,62 @@ class SweepConfig:
         return Coefficients(self.statistics, param).squeeze if self.mu2_grid else param
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: its grid value and the evaluation that ended its ladder."""
-
-    param: float  # grid value as given (r, r_f, or mu2 with --mu2)
-    result: ScenarioResult  # its scenario holds the squeeze and the final cutoff
-    converged: bool
+# a grid point's value as given, the ScenarioResult that ended its ladder, and its flag
+SweepRow = namedtuple("SweepRow", ["param", "result", "converged"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
+    """A sweep by column, in grid order: each point's grid value (r, r_f, or mu2
+    with --mu2), squeeze, final cutoff and flag, and the :func:`evaluate_scenario`
+    ``columns`` of the rung that ended its ladder.  ``rows`` makes the records."""
+
     config: SweepConfig
-    rows: list[SweepRow]
+    grid: np.ndarray
+    squeezes: np.ndarray
+    cutoffs: np.ndarray
+    converged: np.ndarray
+    columns: dict
 
     @property
     def systems(self) -> tuple[str, ...]:
-        return tuple(self.rows[0].result.systems)
+        return self.columns["systems"]
 
     @property
     def all_converged(self) -> bool:
-        return all(r.converged for r in self.rows)
+        return bool(self.converged.all())
+
+    @property
+    def rows(self) -> list[SweepRow]:
+        points = zip(self.squeezes.tolist(), self.cutoffs.tolist())
+        scenarios = [Scenario(*self.config.scenario.split("-"), r, cutoff=n) for r, n in points]
+        results = _results(scenarios, self.columns)
+        return list(map(SweepRow, self.grid.tolist(), results, self.converged.tolist()))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepTable:
-    """Evaluate every grid point, in grid order, one rung of the cutoff ladder at a
-    time: each rung is one :func:`evaluate_scenario` call on the points whose rows
-    still move, and those go on to the next.  Fermion states are exact, so a
-    fermion grid is one rung, where every row converges."""
-    grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
-    squeezes = [cfg.squeeze(v) for v in grid]
-    results: list[ScenarioResult | None] = [None] * len(grid)
-    converged = [cfg.statistics == "fermion"] * len(grid)
-    kind, moving, cutoff = (cfg.statistics, cfg.accelerated), range(len(grid)), cfg.cutoff
-    while moving:
-        scs = [Scenario(*kind, squeezes[i], cutoff=cutoff) for i in moving]
-        for i, res in zip(moving, evaluate_scenario(scs)):
-            smaller, results[i] = results[i], res
-            if smaller is not None:
-                delta = max(
-                    abs(res.systems[name].log_negativity - smaller.systems[name].log_negativity)
-                    for name in res.systems
-                )
-                # LN also stops moving once the truncation has lost the whole norm
-                converged[i] = delta < cfg.convergence_tol and res.deficit < cfg.convergence_tol
-        # a row can converge on the rung into the cap; one still moving there stays false
-        moving = [i for i in moving if not converged[i]] if cutoff < CUTOFF_CAP else []
+    """Evaluate the grid one rung of the cutoff ladder at a time: each rung is one
+    :func:`evaluate_scenario` call, on a :class:`Rung` of the points whose LN still
+    moves, in grid order.  A fermion grid is one rung, where every point converges."""
+    grid = np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)
+    squeezes = np.array([cfg.squeeze(v) for v in grid.tolist()]) if cfg.mu2_grid else grid
+    converged, cutoffs = np.full(grid.size, cfg.statistics == "fermion"), np.empty(grid.size, int)
+    moving, cutoff, columns = np.arange(grid.size), cfg.cutoff, None
+    while moving.size:
+        rung = evaluate_scenario(Rung(cfg.statistics, cfg.accelerated, squeezes[moving], cutoff))
+        cutoffs[moving] = cutoff
+        if columns is None:
+            columns = rung
+        else:  # how far the LN of each point moved, over its systems
+            delta = np.abs(rung["log_negativity"] - columns["log_negativity"][moving]).max(axis=1)
+            # LN also stops moving once the truncation has lost the whole norm
+            converged[moving] = np.maximum(delta, rung["deficit"]) < cfg.convergence_tol
+            for key in columns.keys() - {"systems"}:
+                columns[key][moving] = rung[key]
+        # a point can converge on the rung into the cap; one still moving there stays false
+        moving = moving[~converged[moving]] if cutoff < CUTOFF_CAP else moving[:0]
         cutoff = min(2 * cutoff, CUTOFF_CAP)
-    return SweepTable(cfg, [SweepRow(*row) for row in zip(grid, results, converged)])
+    return SweepTable(cfg, grid, squeezes, cutoffs, converged, columns)
 
 
 def emit_csv(table: SweepTable, path: Path) -> Path:
@@ -178,28 +187,20 @@ def emit_csv(table: SweepTable, path: Path) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")  # no field holds a comma, quote or newline
-        for at in range(0, len(table.rows), _CSV_ROWS):
-            rows = table.rows[at : at + _CSV_ROWS]
-            squeezes = [row.result.scenario.squeeze for row in rows]
-            cols = [[row.param for row in rows], squeezes] if cfg.mu2_grid else [squeezes]
-            cols += [[row.result.systems[s].log_negativity for row in rows] for s in systems]
+        for at in range(0, table.grid.size, _CSV_ROWS):
+            part = slice(at, at + _CSV_ROWS)
+            squeezes = table.squeezes[part].tolist()
+            cols = [table.grid[part].tolist(), squeezes] if cfg.mu2_grid else [squeezes]
+            cols += table.columns["log_negativity"][part].T.tolist()
             cols += forms(squeezes) if fermion else []  # a fermion squeeze lies in [0, pi/2]
-            cols.append([row.result.deficit for row in rows])
-            cols.append([0 if fermion else row.result.scenario.cutoff for row in rows])
-            cols.append(["true" if row.converged else "false" for row in rows])
+            cols.append(table.columns["deficit"][part].tolist())
+            cols.append([0] * len(squeezes) if fermion else table.cutoffs[part].tolist())
+            cols.append([("false", "true")[c] for c in table.converged[part].tolist()])
             fh.writelines(map(line.__mod__, zip(*cols)))
     return path
 
 
-_RHO_NAMES = {
-    ("one", "full"): "ρ_s,(p,a)",
-    ("both", "full"): "ρ_(p,a),(p,a)",
-}
-
-
-def _legend_label(accelerated: str, system: str) -> str:
-    rho = _RHO_NAMES.get((accelerated, system), f"ρ_{system}")
-    return f"LN({rho})"
+_RHO_NAMES = {("one", "full"): "ρ_s,(p,a)", ("both", "full"): "ρ_(p,a),(p,a)"}  # else ρ_<system>
 
 
 def emit_plot(table: SweepTable, path: Path) -> Path:
@@ -208,26 +209,18 @@ def emit_plot(table: SweepTable, path: Path) -> Path:
     Line-style convention: dot-dashed for the invariant full bipartition,
     dashed when a single mode is accelerated, solid when both are.
     """
-    xs = [row.result.scenario.squeeze for row in table.rows]
-    body_dash = "dashed" if table.config.accelerated == "one" else "solid"
+    cfg, ln = table.config, table.columns["log_negativity"]
+    body_dash = "dashed" if cfg.accelerated == "one" else "solid"
     curves = []
-    for system in table.systems:
-        curves.append(
-            Curve(
-                label=_legend_label(table.config.accelerated, system),
-                x=xs,
-                y=[row.result.systems[system].log_negativity for row in table.rows],
-                dash="dotdash" if system == "full" else body_dash,
-            )
-        )
-    doc = render_line_plot(
-        curves,
-        x_label=_SQUEEZE_NAME[table.config.statistics],
-        y_label="logarithmic negativity",
-        title=f"{table.config.scenario} sweep",
-    )
+    for i, system in enumerate(table.systems):
+        label = f"LN({_RHO_NAMES.get((cfg.accelerated, system), f'ρ_{system}')})"
+        dash = "dotdash" if system == "full" else body_dash
+        curves.append((label, table.squeezes, ln[:, i], dash))
+    x_label, title = _SQUEEZE_NAME[cfg.statistics], f"{cfg.scenario} sweep"
+    doc = render_line_plot(curves, x_label, "logarithmic negativity", title)
     path = Path(path)
-    path.write_text(doc, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:  # encoded a chunk at a time
+        fh.writelines(doc[at : at + _SVG_CHARS] for at in range(0, len(doc), _SVG_CHARS))
     return path
 
 
@@ -279,8 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+        return 0 if exc.code == 0 else 1
 
     try:
         if args.command == "convert":
@@ -298,12 +290,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = SweepConfig(**{k: v for k, v in vars(args).items() if k != "command"})
         table = run_sweep(cfg)
         emit_csv(table, cfg.csv_path)
-        print(f"wrote {cfg.csv_path} ({len(table.rows)} rows)")
+        print(f"wrote {cfg.csv_path} ({table.grid.size} rows)")
         if cfg.svg_path is not None:
             emit_plot(table, cfg.svg_path)
             print(f"wrote {cfg.svg_path}")
         if not table.all_converged:
-            bad = sum(1 for r in table.rows if not r.converged)
+            bad = table.grid.size - int(np.count_nonzero(table.converged))
             print(
                 f"warning: {bad} grid point(s) hit the cutoff cap {CUTOFF_CAP} before "
                 f"stabilizing; rows are marked converged=false",

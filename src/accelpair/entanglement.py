@@ -8,20 +8,19 @@ scalar-one "s,p" and 2.0-5.2e-12 from scalar-both "p,p" (up to 1.5e-11 of
 LN).  The scalar antiparticle systems need no threshold: their smallest
 partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 
-:func:`evaluate_scenario` runs all four scenarios, one point or a list in one
-pass, through the two-branch pipeline of :mod:`accelpair.sparse`, on a
-:class:`SweepPlan` that holds the squeeze-independent index structure, as
-the state's shift rule gives it (:func:`accelpair.states.traced_plan`).
+:func:`evaluate_scenario` runs all four scenarios through the two-branch
+pipeline of :mod:`accelpair.sparse`, a rung of points by column (one scenario
+or a list as records), on a :class:`SweepPlan`: the squeeze-independent index
+structure that the state's shift rule gives (:func:`accelpair.states.traced_plan`).
 Only the negative eigenvalues are computed.  A plan is pairs or chains: the
 traced systems of fermions and scalar-one are 2-state pairs, solved together
 in closed form (:func:`pair_spectra`); scalar-both's are longer chains, one
-bisection each (:func:`chain_spectrum`).  It is the package's one LN route.
-A pass's figures stay columns until :func:`_system_results` makes the records.
-The per-state functions of :mod:`accelpair.sparse` and the dense :func:`reduced_density`
-and :func:`partial_transpose` here are the reference routes it is tested
-against.  Reduced systems carry conventional names: "s,p" pairs the inert s
-mode with the w particles, "p,p" pairs the particles of both accelerated
-modes, and so on; "full" keeps every sub-mode, split s side vs w side.
+bisection each (:func:`chain_spectrum`).  It is the package's one LN route;
+the per-state functions of :mod:`accelpair.sparse` and the dense
+:func:`reduced_density` and :func:`partial_transpose` here are the reference
+routes it is tested against.  Reduced systems carry conventional names: "s,p"
+pairs the inert s mode with the w particles, "p,p" the particles of both
+accelerated modes, and so on; "full" keeps every sub-mode, s side vs w side.
 """
 
 from __future__ import annotations
@@ -33,14 +32,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, LayoutError
 from .fock import DensityMatrix, Ket, label_names
 from .sparse import ChainPlan, stacked
-from .states import Scenario, scenario_amplitudes, scenario_branch, traced_plan
+from .states import Rung, Scenario, _rung, scenario_amplitudes, scenario_branch, traced_plan
 
 __all__ = [
     "NEGATIVE_EIGENVALUE_TOL",
@@ -86,11 +85,7 @@ class Bipartition:
             object.__setattr__(self, side, frozenset(label_names(getattr(self, side))))
         if not self.party_a or not self.party_b:
             raise LayoutError("both parties of a bipartition must be non-empty")
-        if (
-            self.party_a & self.party_b
-            or self.party_a & self.traced
-            or self.party_b & self.traced
-        ):
+        if self.party_a & self.party_b or self.kept & self.traced:
             raise LayoutError("bipartition sets must be pairwise disjoint")
 
     @property
@@ -243,10 +238,7 @@ class ScenarioResult:
     systems: Mapping[str, SystemResult]
 
 
-def _system_results(negativity, min_pt, count) -> list[SystemResult]:
-    """:class:`SystemResult` of each value of the (negativity, min_pt, count) columns."""
-    ln = map(math.log2, (2.0 * negativity + 1.0).tolist())
-    return list(map(SystemResult, ln, negativity.tolist(), min_pt.tolist(), count.tolist()))
+_FIGURES = SystemResult.__match_args__  # its fields, a rung's (points x systems) columns
 
 
 def pair_spectra(d, lo, c, system, starts) -> tuple[np.ndarray, ...]:
@@ -317,8 +309,7 @@ def chain_spectrum(d, lo, c) -> tuple[float, float, int]:
     return float(np.abs(neg).sum()), float(w.min(initial=0.0)), neg.size
 
 
-@dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(NamedTuple):
     """Index structure of one (statistics, accelerated, cutoff), from the shift
     rule alone.  "full" needs only each support entry's ``branch``.  If every
     chain of the traced systems, ``names``, is a 2-state pair (``paired``),
@@ -332,11 +323,11 @@ class SweepPlan:
     paired: bool
 
 
-def _plan_key(sc: Scenario) -> tuple[str, str, int | None]:
-    return sc.statistics, sc.accelerated, None if sc.is_fermion else sc.cutoff
+def _plan_key(sc: Scenario | Rung) -> tuple[str, str, int | None]:
+    return sc.statistics, sc.accelerated, None if sc.statistics == "fermion" else sc.cutoff
 
 
-def sweep_plan(sc: Scenario) -> SweepPlan:
+def sweep_plan(sc: Scenario | Rung) -> SweepPlan:
     """The plan of every scenario with ``sc``'s statistics, accelerated modes and
     cutoff, by :func:`~accelpair.states.traced_plan`'s shift rule: pairs for
     fermions and scalar-one, chains for scalar-both."""
@@ -351,49 +342,63 @@ def sweep_plan(sc: Scenario) -> SweepPlan:
     return SweepPlan(_plan_key(sc), scenario_branch(sc), tuple(traced), tuple(plans), paired)
 
 
-def evaluate_scenario(scenarios: Scenario | Iterable[Scenario], plan: SweepPlan | None = None):
-    """LN of each named bipartition of one scenario state, or of each of a list.
+def evaluate_scenario(scenarios: Scenario | list[Scenario] | Rung, plan: SweepPlan | None = None):
+    """LN of each named bipartition of one scenario state, of each of a list, or,
+    by column, of each point of a :class:`~accelpair.states.Rung`.
 
-    One :class:`Scenario` gives one :class:`ScenarioResult`, a list sharing
-    one plan key a list in order; one scenario runs as a list of one.
-    ``plan`` is their :func:`sweep_plan` (built from the first if not given).
-    Its build checks nothing: the shift rule fixes the structure, and the
-    tests hold every plan to the reference route, which checks it (no two
-    entries of a branch at one traced index, no tuple or "full"-cut state
-    shared by the branches, every sector a chain).  Per point, the
-    amplitudes are checked (finite, norm at most 1 + 1e-12, summed over the
-    nonzero entries) and renormalized.  As many points as fit in 8192 support
-    entries (at least one) are the rows of one array: "full" takes one
-    bincount, a paired plan one bincount, gather and :func:`pair_spectra` for
-    all points and systems, and a plan of chains one :func:`chain_spectrum`
-    per point and system.  Only elementwise arithmetic and in-order
-    reductions are shared: each point gets what it gets alone.
+    A rung gives a dict: ``systems`` (the names), ``deficit`` per point, and a
+    (points x systems) array per :class:`SystemResult` field.  One scenario gives
+    one :class:`ScenarioResult`, a list sharing one plan key a list in order,
+    made from the columns of their rung.  ``plan`` is their :func:`sweep_plan`
+    (built from the first if not given; the tests hold it to the reference
+    route, which checks the structure).  Per point, the amplitudes are checked
+    (finite, norm at most 1 + 1e-12) and renormalized.  Up to 8192 support
+    entries of points (at least one) are the rows of one array, and only
+    elementwise arithmetic and in-order reductions are shared: each point gets
+    what it gets alone.
     """
+    if isinstance(scenarios, Rung):
+        return _columns(scenarios, plan)
     single = isinstance(scenarios, Scenario)
     batch = [scenarios] if single else list(scenarios)
     plan = sweep_plan(batch[0]) if plan is None and batch else plan
     for i, sc in enumerate(batch):
         if _plan_key(sc) != plan.key:
             raise DomainError(f"plan for {plan.key} does not fit scenario {i}, {_plan_key(sc)}")
-    step = max(1, _ENTRIES // plan.branch.size) if batch else 1
-    results = [r for at in range(0, len(batch), step) for r in _rows(batch[at : at + step], plan)]
+    results = _results(batch, _columns(_rung(batch), plan)) if batch else []
     return results[0] if single else results
 
 
-def _rows(batch: list[Scenario], plan: SweepPlan) -> list[ScenarioResult]:
-    """:func:`evaluate_scenario` of one pass's scenarios, at most ``_ENTRIES``
-    support entries together or a single point, on their plan."""
-    val, deficits = scenario_amplitudes(batch)
-    weights, n, width = (val * val.conj()).real, len(batch), len(plan.names)
-    norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n)
-    full = _system_results(*_schmidt_spectra(norms.reshape(n, 2)))  # one negative, -sqrt(w0 w1)
-    if plan.paired:
-        joined, tiled = plan.plans[0].repeat(n, val.shape[1]), np.concatenate([weights] * width, 1)
-        spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
-    else:  # point by point, each point's systems in turn: the order of the joined plan
-        entries = (c.entries(weights[p], val[p]) for p in range(n) for c in plan.plans)
-        spectra = map(np.array, zip(*(chain_spectrum(*e) for e in entries)))
-    solved = _system_results(*spectra)
-    names = ("full", *plan.names)
-    rows = zip(batch, deficits, full, *(solved[i::width] for i in range(width)))
-    return [ScenarioResult(sc, deficit, dict(zip(names, s))) for sc, deficit, *s in rows]
+def _results(scenarios: list[Scenario], columns: dict) -> list[ScenarioResult]:
+    """One :class:`ScenarioResult` per scenario, made from its point of a rung's columns."""
+    names, figures = columns["systems"], zip(*(columns[f].tolist() for f in _FIGURES))
+    return [
+        ScenarioResult(sc, deficit, {name: SystemResult(*f) for name, *f in zip(names, *point)})
+        for sc, deficit, point in zip(scenarios, columns["deficit"].tolist(), figures)
+    ]
+
+
+def _columns(rung: Rung, plan: SweepPlan | None) -> dict:
+    """:func:`evaluate_scenario` of a rung, in passes of at most ``_ENTRIES``
+    support entries or a single point, each a (points x support) array."""
+    plan = sweep_plan(rung) if plan is None else plan
+    if _plan_key(rung) != plan.key:
+        raise DomainError(f"plan for {plan.key} does not fit the rung, {_plan_key(rung)}")
+    passes, step, width = [], max(1, _ENTRIES // plan.branch.size), len(plan.names)
+    for at in range(0, rung.squeezes.size, step):
+        val, deficits = scenario_amplitudes(rung, slice(at, at + step))
+        weights, n = (val * val.conj()).real, len(val)
+        norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n)
+        full = _schmidt_spectra(norms.reshape(n, 2))  # one negative, -sqrt(w0 w1)
+        if plan.paired:
+            joined = plan.plans[0].repeat(n, val.shape[1])
+            tiled = np.concatenate([weights] * width, 1)
+            spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
+        else:  # point by point, each point's systems in turn: the order of the joined plan
+            entries = (c.entries(weights[p], val[p]) for p in range(n) for c in plan.plans)
+            spectra = map(np.array, zip(*(chain_spectrum(*e) for e in entries)))
+        figures = [np.column_stack([f, s.reshape(n, width)]) for f, s in zip(full, spectra)]
+        ln = list(map(math.log2, (2.0 * figures[0] + 1.0).ravel().tolist()))
+        passes.append((deficits, np.array(ln).reshape(n, -1), *figures))
+    columns = (np.concatenate(c) for c in zip(*passes))
+    return {"systems": ("full", *plan.names), **dict(zip(("deficit", *_FIGURES), columns))}

@@ -7,9 +7,9 @@ becomes sum_n c_n |n_p, n_a> and its one-particle state sum_n d_n
 * scalar:  c_n = tanh(r)^n / cosh(r),  d_n = sqrt(n+1) tanh(r)^n / cosh(r)^2
 * fermion: c = (cos(r_f) e^{-i phi}, -sin(r_f)),  d = (1)
 
-:func:`_expansion` is the one statement of these weights, for a list of
-points at once: fermions by column (``math.cos`` and ``math.sin`` per value,
-one ``np.exp`` of the phases), scalars one ``np.tanh`` power per point.  A
+:func:`scenario_amplitudes` states these weights once, for the points of a
+:class:`Rung` at once: fermions by column (``math.cos`` and ``math.sin`` per
+value, one ``np.exp`` of the phases), scalars one ``np.tanh`` power per point.  A
 scenario starts from the maximally entangled combination (|0_s 0_w> +
 |1_s 1_w>)/sqrt(2) and substitutes the out expansion for every accelerated
 mode; an unaccelerated mode stays a bare two-level particle sub-mode.  Each
@@ -40,6 +40,7 @@ from .sparse import ChainPlan, CoordKet, norm_squared
 
 __all__ = [
     "Scenario",
+    "Rung",
     "scenario_layout",
     "build_final_state",
     "build_final_state_coords",
@@ -86,9 +87,40 @@ class Scenario:
                 raise DomainError(f"scalar scenarios need cutoff >= 4, got {self.cutoff}")
             _cosh_squared(self.squeeze)  # DomainError where the weights would overflow
 
-    @property
-    def is_fermion(self) -> bool:
-        return self.statistics == "fermion"
+
+@dataclass(frozen=True, eq=False)
+class Rung:
+    """Points of one statistics, accelerated modes and cutoff, by column: read-only
+    float arrays of squeezes and phases (0 if not given).  Checked once, as each
+    point's :class:`Scenario` would be: the error is the first failing point's."""
+
+    statistics: str
+    accelerated: str
+    squeezes: np.ndarray
+    cutoff: int = 30
+    phases: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        r = np.array(self.squeezes, float)
+        phase = np.zeros_like(r) if self.phases is None else np.array(self.phases, float)
+        for name, column in (("squeezes", r), ("phases", phase)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not r.size:
+            raise DomainError("a rung needs at least one point")
+        fermion = self.statistics == "fermion"
+        ok = np.isfinite(r) & (r >= 0.0) & np.isfinite(phase) & ~(fermion & (r > _HALF_PI))
+        first = r.size if ok.all() else int(ok.argmin())
+        for i in sorted({0, first} - {r.size}):  # point 0 checks the shared fields too
+            Scenario(self.statistics, self.accelerated, float(r[i]), float(phase[i]), self.cutoff)
+            for x in [] if i or fermion else r[:first].tolist():
+                _cosh_squared(x)  # DomainError at the first squeeze whose weights overflow
+
+
+def _rung(batch: list[Scenario]) -> Rung:
+    """The points of scenarios sharing one support, as a rung of the first one's kind."""
+    squeezes, phases = [sc.squeeze for sc in batch], [sc.phase for sc in batch]
+    return Rung(batch[0].statistics, batch[0].accelerated, squeezes, batch[0].cutoff, phases)
 
 
 def scenario_layout(sc: Scenario) -> SubsystemLayout:
@@ -96,7 +128,7 @@ def scenario_layout(sc: Scenario) -> SubsystemLayout:
     # An unaccelerated s mode is a bare two-level particle sub-mode with no
     # antiparticle partner.  Scalar one-particle amplitudes reach occupation
     # cutoff+1, so a scalar particle sub-mode gets one extra level.
-    pair = (2, 2) if sc.is_fermion else (sc.cutoff + 2, sc.cutoff + 1)
+    pair = (2, 2) if sc.statistics == "fermion" else (sc.cutoff + 2, sc.cutoff + 1)
     if sc.accelerated == "one":
         return SubsystemLayout(("s_p", "w_p", "w_a"), (2, *pair))
     return SubsystemLayout(("s_p", "s_a", "w_p", "w_a"), pair * 2)
@@ -108,20 +140,6 @@ def _cosh_squared(r: float) -> float:
         return math.cosh(r) ** 2
     except OverflowError:
         raise DomainError(f"squeeze r = {r} overflows cosh(r)^2") from None
-
-
-def _expansion(batch: list[Scenario]) -> tuple[np.ndarray, np.ndarray]:
-    """Weights c_n of |n_p, n_a> (vacuum) and d_n of |(n+1)_p, n_a> (one particle),
-    as (points x n) rows, of scenarios sharing one statistics and cutoff."""
-    r = [sc.squeeze for sc in batch]
-    if batch[0].is_fermion:  # math.cos and math.sin per value, the rest per column
-        cos, sin = (np.array(list(map(f, r))) for f in (math.cos, math.sin))
-        c = np.stack([cos * np.exp(-1j * np.array([sc.phase for sc in batch])), -sin], 1)
-        return c, np.ones((len(r), 1))
-    n = np.arange(batch[0].cutoff + 1)
-    t_n = np.array([np.tanh(x) ** n for x in r])
-    cosh = np.array([[math.cosh(x), _cosh_squared(x)] for x in r])
-    return t_n / cosh[:, :1], np.sqrt(n + 1.0) * t_n / cosh[:, 1:]
 
 
 def build_final_state(sc: Scenario) -> tuple[Ket, float]:
@@ -141,7 +159,7 @@ def build_final_state(sc: Scenario) -> tuple[Ket, float]:
 def _grids(sc: Scenario) -> tuple[tuple[int, int], tuple[int, int]]:
     """Shapes over the modes (s, w) of the vacuum block and the one-particle
     block; an unaccelerated s mode is a one-point grid."""
-    n_vac, n_one = (2, 1) if sc.is_fermion else (sc.cutoff + 1, sc.cutoff + 1)
+    n_vac, n_one = (2, 1) if sc.statistics == "fermion" else (sc.cutoff + 1, sc.cutoff + 1)
     s = (1, 1) if sc.accelerated == "one" else (n_vac, n_one)
     return (s[0], n_vac), (s[1], n_one)
 
@@ -200,26 +218,33 @@ def traced_plan(sc: Scenario, party_a: str, party_b: str) -> ChainPlan:
     return ChainPlan(np.concatenate(bins, axis=None), first, second, edge, 0 * js, [0, da * db])
 
 
-def scenario_amplitudes(scenarios: Scenario | list[Scenario]) -> tuple[np.ndarray, float | list]:
+def scenario_amplitudes(points: Scenario | Rung, part: slice = slice(None)) -> tuple:
     """Amplitudes on :func:`scenario_support` (zeros where a weight vanishes or
-    underflows) and deficit, of one scenario or, as (points x support) rows and
-    a list, of a list sharing one support; scalars renormalized, fermions exact."""
-    single = isinstance(scenarios, Scenario)
-    batch, count = [scenarios] if single else scenarios, 1 if single else len(scenarios)
-    c, d = _expansion(batch)
-    if batch[0].accelerated == "both":  # the outer products of all points at once
+    underflows) and deficit, of one scenario or, as (points x support) rows and a
+    column, of a rung's points ``part``; scalars renormalized, fermions exact."""
+    single = isinstance(points, Scenario)
+    rung = _rung([points]) if single else points
+    r, fermion = rung.squeezes[part].tolist(), rung.statistics == "fermion"
+    # the weights c_n of |n_p, n_a> (vacuum) and d_n of |(n+1)_p, n_a> (one particle)
+    if fermion:  # math.cos and math.sin per value, the rest per column
+        cos, sin = (np.array(list(map(f, r))) for f in (math.cos, math.sin))
+        c, d = np.stack([cos * np.exp(-1j * rung.phases[part]), -sin], 1), np.ones((len(r), 1))
+    else:
+        n = np.arange(rung.cutoff + 1)
+        t_n = np.array([np.tanh(x) ** n for x in r])
+        cosh = np.array([[math.cosh(x), _cosh_squared(x)] for x in r])
+        c, d = t_n / cosh[:, :1], np.sqrt(n + 1.0) * t_n / cosh[:, 1:]
+    if rung.accelerated == "both":  # the outer products of all points at once
         c, d = (w[:, :, None] * w[:, None, :] for w in (c, d))
-    val = np.concatenate([c.reshape(count, -1), d.reshape(count, -1)], axis=1)
+    val = np.concatenate([c.reshape(len(r), -1), d.reshape(len(r), -1)], axis=1)
     val = val * (1.0 / math.sqrt(2.0))
-    n2, deficits = norm_squared(val), [0.0] * count
-    if not batch[0].is_fermion:
-        norms = n2.tolist()
-        if 0.0 in norms:
-            sc = batch[norms.index(0.0)]
-            state = f"{sc.statistics}-{sc.accelerated} state at r = {sc.squeeze}"
+    n2, deficits = norm_squared(val), np.zeros(len(r))
+    if not fermion:
+        if (n2 == 0.0).any():  # the first point whose every amplitude underflows
+            state = f"{rung.statistics}-{rung.accelerated} state at r = {r[np.argmin(n2)]}"
             raise DomainError(f"every amplitude of the {state} underflows to 0")
-        val, deficits = val / np.sqrt(n2)[:, None], [1.0 - x for x in norms]
-    return (val[0], deficits[0]) if single else (val, deficits)
+        val, deficits = val / np.sqrt(n2)[:, None], 1.0 - n2
+    return (val[0], float(deficits[0])) if single else (val, deficits)
 
 
 def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:

@@ -3,18 +3,18 @@
 Hand-rolled on purpose: the plots ship as reproducible artifacts, so the
 bytes must depend only on the data.  No plotting library keeps that promise
 across versions.  The plot has one fixed style: canvas size, margins, font
-and the colour cycle are module constants, and a curve chooses only its dash.
-Each polyline is placed as arrays and its points are formatted with one ``%``.
+and the colour cycle are module constants, and a curve, a (label, x, y, dash)
+tuple of arrays, chooses only its dash.  Each polyline is placed as arrays and
+its points are formatted with one ``%``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Curve", "render_line_plot"]
+__all__ = ["render_line_plot"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -24,14 +24,6 @@ _DASH = {
     "dashed": ' stroke-dasharray="7 4"',
     "dotdash": ' stroke-dasharray="9 3 2 3"',
 }
-
-
-@dataclass(frozen=True)
-class Curve:
-    label: str
-    x: Sequence[float]
-    y: Sequence[float]
-    dash: str  # "solid" | "dashed" | "dotdash"
 
 
 _WIDTH, _HEIGHT = 720, 480
@@ -45,20 +37,16 @@ def _tick_values(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(_TICKS)]
 
 
-def render_line_plot(
-    curves: Sequence[Curve],
-    x_label: str,
-    y_label: str,
-    title: str,
-) -> str:
-    """Self-contained SVG document for a set of labeled curves."""
-    xs = [v for c in curves for v in c.x]
-    ys = [v for c in curves for v in c.y]
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
+def render_line_plot(curves: Sequence[tuple], x_label: str, y_label: str, title: str) -> str:
+    """Self-contained SVG document for a set of (label, x, y, dash) curves;
+    dash is "solid", "dashed" or "dotdash"."""
+    xs = [np.asarray(x, float) for _, x, _, _ in curves]
+    ys = [np.asarray(y, float) for _, _, y, _ in curves]
+    lows, highs = [float(x.min()) for x in xs if x.size], [float(x.max()) for x in xs if x.size]
+    x_lo, x_hi = (min(lows), max(highs)) if lows else (0.0, 1.0)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
-    y_lo = 0.0
-    y_hi = max(1.0, max(ys) if ys else 1.0) * 1.06
+    y_lo, y_hi = 0.0, max([1.0] + [float(y.max()) for y in ys if y.size]) * 1.06
 
     px_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     px_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -68,16 +56,13 @@ def render_line_plot(
         fy = _MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * px_h
         return fx, fy
 
-    parts: list[str] = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    parts.append(f'<g font-family="{_FONT}" font-size="13" fill="#222">')
-    parts.append(
-        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>'
-    )
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<g font-family="{_FONT}" font-size="13" fill="#222">',
+        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+    ]
 
     # axes frame and ticks
     x0, y0 = to_px(x_lo, y_lo)
@@ -112,17 +97,14 @@ def render_line_plot(
         f'transform="rotate(-90 16 {_MARGIN_TOP + px_h / 2:.1f})">{y_label}</text>'
     )
 
-    # curves
-    dash_attrs = [_DASH[c.dash] for c in curves]
-    for i, c in enumerate(curves):
-        color = _PALETTE[i % len(_PALETTE)]
-        n = min(len(c.x), len(c.y))  # the points zip pairs
-        fx, fy = to_px(np.array(c.x[:n], float), np.array(c.y[:n], float))
+    # curves, each stroked in its colour and dash, as is its legend line
+    strokes = [f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.8"' for i in range(len(xs))]
+    strokes = [stroke + _DASH[dash] for stroke, (*_, dash) in zip(strokes, curves)]
+    for x, y, stroke in zip(xs, ys, strokes):
+        n = min(x.size, y.size)  # the points zip pairs
+        fx, fy = to_px(x[:n], y[:n])
         pts = " ".join(["%.2f,%.2f"] * n) % tuple(np.stack([fx, fy], 1).ravel().tolist())
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.8"{dash_attrs[i]}/>'
-        )
+        parts.append(f'<polyline points="{pts}" fill="none" {stroke}/>')
 
     # legend (top right, inside the frame)
     lx = _MARGIN_LEFT + px_w - 170
@@ -132,14 +114,10 @@ def render_line_plot(
         f'<rect x="{lx - 8}" y="{ly - 6}" width="170" height="{box_h}" fill="white" '
         f'fill-opacity="0.85" stroke="#bbb"/>'
     )
-    for i, c in enumerate(curves):
-        color = _PALETTE[i % len(_PALETTE)]
+    for i, ((label, *_), stroke) in enumerate(zip(curves, strokes)):
         yy = ly + 10 + 20 * i
-        parts.append(
-            f'<line x1="{lx}" y1="{yy}" x2="{lx + 30}" y2="{yy}" stroke="{color}" '
-            f'stroke-width="1.8"{dash_attrs[i]}/>'
-        )
-        parts.append(f'<text x="{lx + 38}" y="{yy + 4}">{c.label}</text>')
+        parts.append(f'<line x1="{lx}" y1="{yy}" x2="{lx + 30}" y2="{yy}" {stroke}/>')
+        parts.append(f'<text x="{lx + 38}" y="{yy + 4}">{label}</text>')
 
     parts.append("</g>")
     parts.append("</svg>\n")  # the document's last newline, with no copy of the whole

@@ -362,8 +362,8 @@ def csv_per_value(table):
 def polylines_per_point(curves):
     """The ``points`` attribute of each curve's polyline in ``render_line_plot``'s
     frame (720 x 480, margins 64/16/40/52), one ``"%.2f,%.2f" % to_px(x, y)`` per point."""
-    xs = [v for c in curves for v in c.x]
-    ys = [v for c in curves for v in c.y]
+    xs = [v for _, x, _, _ in curves for v in x]
+    ys = [v for _, _, y, _ in curves for v in y]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
@@ -375,4 +375,4 @@ def polylines_per_point(curves):
         fy = 40 + (1.0 - (y - y_lo) / (y_hi - y_lo)) * px_h
         return fx, fy
 
-    return [" ".join(["%.2f,%.2f" % to_px(x, y) for x, y in zip(c.x, c.y)]) for c in curves]
+    return [" ".join(["%.2f,%.2f" % to_px(*p) for p in zip(x, y)]) for _, x, y, _ in curves]

@@ -52,9 +52,9 @@ def test_traced_ladder_counts_match_the_cutoff_column(monkeypatch, tmp_path):
     with spans.Tracer() as tracer, monkeypatch.context() as patch:
         traced = cli.evaluate_scenario
 
-        def counted(scenarios, plan=None):  # a rung: the points still moving, at one cutoff
-            points[scenarios[0].cutoff] += len(scenarios)
-            return traced(scenarios, plan)
+        def counted(rung, plan=None):  # a rung: the points still moving, at one cutoff
+            points[rung.cutoff] += rung.squeezes.size
+            return traced(rung, plan)
 
         patch.setattr(cli, "evaluate_scenario", counted)
         assert cli.main([*argv, "--csv", str(csv_path)]) == 0

@@ -18,7 +18,7 @@ from accelpair import (
 )
 from accelpair import cli, entanglement
 from accelpair.cli import CUTOFF_CAP, SweepConfig, emit_csv, emit_plot, main, run_sweep
-from accelpair.entanglement import sweep_plan
+from accelpair.entanglement import SystemResult, sweep_plan
 
 from oracles import scalar_both_pp_negativity, scalar_one_sp_negativity
 
@@ -685,9 +685,9 @@ def test_main_help_exits_cleanly():
 def counting_evaluations(monkeypatch):
     calls = []
 
-    def counted(scenarios, plan=None):
-        calls.append(scenarios)
-        return evaluate_scenario(scenarios, plan)
+    def counted(rung, plan=None):
+        calls.append(rung)
+        return evaluate_scenario(rung, plan)
 
     monkeypatch.setattr(cli, "evaluate_scenario", counted)
     return calls
@@ -698,7 +698,7 @@ def test_fermion_sweep_is_one_evaluation(monkeypatch, tmp_path, scenario):
     calls = counting_evaluations(monkeypatch)
     argv = ["sweep", "--scenario", scenario, "--steps", "41"]
     assert main([*argv, "--csv", str(tmp_path / "f.csv")]) == 0
-    assert len(calls) == 1 and len(calls[0]) == 41
+    assert len(calls) == 1 and calls[0].squeezes.size == 41
 
 
 @pytest.mark.parametrize("scenario", ["scalar-one", "scalar-both"])
@@ -716,8 +716,9 @@ def test_scalar_sweep_is_one_evaluation_per_rung(monkeypatch, tmp_path, scenario
     for k, (cutoff, call) in enumerate(zip(ladder, calls)):
         # rung k takes, in grid order, exactly the points whose ladder reaches it
         moving = [r for r, n in zip(grid, rungs) if n > k]
-        assert call == [Scenario(*scenario.split("-"), r, cutoff=cutoff) for r in moving]
-        assert len(call) == sum(final >= cutoff for final in finals)
+        assert (call.statistics, call.accelerated, call.cutoff) == (*scenario.split("-"), cutoff)
+        assert call.squeezes.tolist() == moving and call.phases.tolist() == [0.0] * len(moving)
+        assert call.squeezes.size == sum(final >= cutoff for final in finals)
 
 
 def test_underflowing_grid_end_fails_before_any_evaluation(monkeypatch, tmp_path, capsys):
@@ -732,14 +733,27 @@ def test_underflowing_grid_end_fails_before_any_evaluation(monkeypatch, tmp_path
     assert calls == [] and not csv_path.exists()
 
 
-def per_point_table(cfg):
-    """The sweep's table built from one single-scenario evaluation per grid point."""
+def table_of(cfg, rows):
+    """The :class:`cli.SweepTable` holding ``rows``, column by column."""
+    results = [row.result for row in rows]
+    names = tuple(results[0].systems)
+    columns = {"systems": names, "deficit": np.array([res.deficit for res in results])}
+    for field in SystemResult.__match_args__:
+        columns[field] = np.array([[getattr(res.systems[s], field) for s in names] for res in results])
+    points = [(row.param, row.result.scenario.squeeze, row.result.scenario.cutoff) for row in rows]
+    grid, squeezes, cutoffs = map(np.array, zip(*points))
+    converged = np.array([row.converged for row in rows])
+    return cli.SweepTable(cfg, grid, squeezes, cutoffs, converged, columns)
+
+
+def per_point_rows(cfg):
+    """The sweep's rows built from one single-scenario evaluation per grid point."""
     plan, rows = None, []
     for param in [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]:
         sc = Scenario(cfg.statistics, cfg.accelerated, cfg.squeeze(param))
         plan = plan or sweep_plan(sc)
         rows.append(cli.SweepRow(param, evaluate_scenario(sc, plan), True))
-    return cli.SweepTable(cfg, rows)
+    return rows
 
 
 PER_POINT_SWEEPS = [
@@ -756,7 +770,10 @@ PER_POINT_SWEEPS = [
 def test_fermion_sweep_files_equal_per_point_files(tmp_path, flags, config):
     csv_path, svg_path = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
     assert main(["sweep", *flags, "--csv", str(csv_path), "--svg", str(svg_path)]) == 0
-    table = per_point_table(SweepConfig(**config))
+    cfg = SweepConfig(**config)
+    rows = per_point_rows(cfg)
+    table = table_of(cfg, rows)
+    assert run_sweep(cfg).rows == rows == table.rows
     assert emit_csv(table, tmp_path / "points.csv").read_bytes() == csv_path.read_bytes()
     assert emit_plot(table, tmp_path / "points.svg").read_bytes() == svg_path.read_bytes()
 
@@ -765,7 +782,7 @@ def test_fermion_sweep_files_equal_per_point_files(tmp_path, flags, config):
 
 
 def per_point_ladder(cfg):
-    """The sweep's table from each grid point climbing its own cutoff ladder:
+    """The sweep's rows from each grid point climbing its own cutoff ladder:
     one single-scenario evaluation per point per rung, as the rows' definition reads."""
     plans, rows = {}, []
 
@@ -784,7 +801,7 @@ def per_point_ladder(cfg):
             delta = max(abs(ln[s].log_negativity - was[s].log_negativity) for s in ln)
             converged = delta < cfg.convergence_tol and res.deficit < cfg.convergence_tol
         rows.append(cli.SweepRow(param, res, converged))
-    return cli.SweepTable(cfg, rows)
+    return rows
 
 
 LADDER_GRIDS = {  # flags and exit code; the rows stop at different rungs
@@ -818,8 +835,8 @@ def test_rung_ladder_equals_the_per_point_ladder(monkeypatch, tmp_path, flags, c
     assert main(["sweep", *flags, "--csv", str(tmp_path / "s.csv")]) == code
     (table,) = tables
     reference = per_point_ladder(table.config)
-    assert table.rows == reference.rows
-    assert code == (0 if reference.all_converged else 3)
+    assert table.rows == reference
+    assert code == (0 if all(row.converged for row in reference) else 3)
 
 
 @pytest.mark.parametrize("cutoff, failing, named", [(30, [2, 4], 2), (120, [1, 3, 4], 3)])
@@ -831,11 +848,11 @@ def test_error_inside_a_rung_is_the_per_point_ladders(
     grid = [float(v) for v in np.linspace(cfg.grid_min, cfg.grid_max, cfg.steps)]
     amplitudes = entanglement.scenario_amplitudes
 
-    def failing_at(scenarios):
-        for sc in scenarios:
-            if sc.cutoff == cutoff and sc.squeeze in [grid[i] for i in failing]:
-                raise DomainError(f"injected at r = {sc.squeeze}, cutoff {sc.cutoff}")
-        return amplitudes(scenarios)
+    def failing_at(rung, part):  # the points of one pass
+        for r in rung.squeezes[part].tolist():
+            if rung.cutoff == cutoff and r in [grid[i] for i in failing]:
+                raise DomainError(f"injected at r = {r}, cutoff {rung.cutoff}")
+        return amplitudes(rung, part)
 
     monkeypatch.setattr(entanglement, "scenario_amplitudes", failing_at)
     with pytest.raises(DomainError, match=f"injected at r = {grid[named]}, ") as exc:

@@ -14,8 +14,8 @@ from accelpair import DomainError, LayoutError, Scenario, evaluate_scenario, nam
 from accelpair import entanglement, sparse
 from accelpair.cli import CUTOFF_CAP, main
 from accelpair.entanglement import (
+    SystemResult,
     _schmidt_spectra,
-    _system_results,
     chain_spectrum,
     pair_spectra,
     sweep_plan,
@@ -32,8 +32,8 @@ from accelpair.sparse import (
     tridiagonal,
 )
 from accelpair.states import (
-    _expansion,
     _grids,
+    _rung,
     build_final_state_coords,
     scenario_amplitudes,
     scenario_support,
@@ -56,6 +56,13 @@ def traced_tridiagonals(ck, sc):
             pt = partial_transpose_sparse(rho, kept_dims, a_pos)
             out[name] = tridiagonal(pt, kept_charges(kept_dims, kept_labels, bp.party_a))
     return out
+
+
+def system_results(negativity, min_pt, count):
+    """A :class:`SystemResult` per value of (negativity, min_pt, count) columns,
+    LN by ``math.log2`` per value."""
+    columns = zip(negativity.tolist(), min_pt.tolist(), count.tolist())
+    return [SystemResult(math.log2(2.0 * n + 1.0), n, m, c) for n, m, c in columns]
 
 
 def reference_result(sc):
@@ -81,13 +88,13 @@ def reference_result(sc):
             np.repeat(np.arange(len(pairs)), [lo[name].size for name in pairs]),
             starts,
         )
-        systems.update(zip(pairs, _system_results(*spectra)))
+        systems.update(zip(pairs, system_results(*spectra)))
     for name, (d, e, _) in traced.items():
         if name not in systems:
             spectrum = chain_spectrum(d, lo[name], e[lo[name]])
-            systems[name] = _system_results(*map(np.array, zip(spectrum)))[0]
+            systems[name] = system_results(*map(np.array, zip(spectrum)))[0]
     weights = schmidt_weights(ck, named_bipartitions(sc)["full"].party_a)
-    systems["full"] = _system_results(*_schmidt_spectra(weights[None, :]))[0]
+    systems["full"] = system_results(*_schmidt_spectra(weights[None, :]))[0]
     return deficit, {name: systems[name] for name in named_bipartitions(sc)}
 
 
@@ -425,10 +432,10 @@ def test_scalar_list_with_zero_rows_at_cutoff_120(accelerated):
     grid = [0.0, 0.3, 0.0, 1.2, 1e-200, 0.9, 0.0]
     scenarios = [Scenario("scalar", accelerated, r, cutoff=120) for r in grid]
     batch = assert_list_equals_points(scenarios)
-    val, deficits = scenario_amplitudes(scenarios)
-    assert (val[1] != 0.0).all() and deficits == [res.deficit for res in batch]
+    val, deficits = scenario_amplitudes(_rung(scenarios))
+    assert (val[1] != 0.0).all() and deficits.tolist() == [res.deficit for res in batch]
     # the r = 0 rows hold zeros, and each is normed over its nonzero entries alone
-    c, d = (w[0] for w in _expansion(scenarios[:1]))
+    c = d = np.eye(1, 121)[0]  # tanh(r)^n / cosh(r), sqrt(n + 1) tanh(r)^n / cosh(r)^2 at r = 0
     if accelerated == "both":
         c, d = np.outer(c, c).ravel(), np.outer(d, d).ravel()
     raw = np.concatenate([c, d]) * (1.0 / math.sqrt(2.0))
@@ -490,13 +497,14 @@ def test_list_longer_than_one_pass_is_split_exactly(kind, monkeypatch):
     scenarios = [Scenario(*kind, r, cutoff=5) for r in np.linspace(0, 1.5, 11)]
     entries = sweep_plan(scenarios[0]).branch.size  # per point
     monkeypatch.setattr(entanglement, "_ENTRIES", 3 * entries + 1)  # room for 3 points
-    passes, rows = [], entanglement._rows
+    passes, amplitudes = [], entanglement.scenario_amplitudes
 
-    def counted(batch, plan):
-        passes.append(len(batch))
-        return rows(batch, plan)
+    def counted(rung, part):  # a pass: the amplitudes of its points
+        val, deficits = amplitudes(rung, part)
+        passes.append(len(val))
+        return val, deficits
 
-    monkeypatch.setattr(entanglement, "_rows", counted)
+    monkeypatch.setattr(entanglement, "scenario_amplitudes", counted)
     assert_list_equals_points(scenarios)
     assert passes == [3, 3, 3, 2] + [1] * 11  # the list's passes, then each point alone
     monkeypatch.setattr(entanglement, "_ENTRIES", entries - 1)  # a point over the bound

@@ -1,25 +1,39 @@
 """The sweep's rows are built by column: each column against its per-value oracle.
 
-Closed forms, CSV rows and SVG polylines are computed for a whole table at
-once; these tests hold them to the per-value writers they replaced
-(``tests/oracles.py``), byte for byte, and keep numpy's transcendentals out
-of the modules that build the rows.
+A sweep is a table of columns: each rung of the cutoff ladder is one
+evaluation of a :class:`~accelpair.states.Rung`, and the records of a point
+(``Scenario``, ``SystemResult``, ``ScenarioResult``, ``SweepRow``) are made
+only when asked for.  Closed forms, CSV rows and SVG polylines are computed
+for a whole table at once; these tests hold them to the per-value writers
+they replaced (``tests/oracles.py``), byte for byte, hold the rung's columns
+to the one-point records, count the records a sweep makes, and keep numpy's
+transcendentals out of the modules that build the rows.
 """
 
 import ast
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from accelpair import cli
-from accelpair.cli import SweepConfig, emit_csv, run_sweep
-from accelpair.entanglement import _closed_form_row, closed_forms, named_bipartitions
-from accelpair.states import Scenario
-from accelpair.svg import Curve, render_line_plot
+from accelpair import DomainError, cli, entanglement
+from accelpair.cli import SweepConfig, emit_csv, main, run_sweep
+from accelpair.entanglement import (
+    ScenarioResult,
+    SystemResult,
+    _closed_form_row,
+    closed_forms,
+    evaluate_scenario,
+    named_bipartitions,
+)
+from accelpair.states import Rung, Scenario
+from accelpair.svg import render_line_plot
 
 from oracles import closed_form_per_value, csv_per_value, polylines_per_point
 
@@ -80,19 +94,19 @@ def _random_curves(rng):
         x0, width = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-6, 3)
         x = sorted(rng.uniform(x0, x0 + width) for _ in range(n))
         y = [rng.uniform(-0.5, 10.0 ** rng.uniform(-3, 1)) for _ in range(n)]
-        curves.append(Curve("c", x, y, rng.choice(["solid", "dashed", "dotdash"])))
+        curves.append(("c", x, y, rng.choice(["solid", "dashed", "dotdash"])))
     return curves
 
 
 rng = random.Random(29)
 PLOTS = {f"random-{i}": _random_curves(rng) for i in range(20)}
 PLOTS |= {
-    "one-point": [Curve("c", [0.3], [0.2], "solid")],
-    "x_hi-equals-x_lo": [Curve("c", [0.7] * 5, [0.1, 0.2, 0.3, 0.4, 0.5], "solid")],
-    "all-zero-y": [Curve("c", [0.0, 0.5, 1.0], [0.0] * 3, "solid")] * 2,
+    "one-point": [("c", [0.3], [0.2], "solid")],
+    "x_hi-equals-x_lo": [("c", [0.7] * 5, [0.1, 0.2, 0.3, 0.4, 0.5], "solid")],
+    "all-zero-y": [("c", [0.0, 0.5, 1.0], [0.0] * 3, "solid")] * 2,
     "max-y-above-1": [
-        Curve("a", [0.0, 1.0, 2.0], [0.5, 1.0, 2.5], "dotdash"),
-        Curve("b", [0.0, 1.0, 2.0], [3.75, 0.0, 1e-9], "dashed"),
+        ("a", [0.0, 1.0, 2.0], [0.5, 1.0, 2.5], "dotdash"),
+        ("b", [0.0, 1.0, 2.0], [3.75, 0.0, 1e-9], "dashed"),
     ],
 }
 
@@ -102,3 +116,92 @@ def test_polylines_equal_the_per_point_writer(curves):
     doc = render_line_plot(curves, x_label="r", y_label="LN", title="t")
     points = re.findall(r'<polyline points="([^"]*)"', doc)
     assert points == polylines_per_point(curves)
+
+
+# --- a sweep builds no record per point ---------------------------------------------
+
+
+def count_constructions(patch):
+    """Count, while ``patch`` is active, each record constructed and each plan key taken."""
+    counts = Counter()
+    constructors = [(cls, "__init__") for cls in (Scenario, SystemResult, ScenarioResult)]
+    for cls, method in constructors + [(cli.SweepRow, "__new__")]:  # SweepRow is a namedtuple
+        original = vars(cls)[method]
+
+        def counted(*args, _original=original, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        patch.setattr(cls, method, counted)
+    plan_key = entanglement._plan_key
+
+    def counted_key(sc):
+        counts["_plan_key"] += 1
+        return plan_key(sc)
+
+    patch.setattr(entanglement, "_plan_key", counted_key)
+    return counts
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_sweep_path_builds_no_per_point_records(monkeypatch, tmp_path, scenario):
+    made = {}
+    for steps in (41, 1001):
+        argv = ["sweep", "--scenario", scenario, "--steps", str(steps)]
+        argv += ["--csv", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg")]
+        with monkeypatch.context() as patch:
+            made[steps] = count_constructions(patch)
+            assert main(argv) == 0
+    assert made[41] == made[1001]
+    # a Scenario for each grid end (SweepConfig) and a few per rung, to check its shared fields
+    assert made[41]["SystemResult"] == made[41]["ScenarioResult"] == made[41]["SweepRow"] == 0
+    assert 0 < made[41]["Scenario"] <= 10 and 0 < made[41]["_plan_key"] <= 10
+
+
+# --- the rung's columns are the one-point records, bit for bit ----------------------
+
+
+grid_points = st.tuples(
+    st.one_of(
+        st.sampled_from([0.0, 1e-200, 1e-3, math.pi / 2]),
+        st.floats(0.0, math.pi / 2, allow_subnormal=False),
+    ),
+    st.floats(-10.0, 10.0),  # a phase, for fermions
+)
+
+
+@given(
+    st.sampled_from([scenario.split("-") for scenario in cli.SCENARIOS]),
+    st.sampled_from([4, 5, 30]),
+    st.lists(grid_points, min_size=1, max_size=50),
+)
+@settings(max_examples=60, deadline=None)
+def test_rung_columns_equal_the_one_point_records(kind, cutoff, points):
+    squeezes, phases = map(list, zip(*points))
+    phases = phases if kind[0] == "fermion" else [0.0] * len(squeezes)
+    columns = evaluate_scenario(Rung(*kind, squeezes, cutoff, phases))
+    for i, (r, phase) in enumerate(zip(squeezes, phases)):
+        res = evaluate_scenario(Scenario(*kind, r, phase=phase, cutoff=cutoff))
+        assert repr(columns["deficit"][i].item()) == repr(res.deficit)
+        assert columns["systems"] == tuple(res.systems)
+        for j, system in enumerate(res.systems.values()):
+            for field in SystemResult.__match_args__:  # repr tells -0.0 from 0.0
+                assert repr(columns[field][i, j].item()) == repr(getattr(system, field)), field
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("scalar", "one", [0.1, 400.0, math.nan]), "squeeze r = 400.0 overflows cosh"),
+        (("scalar", "one", [0.1, math.nan, 400.0]), "squeeze must be finite and >= 0, got nan"),
+        (("scalar", "one", [math.nan, 0.1], 2), "squeeze must be finite and >= 0, got nan"),
+        (("scalar", "one", [0.1, -1.0], 2), "scalar scenarios need cutoff >= 4, got 2"),
+        (("fermion", "both", [0.1, 2.0]), "fermion squeeze must be <= pi/2, got 2.0"),
+        (("fermion", "one", [0.1, 0.2], 30, [0.0, math.inf]), "phase must be finite"),
+        (("boson", "one", [0.1]), "statistics must be 'scalar' or 'fermion'"),
+        (("fermion", "one", []), "a rung needs at least one point"),
+    ],
+)
+def test_rung_raises_the_first_failing_points_error(fields, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        Rung(*fields)
