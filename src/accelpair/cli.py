@@ -93,9 +93,9 @@ class SweepConfig:
             )
         if self.grid_max < self.grid_min:
             raise DomainError("grid maximum must not be below the minimum")
-        for end in (self.grid_min, self.grid_max):  # the squeeze is monotone in between
-            sc = Scenario(self.statistics, self.accelerated, self.squeeze(end), cutoff=self.cutoff)
-            scenario_amplitudes(sc)  # DomainError where every amplitude underflows
+        ends = [self.squeeze(end) for end in (self.grid_min, self.grid_max)]  # monotone between
+        # DomainError where an end is no valid Scenario, then where its every amplitude underflows
+        scenario_amplitudes(Rung(self.statistics, self.accelerated, ends, self.cutoff))
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise DomainError(f"tolerance must be finite and positive, got {self.convergence_tol}")
         if self.svg_path is not None and self.csv_path is not None:

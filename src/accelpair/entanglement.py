@@ -10,7 +10,7 @@ partial-transpose eigenvalue is >= 0 (exactly so for "s,a").
 
 :func:`evaluate_scenario` runs all four scenarios through the two-branch
 pipeline of :mod:`accelpair.sparse`, a rung of points by column (one scenario
-or a list as records), on a :class:`SweepPlan`: the squeeze-independent index
+as a record), on a :class:`SweepPlan`: the squeeze-independent index
 structure that the state's shift rule gives (:func:`accelpair.states.traced_plan`).
 Only the negative eigenvalues are computed.  A plan is pairs or chains: the
 traced systems of fermions and scalar-one are 2-state pairs, solved together
@@ -47,7 +47,6 @@ __all__ = [
     "reduced_density",
     "partial_transpose",
     "closed_form_ln",
-    "closed_forms",
     "named_bipartitions",
     "SystemResult",
     "ScenarioResult",
@@ -169,8 +168,6 @@ def _closed_form_row(scenario: str, systems: Iterable[str]) -> Callable[..., lis
     forms = _CLOSED_FORMS.get(scenario)
     if forms is None:
         raise DomainError(f"closed forms exist for fermion-one and fermion-both, got {scenario!r}")
-    if isinstance(systems, str):
-        raise DomainError(f"reduced systems must be a sequence of names, got {systems!r}")
     row = []
     for system in systems:
         if system not in forms:
@@ -184,16 +181,11 @@ def _closed_form_row(scenario: str, systems: Iterable[str]) -> Callable[..., lis
     return at
 
 
-def closed_forms(scenario: str, systems: Iterable[str], r_f: float) -> list[float]:
-    """Closed-form fermionic logarithmic negativity of each named reduced system."""
-    if not 0.0 <= r_f <= math.pi / 2.0:
-        raise DomainError(f"r_f must lie in [0, pi/2], got {r_f}")
-    return [column[0] for column in _closed_form_row(scenario, systems)([r_f])]
-
-
 def closed_form_ln(scenario: str, system: str, r_f: float) -> float:
     """Closed-form fermionic logarithmic negativity for a named reduced system."""
-    return closed_forms(scenario, [system], r_f)[0]
+    if not 0.0 <= r_f <= math.pi / 2.0:
+        raise DomainError(f"r_f must lie in [0, pi/2], got {r_f}")
+    return _closed_form_row(scenario, [system])([r_f])[0][0]
 
 
 def named_bipartitions(sc: Scenario) -> dict[str, Bipartition]:
@@ -329,11 +321,12 @@ def _plan_key(sc: Scenario | Rung) -> tuple[str, str, int | None]:
 
 def sweep_plan(sc: Scenario | Rung) -> SweepPlan:
     """The plan of every scenario with ``sc``'s statistics, accelerated modes and
-    cutoff, by :func:`~accelpair.states.traced_plan`'s shift rule: pairs for
-    fermions and scalar-one, chains for scalar-both."""
+    cutoff, by :func:`~accelpair.states.traced_plan`'s shift rule.  A chain lies on
+    a diagonal of the kept grid, so it has at most as many states as party A (an s
+    sub-mode) has levels: pairs for fermions and scalar-one, longer for scalar-both."""
     traced = {name: bp for name, bp in named_bipartitions(sc).items() if bp.traced}
     plans = [traced_plan(sc, *bp.party_a, *bp.party_b) for bp in traced.values()]
-    paired = all((np.diff(p.edge) > 1).all() for p in plans)
+    paired = sc.statistics == "fermion" or sc.accelerated == "one"
     if paired:  # one plan: each system's bins run over the support once more
         starts = np.cumsum([0] + [p.starts[-1] for p in plans])
         parts = zip(plans, starts, range(len(plans)))
@@ -342,51 +335,30 @@ def sweep_plan(sc: Scenario | Rung) -> SweepPlan:
     return SweepPlan(_plan_key(sc), scenario_branch(sc), tuple(traced), tuple(plans), paired)
 
 
-def evaluate_scenario(scenarios: Scenario | list[Scenario] | Rung, plan: SweepPlan | None = None):
-    """LN of each named bipartition of one scenario state, of each of a list, or,
-    by column, of each point of a :class:`~accelpair.states.Rung`.
+def evaluate_scenario(points: Scenario | Rung, plan: SweepPlan | None = None):
+    """LN of each named bipartition of one scenario state or, by column, of each
+    point of a :class:`~accelpair.states.Rung`.
 
     A rung gives a dict: ``systems`` (the names), ``deficit`` per point, and a
-    (points x systems) array per :class:`SystemResult` field.  One scenario gives
-    one :class:`ScenarioResult`, a list sharing one plan key a list in order,
-    made from the columns of their rung.  ``plan`` is their :func:`sweep_plan`
-    (built from the first if not given; the tests hold it to the reference
-    route, which checks the structure).  Per point, the amplitudes are checked
-    (finite, norm at most 1 + 1e-12) and renormalized.  Up to 8192 support
-    entries of points (at least one) are the rows of one array, and only
-    elementwise arithmetic and in-order reductions are shared: each point gets
-    what it gets alone.
+    (points x systems) array per :class:`SystemResult` field.  A scenario gives
+    one :class:`ScenarioResult`, made from the columns of its one-point rung.
+    ``plan`` is their :func:`sweep_plan` (built if not given; the tests hold it
+    to the reference route, which checks the structure).  Per point, the
+    amplitudes are checked (finite, norm at most 1 + 1e-12) and renormalized.
+    Up to 8192 support entries of points (at least one) are the rows of one
+    array, and only elementwise arithmetic and in-order reductions are shared:
+    each point gets what it gets alone.
     """
-    if isinstance(scenarios, Rung):
-        return _columns(scenarios, plan)
-    single = isinstance(scenarios, Scenario)
-    batch = [scenarios] if single else list(scenarios)
-    plan = sweep_plan(batch[0]) if plan is None and batch else plan
-    for i, sc in enumerate(batch):
-        if _plan_key(sc) != plan.key:
-            raise DomainError(f"plan for {plan.key} does not fit scenario {i}, {_plan_key(sc)}")
-    results = _results(batch, _columns(_rung(batch), plan)) if batch else []
-    return results[0] if single else results
-
-
-def _results(scenarios: list[Scenario], columns: dict) -> list[ScenarioResult]:
-    """One :class:`ScenarioResult` per scenario, made from its point of a rung's columns."""
-    names, figures = columns["systems"], zip(*(columns[f].tolist() for f in _FIGURES))
-    return [
-        ScenarioResult(sc, deficit, {name: SystemResult(*f) for name, *f in zip(names, *point)})
-        for sc, deficit, point in zip(scenarios, columns["deficit"].tolist(), figures)
-    ]
-
-
-def _columns(rung: Rung, plan: SweepPlan | None) -> dict:
-    """:func:`evaluate_scenario` of a rung, in passes of at most ``_ENTRIES``
-    support entries or a single point, each a (points x support) array."""
-    plan = sweep_plan(rung) if plan is None else plan
-    if _plan_key(rung) != plan.key:
-        raise DomainError(f"plan for {plan.key} does not fit the rung, {_plan_key(rung)}")
+    if isinstance(points, Scenario):
+        return _results([points], evaluate_scenario(_rung(points), plan))[0]
+    if not isinstance(points, Rung):
+        raise TypeError(f"expected a Scenario or a Rung, got {type(points).__name__}")
+    plan = sweep_plan(points) if plan is None else plan
+    if _plan_key(points) != plan.key:
+        raise DomainError(f"plan for {plan.key} does not fit the rung, {_plan_key(points)}")
     passes, step, width = [], max(1, _ENTRIES // plan.branch.size), len(plan.names)
-    for at in range(0, rung.squeezes.size, step):
-        val, deficits = scenario_amplitudes(rung, slice(at, at + step))
+    for at in range(0, points.squeezes.size, step):
+        val, deficits = scenario_amplitudes(points, slice(at, at + step))
         weights, n = (val * val.conj()).real, len(val)
         norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n)
         full = _schmidt_spectra(norms.reshape(n, 2))  # one negative, -sqrt(w0 w1)
@@ -402,3 +374,12 @@ def _columns(rung: Rung, plan: SweepPlan | None) -> dict:
         passes.append((deficits, np.array(ln).reshape(n, -1), *figures))
     columns = (np.concatenate(c) for c in zip(*passes))
     return {"systems": ("full", *plan.names), **dict(zip(("deficit", *_FIGURES), columns))}
+
+
+def _results(scenarios: list[Scenario], columns: dict) -> list[ScenarioResult]:
+    """One :class:`ScenarioResult` per scenario, made from its point of a rung's columns."""
+    names, figures = columns["systems"], zip(*(columns[f].tolist() for f in _FIGURES))
+    return [
+        ScenarioResult(sc, deficit, {name: SystemResult(*f) for name, *f in zip(names, *point)})
+        for sc, deficit, point in zip(scenarios, columns["deficit"].tolist(), figures)
+    ]

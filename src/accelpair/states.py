@@ -117,10 +117,9 @@ class Rung:
                 _cosh_squared(x)  # DomainError at the first squeeze whose weights overflow
 
 
-def _rung(batch: list[Scenario]) -> Rung:
-    """The points of scenarios sharing one support, as a rung of the first one's kind."""
-    squeezes, phases = [sc.squeeze for sc in batch], [sc.phase for sc in batch]
-    return Rung(batch[0].statistics, batch[0].accelerated, squeezes, batch[0].cutoff, phases)
+def _rung(sc: Scenario) -> Rung:
+    """A scenario as the one-point rung of its kind."""
+    return Rung(sc.statistics, sc.accelerated, [sc.squeeze], sc.cutoff, [sc.phase])
 
 
 def scenario_layout(sc: Scenario) -> SubsystemLayout:
@@ -218,12 +217,10 @@ def traced_plan(sc: Scenario, party_a: str, party_b: str) -> ChainPlan:
     return ChainPlan(np.concatenate(bins, axis=None), first, second, edge, 0 * js, [0, da * db])
 
 
-def scenario_amplitudes(points: Scenario | Rung, part: slice = slice(None)) -> tuple:
+def scenario_amplitudes(rung: Rung, part: slice = slice(None)) -> tuple:
     """Amplitudes on :func:`scenario_support` (zeros where a weight vanishes or
-    underflows) and deficit, of one scenario or, as (points x support) rows and a
-    column, of a rung's points ``part``; scalars renormalized, fermions exact."""
-    single = isinstance(points, Scenario)
-    rung = _rung([points]) if single else points
+    underflows) and deficits of a rung's points ``part``, as (points x support)
+    rows and a column; scalars renormalized, fermions exact."""
     r, fermion = rung.squeezes[part].tolist(), rung.statistics == "fermion"
     # the weights c_n of |n_p, n_a> (vacuum) and d_n of |(n+1)_p, n_a> (one particle)
     if fermion:  # math.cos and math.sin per value, the rest per column
@@ -244,7 +241,7 @@ def scenario_amplitudes(points: Scenario | Rung, part: slice = slice(None)) -> t
             state = f"{rung.statistics}-{rung.accelerated} state at r = {r[np.argmin(n2)]}"
             raise DomainError(f"every amplitude of the {state} underflows to 0")
         val, deficits = val / np.sqrt(n2)[:, None], 1.0 - n2
-    return (val[0], float(deficits[0])) if single else (val, deficits)
+    return val, deficits
 
 
 def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:
@@ -255,6 +252,6 @@ def build_final_state_coords(sc: Scenario) -> tuple[CoordKet, float]:
     fermionic states are exact and keep deficit 0.
     """
     layout, occ, branch = scenario_support(sc)
-    val, deficit = scenario_amplitudes(sc)
+    (val,), (deficit,) = scenario_amplitudes(_rung(sc))
     populated = val != 0.0  # keep the stored support tight (r = 0, underflow)
-    return CoordKet(layout, occ[populated], val[populated], branch[populated]), deficit
+    return CoordKet(layout, occ[populated], val[populated], branch[populated]), float(deficit)

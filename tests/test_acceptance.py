@@ -20,7 +20,7 @@ from accelpair.entanglement import (
     reduced_density,
 )
 from accelpair.fock import Ket, SubsystemLayout, hermitian_eigenvalues
-from accelpair.states import build_final_state, scenario_amplitudes
+from accelpair.states import _rung, build_final_state, scenario_amplitudes
 
 from oracles import brute_force_partial_transpose, random_pure_amplitudes, trace_norm_negativity
 
@@ -217,7 +217,7 @@ def test_criterion_6_truncation_law():
         for acc, power in (("one", 1), ("both", 2)):
             expected = 1.0 - (a**power + b**power) / 2.0
             sc = Scenario("scalar", acc, 0.5, cutoff=cutoff)
-            for deficit in (build_final_state(sc)[1], scenario_amplitudes(sc)[1]):
+            for deficit in (build_final_state(sc)[1], scenario_amplitudes(_rung(sc))[1][0]):
                 worst = max(worst, abs(deficit - expected))
     ok = worst < 1e-14
     _report(6, "truncation deficit follows the geometric tail", ok, f"worst {worst:.2e}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelpair import (
     DomainError,
@@ -14,7 +16,7 @@ from accelpair import (
 from accelpair.entanglement import (
     NEGATIVE_EIGENVALUE_TOL,
     Bipartition,
-    closed_forms,
+    _closed_form_row,
     partial_transpose,
     reduced_density,
 )
@@ -24,7 +26,7 @@ from accelpair.fock import (
     SubsystemLayout,
     hermitian_eigenvalues,
 )
-from accelpair.states import build_final_state
+from accelpair.states import Rung, build_final_state
 
 from oracles import (
     partial_trace,
@@ -194,10 +196,7 @@ def test_closed_form_domain_errors():
     with pytest.raises(DomainError):
         closed_form_ln("fermion-one", "s,p", 2.0)
     with pytest.raises(DomainError, match="'p,p'"):  # every system of a row is checked
-        closed_forms("fermion-one", ["full", "s,p", "p,p"], 0.3)
-    for bare in ("s,p", "full"):  # one name, not a sequence of one-character names
-        with pytest.raises(DomainError, match=f"got {bare!r}$"):
-            closed_forms("fermion-one", bare, 0.3)
+        _closed_form_row("fermion-one", ["full", "s,p", "p,p"])
 
 
 @pytest.mark.parametrize("scenario", ["fermion-one", "fermion-both"])
@@ -205,7 +204,7 @@ def test_closed_forms_of_a_row_equal_each_closed_form(scenario):
     systems = list(named_bipartitions(Scenario(*scenario.split("-"), 0.0)))
     for r_f in np.linspace(0.0, HALF_PI, 17):
         each = [closed_form_ln(scenario, name, float(r_f)) for name in systems]
-        assert closed_forms(scenario, iter(systems), float(r_f)) == each
+        assert _closed_form_row(scenario, iter(systems))([float(r_f)]) == [[ln] for ln in each]
 
 
 def test_one_accelerated_particle_reduction_via_partial_trace():
@@ -271,6 +270,44 @@ def test_phase_never_changes_fermionic_ln():
                         base.systems[name].log_negativity
                         - shifted.systems[name].log_negativity
                     ) < 1e-12
+
+
+# --- where the entanglement goes: the fermion pair negativities sum to N(full) ----
+
+
+def pair_sum_gaps(columns):
+    """|N(full) - the sum of the pair systems' negativities| at each point of a rung,
+    without and with each pair's eigenvalue in [-1e-12, 0), which counts as zero,
+    added back: a fermion system has at most one negative eigenvalue, and a pair
+    system reports its smallest exactly."""
+    negativity, low = columns["negativity"], columns["min_pt_eigenvalue"]
+    assert columns["systems"][0] == "full" and columns["negative_count"].max() <= 1
+    every = -np.minimum(low[:, 1:], 0.0)  # each pair's negative eigenvalue, counted or not
+    counted = np.abs(negativity[:, 0] - negativity[:, 1:].sum(axis=1))
+    return counted, np.abs(negativity[:, 0] - every.sum(axis=1))
+
+
+@pytest.mark.parametrize("accelerated", ["one", "both"])
+def test_fermion_pair_negativities_sum_to_full_on_the_default_grid(accelerated):
+    # one: c^2/2 + s^2/2; both: (c^4 + 2 c^2 s^2 + s^4)/2; N(full) = 1/2 throughout
+    columns = evaluate_scenario(Rung("fermion", accelerated, np.linspace(0.0, HALF_PI, 1001)))
+    counted, every = pair_sum_gaps(columns)
+    assert counted.max() <= 1e-15 and np.array_equal(counted, every)  # nothing is dropped
+    assert np.abs(columns["negativity"][:, 0] - 0.5).max() <= 1e-15
+
+
+@given(
+    st.sampled_from(["one", "both"]),
+    st.lists(st.tuples(st.floats(0.0, HALF_PI), st.floats(-10.0, 10.0)), min_size=1, max_size=20),
+)
+@settings(max_examples=100, deadline=None)
+def test_fermion_pair_negativities_sum_to_full(accelerated, points):
+    squeezes, phases = zip(*points)
+    columns = evaluate_scenario(Rung("fermion", accelerated, squeezes, phases=phases))
+    counted, every = pair_sum_gaps(columns)
+    assert every.max() <= 1e-15
+    # near r_f = 0 and pi/2 some pair negativities fall below the 1e-12 threshold
+    assert counted.max() <= 1e-15 + (len(columns["systems"]) - 1) * NEGATIVE_EIGENVALUE_TOL
 
 
 def test_scalar_antiparticle_systems_are_ppt():

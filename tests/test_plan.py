@@ -15,6 +15,7 @@ from accelpair import entanglement, sparse
 from accelpair.cli import CUTOFF_CAP, main
 from accelpair.entanglement import (
     SystemResult,
+    _results,
     _schmidt_spectra,
     chain_spectrum,
     pair_spectra,
@@ -32,6 +33,7 @@ from accelpair.sparse import (
     tridiagonal,
 )
 from accelpair.states import (
+    Rung,
     _grids,
     _rung,
     build_final_state_coords,
@@ -265,7 +267,7 @@ def test_plan_entries_equal_the_reference_route(kind, cutoff):
     # the shift rule's plan against the structure the reference route finds and
     # checks: every system's diagonal, sorted edges and |e| on them, with ==
     sc = Scenario(*kind, 2.0 if kind[0] == "scalar" else 1.2, phase=0.7, cutoff=cutoff)
-    values = scenario_amplitudes(sc)[0]
+    values = scenario_amplitudes(_rung(sc))[0][0]
     ck = build_final_state_coords(sc)[0]
     assert ck.values.size == values.size  # nothing underflows: the reference sees every entry
     reference, ours = traced_tridiagonals(ck, sc), system_entries(sweep_plan(sc), values)
@@ -394,21 +396,26 @@ def test_cut_check_rejects_branches_sharing_a_state():
         schmidt_weights(ck, ("a",))
 
 
-# --- lists of scenarios: one pass, bit for bit the single evaluations ---------------
+# --- lists of points as one rung: one pass, bit for bit the single evaluations -----
 
 
-def assert_list_equals_points(scenarios, plan=None):
-    """evaluate_scenario of the list == each scenario evaluated alone, with no tolerance."""
-    batch = evaluate_scenario(scenarios, plan)
-    assert isinstance(batch, list) and len(batch) == len(scenarios)
-    single_plan = sweep_plan(scenarios[0]) if plan is None else plan
-    for sc, res in zip(scenarios, batch):
+def points_of(rung):
+    """The :class:`Scenario` of each point of ``rung``, in order."""
+    kind, points = (rung.statistics, rung.accelerated), zip(rung.squeezes, rung.phases)
+    return [Scenario(*kind, r, phase=ph, cutoff=rung.cutoff) for r, ph in points]
+
+
+def assert_rung_equals_points(rung, plan=None):
+    """evaluate_scenario of the rung == each point evaluated alone, with no tolerance:
+    the records made from its columns are equal and ``repr``-equal (-0.0 is not 0.0)."""
+    columns = evaluate_scenario(rung, plan)
+    scenarios, single_plan = points_of(rung), sweep_plan(rung) if plan is None else plan
+    records = _results(scenarios, columns)
+    assert len(records) == len(scenarios) == len(columns["deficit"])
+    for res, sc in zip(records, scenarios):
         alone = evaluate_scenario(sc, single_plan)
-        assert res.scenario is sc
-        assert res.deficit == alone.deficit
-        assert list(res.systems) == list(alone.systems)
-        assert res.systems == alone.systems
-    return batch
+        assert res == alone and repr(res) == repr(alone)
+    return columns
 
 
 grid_squeezes = st.one_of(
@@ -424,16 +431,16 @@ grid_squeezes = st.one_of(
 )
 @settings(max_examples=60, deadline=None)
 def test_list_equals_per_point_evaluations(kind, cutoff, points):
-    assert_list_equals_points([Scenario(*kind, r, phase=ph, cutoff=cutoff) for r, ph in points])
+    squeezes, phases = zip(*points)
+    assert_rung_equals_points(Rung(*kind, squeezes, cutoff, phases))
 
 
 @pytest.mark.parametrize("accelerated", ["one", "both"])
 def test_scalar_list_with_zero_rows_at_cutoff_120(accelerated):
-    grid = [0.0, 0.3, 0.0, 1.2, 1e-200, 0.9, 0.0]
-    scenarios = [Scenario("scalar", accelerated, r, cutoff=120) for r in grid]
-    batch = assert_list_equals_points(scenarios)
-    val, deficits = scenario_amplitudes(_rung(scenarios))
-    assert (val[1] != 0.0).all() and deficits.tolist() == [res.deficit for res in batch]
+    rung = Rung("scalar", accelerated, [0.0, 0.3, 0.0, 1.2, 1e-200, 0.9, 0.0], 120)
+    columns = assert_rung_equals_points(rung)
+    val, deficits = scenario_amplitudes(rung)
+    assert (val[1] != 0.0).all() and deficits.tolist() == columns["deficit"].tolist()
     # the r = 0 rows hold zeros, and each is normed over its nonzero entries alone
     c = d = np.eye(1, 121)[0]  # tanh(r)^n / cosh(r), sqrt(n + 1) tanh(r)^n / cosh(r)^2 at r = 0
     if accelerated == "both":
@@ -441,7 +448,7 @@ def test_scalar_list_with_zero_rows_at_cutoff_120(accelerated):
     raw = np.concatenate([c, d]) * (1.0 / math.sqrt(2.0))
     for i in (0, 2, 6):
         assert (val[i] == 0.0).any()
-        assert batch[i].deficit == 1.0 - np.sum(np.abs(raw[raw != 0.0]) ** 2)
+        assert columns["deficit"][i] == 1.0 - np.sum(np.abs(raw[raw != 0.0]) ** 2)
 
 
 def test_norm_of_a_row_holding_zeros_sums_its_nonzero_entries_alone():
@@ -458,7 +465,8 @@ def test_norm_of_a_row_holding_zeros_sums_its_nonzero_entries_alone():
 
 @pytest.mark.parametrize("kind", SCENARIOS)
 def test_list_results_hold_python_numbers(kind):
-    for res in evaluate_scenario([Scenario(*kind, r, cutoff=6) for r in (0.0, 0.4, 1.1)]):
+    rung = Rung(*kind, [0.0, 0.4, 1.1], 6)
+    for res in _results(points_of(rung), evaluate_scenario(rung)):
         assert type(res.deficit) is float
         for system in res.systems.values():
             for field in dataclasses.fields(system):
@@ -466,36 +474,34 @@ def test_list_results_hold_python_numbers(kind):
                 assert type(getattr(system, field.name)) is want, field.name
 
 
-@pytest.mark.parametrize(
-    "scenarios",
-    [
-        [Scenario("fermion", "one", 0.1), Scenario("fermion", "both", 0.2)],
-        [Scenario("scalar", "one", 0.1, cutoff=8), Scenario("scalar", "one", 0.2, cutoff=9)],
-        [Scenario("scalar", "both", 0.1, cutoff=8)] * 2 + [Scenario("fermion", "both", 0.2)],
-    ],
-)
-def test_list_mixing_plan_keys_names_the_misfit(scenarios):
-    misfit = len(scenarios) - 1
-    with pytest.raises(DomainError, match=f"does not fit scenario {misfit}, "):
-        evaluate_scenario(scenarios)
+def test_rung_without_a_plan_builds_its_own():
+    rung = Rung("scalar", "both", [0.5, 0.0, 1.0], 10)
+    built, given_plan = evaluate_scenario(rung), evaluate_scenario(rung, sweep_plan(rung))
+    assert built.keys() == given_plan.keys() and built["systems"] == given_plan["systems"]
+    for key in built.keys() - {"systems"}:
+        assert np.array_equal(built[key], given_plan[key]), key
+    with pytest.raises(DomainError, match=r"does not fit the rung, \('scalar', 'both', 10\)"):
+        evaluate_scenario(rung, sweep_plan(Scenario("scalar", "both", 0.5, cutoff=12)))
 
 
-def test_list_without_a_plan_builds_the_first_scenarios_plan():
-    scenarios = [Scenario("scalar", "both", r, cutoff=10) for r in (0.5, 0.0, 1.0)]
-    assert evaluate_scenario(scenarios) == evaluate_scenario(scenarios, sweep_plan(scenarios[0]))
-    with pytest.raises(DomainError, match="does not fit scenario 0"):
-        evaluate_scenario(scenarios, sweep_plan(Scenario("scalar", "both", 0.5, cutoff=12)))
+@pytest.mark.parametrize("points", [[Scenario("fermion", "one", 0.1)], (), 0.3])
+def test_evaluate_scenario_takes_a_scenario_or_a_rung(points):
+    with pytest.raises(TypeError, match="a Scenario or a Rung"):
+        evaluate_scenario(points)
 
 
 def test_fermion_cutoffs_share_one_plan_in_a_list():
-    scenarios = [Scenario("fermion", "both", 0.3, cutoff=n) for n in (4, 30, 90)]
-    assert_list_equals_points(scenarios)
+    plan = sweep_plan(Rung("fermion", "both", [0.3], 4))
+    rungs = [Rung("fermion", "both", [0.3, 1.1, 0.3], n) for n in (4, 30, 90)]
+    columns = [assert_rung_equals_points(rung, plan) for rung in rungs]
+    for key in columns[0].keys() - {"systems"}:  # a fermion rung's cutoff changes nothing
+        assert all(np.array_equal(c[key], columns[0][key]) for c in columns), key
 
 
 @pytest.mark.parametrize("kind", SCENARIOS)
 def test_list_longer_than_one_pass_is_split_exactly(kind, monkeypatch):
-    scenarios = [Scenario(*kind, r, cutoff=5) for r in np.linspace(0, 1.5, 11)]
-    entries = sweep_plan(scenarios[0]).branch.size  # per point
+    rung = Rung(*kind, np.linspace(0, 1.5, 11), 5)
+    entries = sweep_plan(rung).branch.size  # per point
     monkeypatch.setattr(entanglement, "_ENTRIES", 3 * entries + 1)  # room for 3 points
     passes, amplitudes = [], entanglement.scenario_amplitudes
 
@@ -505,11 +511,11 @@ def test_list_longer_than_one_pass_is_split_exactly(kind, monkeypatch):
         return val, deficits
 
     monkeypatch.setattr(entanglement, "scenario_amplitudes", counted)
-    assert_list_equals_points(scenarios)
-    assert passes == [3, 3, 3, 2] + [1] * 11  # the list's passes, then each point alone
+    assert_rung_equals_points(rung)
+    assert passes == [3, 3, 3, 2] + [1] * 11  # the rung's passes, then each point alone
     monkeypatch.setattr(entanglement, "_ENTRIES", entries - 1)  # a point over the bound
     passes.clear()
-    evaluate_scenario(scenarios)
+    evaluate_scenario(rung)
     assert passes == [1] * 11
 
 

@@ -28,7 +28,7 @@ from accelpair.entanglement import (
     ScenarioResult,
     SystemResult,
     _closed_form_row,
-    closed_forms,
+    closed_form_ln,
     evaluate_scenario,
     named_bipartitions,
 )
@@ -71,7 +71,9 @@ def test_closed_form_columns_equal_math_log2_per_value(scenario):
     for system, column in zip(systems, columns):
         assert column == [closed_form_per_value(system, r) for r in grid], system
     for r in (0.0, math.pi / 2):  # the one-point case
-        assert closed_forms(scenario, systems, r) == [closed_form_per_value(s, r) for s in systems]
+        assert [closed_form_ln(scenario, s, r) for s in systems] == [
+            closed_form_per_value(s, r) for s in systems
+        ]
 
 
 CSV_TABLES = {

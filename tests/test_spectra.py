@@ -128,7 +128,7 @@ def test_chain_spectrum_matches_full_dsterf(systems):
             assert (neg, low, count) == (0.0, 0.0, 0)
 
 
-@pytest.mark.parametrize("cutoff", [4, 30, 60, 120, CUTOFF_CAP])
+@pytest.mark.parametrize("cutoff", range(4, CUTOFF_CAP + 1))
 def test_structure_picks_pairs_or_chains(cutoff):
     both = ("p,p", "p,a", "a,p", "a,a")
     for kind, paired, names in [
@@ -140,6 +140,13 @@ def test_structure_picks_pairs_or_chains(cutoff):
         plan = sweep_plan(Scenario(*kind, 0.3, cutoff=cutoff))
         assert (plan.paired, plan.names) == (paired, names)
         assert len(plan.plans) == (1 if paired else len(names))  # each system planned once
+        # the physics' rule against the chains: two adjacent edges make a longer chain
+        if paired:
+            (joined,) = plan.plans
+            gaps = [np.diff(joined.edge[joined.system == i]) for i in range(len(names))]
+            assert all((gap > 1).all() for gap in gaps)  # every chain a 2-state pair
+        else:
+            assert all((np.diff(p.edge) == 1).any() for p in plan.plans)  # a longer chain each
 
 
 @pytest.mark.parametrize("cutoff", [30, 120])
