@@ -401,8 +401,8 @@ def test_cut_check_rejects_branches_sharing_a_state():
 
 def points_of(rung):
     """The :class:`Scenario` of each point of ``rung``, in order."""
-    kind, points = (rung.statistics, rung.accelerated), zip(rung.squeezes, rung.phases)
-    return [Scenario(*kind, r, phase=ph, cutoff=rung.cutoff) for r, ph in points]
+    points = zip(rung.squeezes.tolist(), rung.phases.tolist())
+    return [Scenario(rung.statistics, rung.accelerated, r, ph, rung.cutoff) for r, ph in points]
 
 
 def assert_rung_equals_points(rung, plan=None):

@@ -155,7 +155,8 @@ def test_sweep_path_builds_no_per_point_records(monkeypatch, tmp_path, scenario)
             made[steps] = count_constructions(patch)
             assert main(argv) == 0
     assert made[41] == made[1001]
-    # a Scenario for each grid end (SweepConfig) and a few per rung, to check its shared fields
+    # one Scenario per rung (the grid ends' in SweepConfig, then each of the ladder's),
+    # to check its shared fields
     assert made[41]["SystemResult"] == made[41]["ScenarioResult"] == made[41]["SweepRow"] == 0
     assert 0 < made[41]["Scenario"] <= 10 and 0 < made[41]["_plan_key"] <= 10
 
