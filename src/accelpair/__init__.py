@@ -8,7 +8,7 @@ truncation.  The top level holds what a sweep calls; the dense reference
 route is imported from its modules.
 """
 
-from .bogoliubov import Coefficients, FieldParams, mu2_from_field, verify_unitarity
+from .bogoliubov import Coefficients, mu2_from_field, verify_unitarity
 from .entanglement import (
     ScenarioResult,
     SystemResult,
@@ -25,7 +25,6 @@ __all__ = [
     "__version__",
     "DomainError",
     "LayoutError",
-    "FieldParams",
     "Coefficients",
     "mu2_from_field",
     "verify_unitarity",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 __all__ = [
-    "FieldParams",
     "Coefficients",
     "mu2_from_field",
     "gamma_pathway_alpha",
@@ -37,22 +36,6 @@ _B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # Bernoulli B_2 ... B_10, for 
 
 # statistics -> (sigma, squeeze(beta))
 _RELATIONS = {"scalar": (-1.0, math.asinh), "fermion": (1.0, math.asin)}
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """Physical inputs in natural units: rest mass m >= 0 and field strength E > 0."""
-
-    m: float
-    E: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and math.isfinite(self.E)):
-            raise DomainError("field parameters must be finite")
-        if self.m < 0.0:
-            raise DomainError(f"mass must be non-negative, got {self.m}")
-        if self.E <= 0.0:
-            raise DomainError(f"field strength must be positive, got {self.E}")
 
 
 @dataclass(frozen=True)
@@ -103,14 +86,21 @@ class Coefficients:
         return _RELATIONS[self.statistics][1](self.beta_mag)
 
 
-def mu2_from_field(params: FieldParams) -> float:
-    """Dimensionless pair-production parameter mu2 = m^2 / (2 E); DomainError if it
-    overflows, or underflows to 0 for m > 0 (a massive particle read as massless)."""
-    mu2 = params.m * params.m / (2.0 * params.E)
+def mu2_from_field(m: float, E: float) -> float:
+    """Dimensionless pair-production parameter mu2 = m^2 / (2 E) of a rest mass m >= 0 and
+    a field strength E > 0 (natural units); DomainError outside that domain, if mu2
+    overflows, or if it underflows to 0 for m > 0 (a massive particle read as massless)."""
+    if not (math.isfinite(m) and math.isfinite(E)):
+        raise DomainError("field parameters must be finite")
+    if m < 0.0:
+        raise DomainError(f"mass must be non-negative, got {m}")
+    if E <= 0.0:
+        raise DomainError(f"field strength must be positive, got {E}")
+    mu2 = m * m / (2.0 * E)
     if not math.isfinite(mu2):
-        raise DomainError(f"mu2 = m^2 / (2 E) overflows for m = {params.m}, E = {params.E}")
-    if mu2 == 0.0 and params.m > 0.0:
-        raise DomainError(f"mu2 = m^2 / (2 E) underflows to 0 for m = {params.m}, E = {params.E}")
+        raise DomainError(f"mu2 = m^2 / (2 E) overflows for m = {m}, E = {E}")
+    if mu2 == 0.0 and m > 0.0:
+        raise DomainError(f"mu2 = m^2 / (2 E) underflows to 0 for m = {m}, E = {E}")
     return mu2
 
 

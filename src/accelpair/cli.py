@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bogoliubov import Coefficients, FieldParams, mu2_from_field, verify_unitarity
+from .bogoliubov import Coefficients, mu2_from_field, verify_unitarity
 from .entanglement import _closed_form_row, _results, evaluate_scenario
 from .errors import DomainError, LayoutError
 from .states import Rung, Scenario, scenario_amplitudes
@@ -215,9 +215,9 @@ def emit_plot(table: SweepTable, path: Path) -> Path:
     for i, system in enumerate(table.systems):
         label = f"LN({_RHO_NAMES.get((cfg.accelerated, system), f'ρ_{system}')})"
         dash = "dotdash" if system == "full" else body_dash
-        curves.append((label, table.squeezes, ln[:, i], dash))
+        curves.append((label, ln[:, i], dash))
     x_label, title = _SQUEEZE_NAME[cfg.statistics], f"{cfg.scenario} sweep"
-    doc = render_line_plot(curves, x_label, "logarithmic negativity", title)
+    doc = render_line_plot(table.squeezes, curves, x_label, "logarithmic negativity", title)
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:  # encoded a chunk at a time
         fh.writelines(doc[at : at + _SVG_CHARS] for at in range(0, len(doc), _SVG_CHARS))
@@ -276,7 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         if args.command == "convert":
-            mu2 = mu2_from_field(FieldParams(m=args.mass, E=args.field))
+            mu2 = mu2_from_field(args.mass, args.field)
             coeff = Coefficients(args.statistics, mu2)
             residual = verify_unitarity(mu2, args.statistics)
             print(f"statistics        {coeff.statistics}")

@@ -273,10 +273,11 @@ def _dstebz():
                 spec = importlib.util.spec_from_file_location(name, path)
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
+                return module.dstebz
             except (ImportError, OSError):
                 break
-            sys.modules.pop(name, None)
-            return module.dstebz
+            finally:
+                sys.modules.pop(name, None)
     from scipy.linalg.lapack import dstebz
 
     return dstebz
@@ -303,10 +304,9 @@ def chain_spectrum(d, lo, c) -> tuple[float, float, int]:
 
 class SweepPlan(NamedTuple):
     """Index structure of one (statistics, accelerated, cutoff), from the shift
-    rule alone.  "full" needs only each support entry's ``branch``.  If every
-    chain of the traced systems, ``names``, is a 2-state pair (``paired``),
-    ``plans`` is the one :class:`~accelpair.sparse.ChainPlan` that joins them
-    in order; otherwise it holds each system's own plan."""
+    rule alone.  "full" needs only each support entry's ``branch``; ``plans``
+    holds each traced system's :class:`~accelpair.sparse.ChainPlan`, in the order
+    of ``names``, and ``paired`` says that every chain of them is a 2-state pair."""
 
     key: tuple[str, str, int | None]
     branch: np.ndarray
@@ -325,14 +325,9 @@ def sweep_plan(sc: Scenario | Rung) -> SweepPlan:
     a diagonal of the kept grid, so it has at most as many states as party A (an s
     sub-mode) has levels: pairs for fermions and scalar-one, longer for scalar-both."""
     traced = {name: bp for name, bp in named_bipartitions(sc).items() if bp.traced}
-    plans = [traced_plan(sc, *bp.party_a, *bp.party_b) for bp in traced.values()]
+    plans = tuple(traced_plan(sc, *bp.party_a, *bp.party_b) for bp in traced.values())
     paired = sc.statistics == "fermion" or sc.accelerated == "one"
-    if paired:  # one plan: each system's bins run over the support once more
-        starts = np.cumsum([0] + [p.starts[-1] for p in plans])
-        parts = zip(plans, starts, range(len(plans)))
-        joined = [(p.bins + s, p.first, p.second, p.edge + s, p.system + i) for p, s, i in parts]
-        plans = [ChainPlan(*map(np.concatenate, zip(*joined)), starts)]
-    return SweepPlan(_plan_key(sc), scenario_branch(sc), tuple(traced), tuple(plans), paired)
+    return SweepPlan(_plan_key(sc), scenario_branch(sc), tuple(traced), plans, paired)
 
 
 def evaluate_scenario(points: Scenario | Rung, plan: SweepPlan | None = None):
@@ -363,10 +358,10 @@ def evaluate_scenario(points: Scenario | Rung, plan: SweepPlan | None = None):
         norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n)
         full = _schmidt_spectra(norms.reshape(n, 2))  # one negative, -sqrt(w0 w1)
         if plan.paired:
-            joined = plan.plans[0].repeat(n, val.shape[1])
+            joined = ChainPlan.join(plan.plans, n)
             tiled = np.concatenate([weights] * width, 1)
             spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
-        else:  # point by point, each point's systems in turn: the order of the joined plan
+        else:  # point by point, each point's systems in turn: the order of a joined plan
             entries = (c.entries(weights[p], val[p]) for p in range(n) for c in plan.plans)
             spectra = map(np.array, zip(*(chain_spectrum(*e) for e in entries)))
         figures = [np.column_stack([f, s.reshape(n, width)]) for f, s in zip(full, spectra)]

@@ -13,9 +13,9 @@ are the two branch norms.  Input outside this structure is a DomainError.
 
 A :class:`ChainPlan` holds this index structure for one support, written down
 from the state's shift rule in closed form, with no sort
-(:func:`accelpair.states.traced_plan`): per state, or per batch of states on
-one support (:meth:`ChainPlan.repeat`), :meth:`ChainPlan.entries` is one
-bincount and one gather, and nothing is checked.  The per-state functions are
+(:func:`accelpair.states.traced_plan`): per state, or per batch of states and
+systems on one support (:meth:`ChainPlan.join`), :meth:`ChainPlan.entries` is
+one bincount and one gather, and nothing is checked.  The per-state functions are
 the reference route: they find the structure from the occupation tuples and
 check it on every call, and the tests hold the plans to them with ``==``.
 Their cross terms are never sorted or hashed: the partial transpose swaps
@@ -268,14 +268,16 @@ class ChainPlan:
         d = np.bincount(self.bins, weights.reshape(-1), self.starts[-1])
         return d, self.edge, np.abs(values.take(self.first) * values.take(self.second).conj())
 
-    def repeat(self, count: int, support: int) -> ChainPlan:
-        """This plan for ``count`` states of ``support`` entries each, one after another."""
-        if count == 1:
-            return self
-        n = int(self.starts[-1])
-        steps = (n, support, support, n, self.starts.size - 1)  # bins .. system
-        index = [stacked(getattr(self, f.name), at, count) for f, at in zip(fields(self), steps)]
-        return ChainPlan(*index, np.append(stacked(self.starts[:-1], n, count), n * count))
+    @classmethod
+    def join(cls, plans: Sequence[ChainPlan], count: int) -> ChainPlan:
+        """One support's one-system ``plans`` end to end, and that for ``count`` states in turn."""
+        starts = np.cumsum([0] + [p.starts[-1] for p in plans], dtype=np.int32)
+        n, support = int(starts[-1]), plans[0].bins.size
+        parts = zip(plans, starts, range(len(plans)))
+        joined = [(p.bins + s, p.first, p.second, p.edge + s, p.system + i) for p, s, i in parts]
+        steps = (n, support, support, n, len(plans))  # bins .. system
+        index = [stacked(np.concatenate(f), at, count) for f, at in zip(zip(*joined), steps)]
+        return cls(*index, np.append(stacked(starts[:-1], n, count), n * count))
 
 
 def schmidt_weights(k: CoordKet, party_a: Iterable[str]) -> np.ndarray:

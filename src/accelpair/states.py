@@ -91,8 +91,8 @@ class Scenario:
 @dataclass(frozen=True, eq=False)
 class Rung:
     """Points of one statistics, accelerated modes and cutoff, by column: read-only
-    float arrays of squeezes and phases (0 if not given).  Checked once, as each
-    point's :class:`Scenario` would be: the error is the first failing point's."""
+    1-D float arrays of squeezes and phases (0 if not given) of one shape, checked
+    once, as each point's :class:`Scenario` would be: the error is the first failing point's."""
 
     statistics: str
     accelerated: str
@@ -106,6 +106,9 @@ class Rung:
         for name, column in (("squeezes", r), ("phases", phase)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if r.ndim != 1 or phase.shape != r.shape:
+            shapes = f"squeezes {r.shape} and phases {phase.shape}"
+            raise DomainError(f"a rung needs 1-D squeezes and phases of their shape, got {shapes}")
         if not r.size:
             raise DomainError("a rung needs at least one point")
         fermion = self.statistics == "fermion"

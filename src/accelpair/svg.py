@@ -3,9 +3,9 @@
 Hand-rolled on purpose: the plots ship as reproducible artifacts, so the
 bytes must depend only on the data.  No plotting library keeps that promise
 across versions.  The plot has one fixed style: canvas size, margins, font
-and the colour cycle are module constants, and a curve, a (label, x, y, dash)
-tuple of arrays, chooses only its dash.  Each polyline is placed as arrays and
-its points are formatted with one ``%``.
+and the colour cycle are module constants.  The curves share one x array, and a
+curve, a (label, y, dash) tuple, chooses only its dash.  Each polyline is placed
+as arrays and its points are formatted with one ``%``.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ def _tick_values(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(_TICKS)]
 
 
-def render_line_plot(curves: Sequence[tuple], x_label: str, y_label: str, title: str) -> str:
-    """Self-contained SVG document for a set of (label, x, y, dash) curves;
-    dash is "solid", "dashed" or "dotdash"."""
-    xs = [np.asarray(x, float) for _, x, _, _ in curves]
-    ys = [np.asarray(y, float) for _, _, y, _ in curves]
-    lows, highs = [float(x.min()) for x in xs if x.size], [float(x.max()) for x in xs if x.size]
-    x_lo, x_hi = (min(lows), max(highs)) if lows else (0.0, 1.0)
+def render_line_plot(x, curves: Sequence[tuple], x_label: str, y_label: str, title: str) -> str:
+    """Self-contained SVG document for (label, y, dash) curves over one ``x``, each y
+    of x's size; dash is "solid", "dashed" or "dotdash"."""
+    x = np.asarray(x, float)
+    ys = [np.asarray(y, float) for _, y, _ in curves]
+    x_lo, x_hi = float(x.min()), float(x.max())
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
-    y_lo, y_hi = 0.0, max([1.0] + [float(y.max()) for y in ys if y.size]) * 1.06
+    y_lo, y_hi = 0.0, max([1.0] + [float(y.max()) for y in ys]) * 1.06
 
     px_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     px_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -98,12 +97,11 @@ def render_line_plot(curves: Sequence[tuple], x_label: str, y_label: str, title:
     )
 
     # curves, each stroked in its colour and dash, as is its legend line
-    strokes = [f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.8"' for i in range(len(xs))]
+    strokes = [f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.8"' for i in range(len(ys))]
     strokes = [stroke + _DASH[dash] for stroke, (*_, dash) in zip(strokes, curves)]
-    for x, y, stroke in zip(xs, ys, strokes):
-        n = min(x.size, y.size)  # the points zip pairs
-        fx, fy = to_px(x[:n], y[:n])
-        pts = " ".join(["%.2f,%.2f"] * n) % tuple(np.stack([fx, fy], 1).ravel().tolist())
+    for y, stroke in zip(ys, strokes):
+        fx, fy = to_px(x, y)
+        pts = " ".join(["%.2f,%.2f"] * x.size) % tuple(np.stack([fx, fy], 1).ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" {stroke}/>')
 
     # legend (top right, inside the frame)

@@ -359,15 +359,15 @@ def csv_per_value(table):
     return "".join(lines).encode("utf-8")
 
 
-def polylines_per_point(curves):
-    """The ``points`` attribute of each curve's polyline in ``render_line_plot``'s
-    frame (720 x 480, margins 64/16/40/52), one ``"%.2f,%.2f" % to_px(x, y)`` per point."""
-    xs = [v for _, x, _, _ in curves for v in x]
-    ys = [v for _, _, y, _ in curves for v in y]
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
+def polylines_per_point(x, curves):
+    """The ``points`` attribute of each (label, y, dash) curve's polyline over ``x`` in
+    ``render_line_plot``'s frame (720 x 480, margins 64/16/40/52), one
+    ``"%.2f,%.2f" % to_px(x, y)`` per point."""
+    ys = [v for _, y, _ in curves for v in y]
+    x_lo, x_hi = min(x), max(x)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
-    y_lo, y_hi = 0.0, max(1.0, max(ys) if ys else 1.0) * 1.06
+    y_lo, y_hi = 0.0, max(1.0, max(ys)) * 1.06
     px_w, px_h = 720 - 64 - 16, 480 - 40 - 52
 
     def to_px(x, y):
@@ -375,4 +375,4 @@ def polylines_per_point(curves):
         fy = 40 + (1.0 - (y - y_lo) / (y_hi - y_lo)) * px_h
         return fx, fy
 
-    return [" ".join(["%.2f,%.2f" % to_px(*p) for p in zip(x, y)]) for _, x, y, _ in curves]
+    return [" ".join(["%.2f,%.2f" % to_px(*p) for p in zip(x, y)]) for _, y, _ in curves]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from accelpair import (
     Coefficients,
     DomainError,
-    FieldParams,
     mu2_from_field,
     verify_unitarity,
 )
@@ -17,21 +16,21 @@ HALF_PI = math.pi / 2
 
 
 def test_mu2_from_field_values():
-    assert mu2_from_field(FieldParams(m=0.0, E=1.0)) == 0.0
-    assert mu2_from_field(FieldParams(m=1.0, E=0.5)) == 1.0
-    assert mu2_from_field(FieldParams(m=2.0, E=1.0)) == 2.0
+    assert mu2_from_field(0.0, 1.0) == 0.0
+    assert mu2_from_field(1.0, 0.5) == 1.0
+    assert mu2_from_field(2.0, 1.0) == 2.0
 
 
 @pytest.mark.parametrize("m,E", [(1e200, 1e-200), (1.0, 1e-310), (1e-200, 1.0)])
 def test_mu2_from_field_rejects_overflow(m, E):
     with pytest.raises(DomainError, match="flows"):
-        mu2_from_field(FieldParams(m=m, E=E))
+        mu2_from_field(m, E)
 
 
 @pytest.mark.parametrize("m,E", [(1.0, 0.0), (1.0, -2.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
 def test_field_params_rejects_bad_inputs(m, E):
     with pytest.raises(DomainError):
-        FieldParams(m=m, E=E)
+        mu2_from_field(m, E)
 
 
 def test_scalar_coefficients_weak_field_limit():

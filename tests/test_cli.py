@@ -10,7 +10,6 @@ import pytest
 from accelpair import (
     Coefficients,
     DomainError,
-    FieldParams,
     Scenario,
     evaluate_scenario,
     mu2_from_field,
@@ -326,7 +325,7 @@ def test_emit_plot_solid_for_both_accelerated(tmp_path):
 
 def convert(m, E, statistics):
     """What ``accelpair convert`` prints: the coefficients and the unitarity residual."""
-    mu2 = mu2_from_field(FieldParams(m=m, E=E))
+    mu2 = mu2_from_field(m, E)
     return Coefficients(statistics, mu2), verify_unitarity(mu2, statistics)
 
 
@@ -516,6 +515,37 @@ def default_scalar_both():
     return run_sweep(SweepConfig(scenario="scalar-both"))
 
 
+@pytest.fixture(scope="module")
+def default_scalar_one():
+    return run_sweep(SweepConfig(scenario="scalar-one"))
+
+
+SCALAR_TABLES = ["default_scalar_one", "default_scalar_both"]
+
+
+@pytest.mark.parametrize("table", SCALAR_TABLES)
+def test_default_scalar_pairs_hold_less_negativity_than_full(request, table):
+    # N(full) = 1/2 throughout, and at r = 0 the pairs hold all of it; for r > 0 part
+    # of it is in no pair, a little more at every step (at least 1.4e-4 on both grids)
+    table = request.getfixturevalue(table)
+    assert table.all_converged and table.squeezes[0] == 0.0
+    negativity = table.columns["negativity"]
+    full, pairs = negativity[:, 0], negativity[:, 1:].sum(axis=1)
+    assert abs(pairs[0] - full[0]) <= 1e-15
+    assert (pairs[1:] < full[1:]).all()
+    assert (np.diff(pairs) < 0.0).all()
+
+
+@pytest.mark.parametrize("table", SCALAR_TABLES)
+def test_default_scalar_antiparticle_columns_are_exactly_zero(request, table):
+    table = request.getfixturevalue(table)
+    anti = [i for i, name in enumerate(table.systems) if "a" in name.split(",")]
+    assert len(anti) == {"one": 1, "both": 3}[table.config.accelerated]  # s,a; p,a, a,p, a,a
+    for field in ("negativity", "log_negativity"):
+        column = table.columns[field][:, anti]
+        assert (column == 0.0).all() and not np.signbit(column).any(), field  # +0.0
+
+
 def test_default_scalar_both_rows_match_cutoff_240(default_scalar_both):
     # the row set is fixed by rule, not by result: every row whose ladder
     # reached cutoff 120, and every 5th row of the default 101-point grid
@@ -673,6 +703,21 @@ def test_main_convert_rejects_overflowing_mu2(capsys, mass, field):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: mu2") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "mass, field, message",
+    [
+        ("nan", "1", "field parameters must be finite"),
+        ("1", "inf", "field parameters must be finite"),
+        ("-1", "1", "mass must be non-negative, got -1.0"),
+        ("1", "0", "field strength must be positive, got 0.0"),  # before m^2 / (2 E)
+        ("1", "-2", "field strength must be positive, got -2.0"),
+    ],
+)
+def test_main_convert_rejects_bad_field_parameters(capsys, mass, field, message):
+    assert main(["convert", "--mass", mass, "--field", field]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_main_help_exits_cleanly():

@@ -154,7 +154,7 @@ def test_shuffled_grid_through_one_plan_matches_fresh_plans(kind):
 def test_plan_arrays_are_read_only_int32(kind):
     plan = sweep_plan(Scenario(*kind, 0.3, cutoff=6))
     arrays = [plan.branch, *scenario_support(Scenario(*kind, 0.3, cutoff=6))[1:]]
-    for chain in plan.plans:
+    for chain in (*plan.plans, ChainPlan.join(plan.plans, 2)):
         arrays += [chain.bins, chain.first, chain.second, chain.edge, chain.system, chain.starts]
     for a in arrays:
         assert a.dtype == np.int32
@@ -247,17 +247,26 @@ def test_scalar_both_sectors_are_the_kept_grids_diagonals(cutoff):
     assert len(sizes["p,a"]) == 2 * n + 2
 
 
-def system_entries(plan, values):
-    """Each traced system's (d, edge, |e| on it) from ``plan``, split out of a joined one."""
-    weights = (values * values.conj()).real
-    if not plan.paired:
-        return {name: chain.entries(weights, values) for name, chain in zip(plan.names, plan.plans)}
-    (joined,) = plan.plans
-    d, edge, e = joined.entries(np.concatenate([weights] * len(plan.names)), values)
-    out = {}
-    for i, name in enumerate(plan.names):
+def joined_entries(plans, values):
+    """Each plan's (d, edge, |e| on it) at each of the (points x support) ``values``,
+    point by point, split out of the plans joined as a paired sweep joins them."""
+    joined, weights = ChainPlan.join(plans, len(values)), (values * values.conj()).real
+    d, edge, e = joined.entries(np.concatenate([weights] * len(plans), 1), values)
+    out = []
+    for i in range(joined.starts.size - 1):
         lo, hi, mine = joined.starts[i], joined.starts[i + 1], joined.system == i
-        out[name] = d[lo:hi], edge[mine] - lo, e[mine]
+        out.append((d[lo:hi], edge[mine] - lo, e[mine]))
+    return out
+
+
+def system_entries(plan, values):
+    """Each traced system's (d, edge, |e| on it) from its plan in ``plan`` and, for
+    pairs, from the plans joined, which must give the same arrays."""
+    weights = (values * values.conj()).real
+    out = {name: chain.entries(weights, values) for name, chain in zip(plan.names, plan.plans)}
+    if plan.paired:
+        for name, entries in zip(plan.names, joined_entries(plan.plans, values[None])):
+            assert all(map(np.array_equal, entries, out[name])), name
     return out
 
 
@@ -519,16 +528,26 @@ def test_list_longer_than_one_pass_is_split_exactly(kind, monkeypatch):
     assert passes == [1] * 11
 
 
-def test_repeated_chain_plan_is_the_plan_for_each_state_in_turn():
-    (plan,) = sweep_plan(Scenario("fermion", "both", 0.3)).plans
-    support = int(plan.first.max()) + 2
-    repeated = plan.repeat(3, support)
-    assert plan.repeat(1, support) is plan
-    n, systems = int(plan.starts[-1]), plan.starts.size - 1
-    for name, step in [("bins", n), ("first", support), ("second", support), ("edge", n)]:
-        want = np.concatenate([getattr(plan, name) + p * step for p in range(3)])
-        assert np.array_equal(getattr(repeated, name), want), name
-    systems_each = [plan.system + p * systems for p in range(3)]
-    assert np.array_equal(repeated.system, np.concatenate(systems_each))
-    starts_each = [plan.starts[:-1] + p * n for p in range(3)]
-    assert np.array_equal(repeated.starts, np.append(starts_each, 3 * n))
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_joined_chain_plan_is_each_system_then_each_state_in_turn(kind):
+    plans = sweep_plan(Scenario(*kind, 0.3, cutoff=6)).plans
+    joined, support = ChainPlan.join(plans, 3), plans[0].bins.size
+    starts = np.cumsum([0] + [p.starts[-1] for p in plans])
+    n, width = int(starts[-1]), len(plans)
+    for name, step, offsets in [
+        ("bins", n, starts),
+        ("first", support, [0] * width),
+        ("second", support, [0] * width),
+        ("edge", n, starts),
+        ("system", width, range(width)),
+    ]:
+        each = [getattr(p, name) + at + k * step for k in range(3) for p, at in zip(plans, offsets)]
+        assert np.array_equal(getattr(joined, name), np.concatenate(each)), name
+    each = [starts[:-1] + k * n for k in range(3)]
+    assert np.array_equal(joined.starts, np.append(each, 3 * n))
+    # on amplitudes: point by point, each system's entries are its own plan's, with ==
+    values = scenario_amplitudes(Rung(*kind, [0.3, 0.6, 0.9], cutoff=6))[0]
+    weights = (values * values.conj()).real
+    want = [p.entries(weights[k], values[k]) for k in range(3) for p in plans]
+    for got, entries in zip(joined_entries(plans, values), want, strict=True):
+        assert all(map(np.array_equal, got, entries))

@@ -89,35 +89,35 @@ def test_csv_equals_the_per_value_writer(tmp_path, config):
     assert emit_csv(table, tmp_path / "table.csv").read_bytes() == csv_per_value(table)
 
 
-def _random_curves(rng):
+def _random_plot(rng):
+    n = rng.choice([2, 3, 17, 101, 1001])
+    x0, width = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-6, 3)
+    x = sorted(rng.uniform(x0, x0 + width) for _ in range(n))
     curves = []
     for _ in range(rng.randint(1, 6)):
-        n = rng.choice([2, 3, 17, 101, 1001])
-        x0, width = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-6, 3)
-        x = sorted(rng.uniform(x0, x0 + width) for _ in range(n))
         y = [rng.uniform(-0.5, 10.0 ** rng.uniform(-3, 1)) for _ in range(n)]
-        curves.append(("c", x, y, rng.choice(["solid", "dashed", "dotdash"])))
-    return curves
+        curves.append(("c", y, rng.choice(["solid", "dashed", "dotdash"])))
+    return x, curves
 
 
 rng = random.Random(29)
-PLOTS = {f"random-{i}": _random_curves(rng) for i in range(20)}
+PLOTS = {f"random-{i}": _random_plot(rng) for i in range(20)}
 PLOTS |= {
-    "one-point": [("c", [0.3], [0.2], "solid")],
-    "x_hi-equals-x_lo": [("c", [0.7] * 5, [0.1, 0.2, 0.3, 0.4, 0.5], "solid")],
-    "all-zero-y": [("c", [0.0, 0.5, 1.0], [0.0] * 3, "solid")] * 2,
-    "max-y-above-1": [
-        ("a", [0.0, 1.0, 2.0], [0.5, 1.0, 2.5], "dotdash"),
-        ("b", [0.0, 1.0, 2.0], [3.75, 0.0, 1e-9], "dashed"),
-    ],
+    "one-point": ([0.3], [("c", [0.2], "solid")]),
+    "x_hi-equals-x_lo": ([0.7] * 5, [("c", [0.1, 0.2, 0.3, 0.4, 0.5], "solid")]),
+    "all-zero-y": ([0.0, 0.5, 1.0], [("c", [0.0] * 3, "solid")] * 2),
+    "max-y-above-1": (
+        [0.0, 1.0, 2.0],
+        [("a", [0.5, 1.0, 2.5], "dotdash"), ("b", [3.75, 0.0, 1e-9], "dashed")],
+    ),
 }
 
 
-@pytest.mark.parametrize("curves", PLOTS.values(), ids=PLOTS)
-def test_polylines_equal_the_per_point_writer(curves):
-    doc = render_line_plot(curves, x_label="r", y_label="LN", title="t")
+@pytest.mark.parametrize("x, curves", PLOTS.values(), ids=PLOTS)
+def test_polylines_equal_the_per_point_writer(x, curves):
+    doc = render_line_plot(x, curves, x_label="r", y_label="LN", title="t")
     points = re.findall(r'<polyline points="([^"]*)"', doc)
-    assert points == polylines_per_point(curves)
+    assert points == polylines_per_point(x, curves)
 
 
 # --- a sweep builds no record per point ---------------------------------------------
@@ -203,6 +203,11 @@ def test_rung_columns_equal_the_one_point_records(kind, cutoff, points):
         (("fermion", "one", [0.1, 0.2], 30, [0.0, math.inf]), "phase must be finite"),
         (("boson", "one", [0.1]), "statistics must be 'scalar' or 'fermion'"),
         (("fermion", "one", []), "a rung needs at least one point"),
+        # each column's shape is checked before any value: nan and -1 would come next
+        (("fermion", "both", [math.nan, 0.2, 0.3], 30, [0.5]), "got squeezes (3,) and phases (1,)"),
+        (("fermion", "both", [0.1, 0.2, math.nan], 30, [1, 2]), "squeezes (3,) and phases (2,)"),
+        (("fermion", "both", [[0.1, -1.0], [0.2, 0.3]]), "got squeezes (2, 2) and phases (2, 2)"),
+        (("fermion", "both", -1.0), "1-D squeezes and phases of their shape, got squeezes ()"),
     ],
 )
 def test_rung_raises_the_first_failing_points_error(fields, message):

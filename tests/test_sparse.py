@@ -86,6 +86,9 @@ def test_coord_ket_validation():
         CoordKet(layout, np.array([[0, 0]]), np.array([1.0]), [2])
     with pytest.raises(LayoutError):
         CoordKet(layout, np.array([[0, 0]]), np.array([1.0]), [0, 1])
+    for bad in (math.nan, math.inf, complex(0.6, math.nan)):
+        with pytest.raises(DomainError, match="ket amplitudes must be finite"):
+            CoordKet(layout, np.array([[0, 0], [1, 1]]), np.array([0.6, bad]), [0, 1])
 
 
 def test_reduced_gram_matches_dense_reduced_density():

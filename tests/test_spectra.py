@@ -139,12 +139,10 @@ def test_structure_picks_pairs_or_chains(cutoff):
     ]:
         plan = sweep_plan(Scenario(*kind, 0.3, cutoff=cutoff))
         assert (plan.paired, plan.names) == (paired, names)
-        assert len(plan.plans) == (1 if paired else len(names))  # each system planned once
+        assert len(plan.plans) == len(names)  # each system planned once
         # the physics' rule against the chains: two adjacent edges make a longer chain
         if paired:
-            (joined,) = plan.plans
-            gaps = [np.diff(joined.edge[joined.system == i]) for i in range(len(names))]
-            assert all((gap > 1).all() for gap in gaps)  # every chain a 2-state pair
+            assert all((np.diff(p.edge) > 1).all() for p in plan.plans)  # every chain a pair
         else:
             assert all((np.diff(p.edge) == 1).any() for p in plan.plans)  # a longer chain each
 
@@ -245,6 +243,26 @@ def reload_dstebz(monkeypatch):
     _dstebz.cache_clear()
     yield monkeypatch
     _dstebz.cache_clear()
+
+
+def test_dstebz_falls_back_to_the_public_import_where_the_extension_fails(reload_dstebz):
+    from scipy.linalg.lapack import dstebz  # scipy.linalg is already imported here
+
+    chain = np.array([0.0, 0.0, 0.5]), np.array([0, 1]), np.array([0.3, 0.2])
+    want = chain_spectrum(*chain)  # through the extension loaded from its file
+    assert want[2] == 1
+    failed = []
+
+    def exec_module(loader, module):
+        failed.append(module.__name__)
+        raise ImportError("the extension fails to load")
+
+    reload_dstebz.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", exec_module)
+    _dstebz.cache_clear()
+    modules = dict(sys.modules)
+    assert _dstebz() is dstebz and failed == [FLAPACK]
+    assert sys.modules == modules
+    assert chain_spectrum(*chain) == want
 
 
 def test_private_and_public_dstebz_loads_give_equal_results(reload_dstebz):
