@@ -13,9 +13,9 @@ pipeline of :mod:`accelpair.sparse`, a rung of points by column (one scenario
 as a record), on a :class:`SweepPlan`: the squeeze-independent index
 structure that the state's shift rule gives (:func:`accelpair.states.traced_plan`).
 Only the negative eigenvalues are computed.  A plan is pairs or chains: the
-traced systems of fermions and scalar-one are 2-state pairs, solved together
-in closed form (:func:`pair_spectra`); scalar-both's are longer chains, one
-bisection each (:func:`chain_spectrum`).  It is the package's one LN route;
+traced systems of fermions and scalar-one are 2-state pairs, solved in closed
+form for all points at once (:func:`pair_spectra`); scalar-both's are longer
+chains, one bisection each (:func:`chain_spectrum`).  It is the package's one LN route;
 the per-state functions of :mod:`accelpair.sparse` and the dense
 :func:`reduced_density` and :func:`partial_transpose` here are the reference
 routes it is tested against.  Reduced systems carry conventional names: "s,p"
@@ -68,7 +68,7 @@ _TINY = np.finfo(float).tiny
 _SCHMIDT_WEIGHT_TOL = 1e-12
 
 _UNIT_NORM_TOL = 1e-10
-_ENTRIES = 1 << 13  # support entries per pass of evaluate_scenario: bounds the arrays a list holds
+_ENTRIES = 1 << 13  # support entries per pass of evaluate_scenario: bounds the arrays a pass holds
 
 
 @dataclass(frozen=True)
@@ -233,22 +233,21 @@ class ScenarioResult:
 _FIGURES = SystemResult.__match_args__  # its fields, a rung's (points x systems) columns
 
 
-def pair_spectra(d, lo, c, system, starts) -> tuple[np.ndarray, ...]:
-    """Negativity, smallest eigenvalue and count below -1e-12 per system of
-    symmetric tridiagonals (d >= 0, couplings c >= 0 at (lo, lo + 1)) whose
-    couplings join disjoint pairs of states.  System i is
-    d[starts[i]:starts[i + 1]] with the pairs marked i in ``system``."""
-    a, b = d.take(lo), d[1:].take(lo)
+def pair_spectra(d, lo, c) -> tuple[np.ndarray, ...]:
+    """Negativity, smallest eigenvalue and count below -1e-12 of each row of
+    symmetric tridiagonals, (points x states) ``d`` >= 0 with (points x pairs)
+    couplings ``c`` >= 0 at (lo, lo + 1), whose couplings join disjoint pairs of
+    states.  A row's negativity adds its pairs in order from +0.0, as it would alone."""
+    a, b = d.take(lo, axis=1), d.take(lo + 1, axis=1)
     plus = (a + b) / 2 + np.hypot((a - b) / 2, c)
     # det / plus has none of (a + b)/2 - hypot's cancellation; plus < tiny only
     # where a, b, c < tiny, and there det underflows to 0
     minus = (a * b - c * c) / np.maximum(plus, _TINY)
     low = d.copy()
-    low.put(lo, np.minimum(a, minus))
-    neg, n = minus < -NEGATIVE_EIGENVALUE_TOL, starts.size - 1
-    negativity = np.bincount(system, -minus * neg, n)  # -0.0 terms add nothing
-    count = np.bincount(system[neg], minlength=n)
-    return negativity, np.minimum.reduceat(low, starts[:-1]), count
+    low[:, lo] = np.minimum(a, minus)
+    neg, rows = minus < -NEGATIVE_EIGENVALUE_TOL, np.repeat(np.arange(len(d)), lo.size)
+    negativity = np.bincount(rows, (-minus * neg).ravel(), len(d))  # -0.0 terms add nothing
+    return negativity, low.min(axis=1), neg.sum(axis=1)
 
 
 @functools.cache
@@ -351,20 +350,19 @@ def evaluate_scenario(points: Scenario | Rung, plan: SweepPlan | None = None):
     plan = sweep_plan(points) if plan is None else plan
     if _plan_key(points) != plan.key:
         raise DomainError(f"plan for {plan.key} does not fit the rung, {_plan_key(points)}")
-    passes, step, width = [], max(1, _ENTRIES // plan.branch.size), len(plan.names)
+    passes, step = [], max(1, _ENTRIES // plan.branch.size)
     for at in range(0, points.squeezes.size, step):
         val, deficits = scenario_amplitudes(points, slice(at, at + step))
         weights, n = (val * val.conj()).real, len(val)
+        entries = [c.entries(weights, val) for c in plan.plans]  # per system, every point
         norms = np.bincount(stacked(plan.branch, 2, n), (np.abs(val) ** 2).ravel(), 2 * n)
         full = _schmidt_spectra(norms.reshape(n, 2))  # one negative, -sqrt(w0 w1)
-        if plan.paired:
-            joined = ChainPlan.join(plan.plans, n)
-            tiled = np.concatenate([weights] * width, 1)
-            spectra = pair_spectra(*joined.entries(tiled, val), joined.system, joined.starts)
-        else:  # point by point, each point's systems in turn: the order of a joined plan
-            entries = (c.entries(weights[p], val[p]) for p in range(n) for c in plan.plans)
-            spectra = map(np.array, zip(*(chain_spectrum(*e) for e in entries)))
-        figures = [np.column_stack([f, s.reshape(n, width)]) for f, s in zip(full, spectra)]
+        if plan.paired:  # one call per system, on all its points' rows
+            spectra = [np.column_stack(s) for s in zip(*(pair_spectra(*e) for e in entries))]
+        else:  # point by point, each point's systems in turn
+            chains = (chain_spectrum(d[p], lo, c[p]) for p in range(n) for d, lo, c in entries)
+            spectra = [np.array(s).reshape(n, -1) for s in zip(*chains)]
+        figures = [np.column_stack([f, s]) for f, s in zip(full, spectra)]
         ln = list(map(math.log2, (2.0 * figures[0] + 1.0).ravel().tolist()))
         passes.append((deficits, np.array(ln).reshape(n, -1), *figures))
     columns = (np.concatenate(c) for c in zip(*passes))

@@ -11,13 +11,13 @@ only.  Sorted by a conserved charge, every sector is a chain: the matrix is
 one symmetric tridiagonal (d, |e|).  The untraced system's Schmidt weights
 are the two branch norms.  Input outside this structure is a DomainError.
 
-A :class:`ChainPlan` holds this index structure for one support, written down
-from the state's shift rule in closed form, with no sort
-(:func:`accelpair.states.traced_plan`): per state, or per batch of states and
-systems on one support (:meth:`ChainPlan.join`), :meth:`ChainPlan.entries` is
-one bincount and one gather, and nothing is checked.  The per-state functions are
-the reference route: they find the structure from the occupation tuples and
-check it on every call, and the tests hold the plans to them with ``==``.
+A :class:`ChainPlan` holds this index structure for one traced system on one
+support, from the state's shift rule in closed form, with no sort
+(:func:`accelpair.states.traced_plan`): for the (points x support) rows of a
+sweep's amplitudes, :meth:`ChainPlan.entries` is one bincount and one gather,
+and nothing is checked.  The per-state functions are the reference route:
+they find the structure from the occupation tuples and check it on every
+call, and the tests hold the plans to them with ``==``.
 Their cross terms are never sorted or hashed: the partial transpose swaps
 party A's digits by stride arithmetic on the flat indices.
 """
@@ -25,7 +25,7 @@ party A's digits by stride arithmetic on the flat indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,8 +67,10 @@ def norm_squared(values: np.ndarray) -> np.ndarray:
 
 
 def stacked(index: np.ndarray, step: int, count: int) -> np.ndarray:
-    """``index`` once per point, point p's copy plus p * step, flat (itself for one point)."""
-    return index if count == 1 else (index + step * np.arange(count)[:, None]).ravel()
+    """``index`` once per point, point p's copy plus p * step, flat and int32 (itself
+    for one point): the bins of one bincount over all points' rows."""
+    rows = np.arange(count, dtype=np.int32)[:, None]
+    return index if count == 1 else (index + step * rows).ravel()
 
 
 def _ravel(occupations: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
@@ -242,42 +244,33 @@ def hermitian_block_eigenvalues(mat: HermitianCoords, charge: Sequence[int]) -> 
 
 @dataclass(frozen=True)
 class ChainPlan:
-    """Partial-transpose structure of traced systems on a fixed support: per
+    """Partial-transpose structure of one traced system on a fixed support: per
     entry, its state's place in charge order (``bins``); per cross term, in
-    ``edge`` order, its entry pair (``first``, ``second``), its place on the
-    sorted chains' off-diagonal (``edge``) and its ``system``; the systems'
-    first states (``starts``, then the total).  int32, read-only."""
+    ``edge`` order, its entry pair (``first``, ``second``) and its place on the
+    sorted chains' off-diagonal (``edge``); the system's state count (``size``).
+    The index arrays are int32 and read-only."""
 
     bins: np.ndarray
     first: np.ndarray
     second: np.ndarray
     edge: np.ndarray
-    system: np.ndarray
-    starts: np.ndarray
+    size: int
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            index = np.asarray(getattr(self, f.name), dtype=np.int32)  # owns int32 input, no copy
+        for name in ("bins", "first", "second", "edge"):
+            index = np.asarray(getattr(self, name), dtype=np.int32)  # owns int32 input, no copy
             index.flags.writeable = False
-            object.__setattr__(self, f.name, index)
+            object.__setattr__(self, name, index)
 
     def entries(self, weights: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(d, edge, |e| on it) for ``values`` on the support (flattened); ``weights``
-        is (values conj(values)).real, repeated once per system.  Bit for bit the
-        per-state route: zeros add nothing, |z| = |conj(z)|."""
-        d = np.bincount(self.bins, weights.reshape(-1), self.starts[-1])
-        return d, self.edge, np.abs(values.take(self.first) * values.take(self.second).conj())
-
-    @classmethod
-    def join(cls, plans: Sequence[ChainPlan], count: int) -> ChainPlan:
-        """One support's one-system ``plans`` end to end, and that for ``count`` states in turn."""
-        starts = np.cumsum([0] + [p.starts[-1] for p in plans], dtype=np.int32)
-        n, support = int(starts[-1]), plans[0].bins.size
-        parts = zip(plans, starts, range(len(plans)))
-        joined = [(p.bins + s, p.first, p.second, p.edge + s, p.system + i) for p, s, i in parts]
-        steps = (n, support, support, n, len(plans))  # bins .. system
-        index = [stacked(np.concatenate(f), at, count) for f, at in zip(zip(*joined), steps)]
-        return cls(*index, np.append(stacked(starts[:-1], n, count), n * count))
+        """(d, edge, |e| on it) of each of the (points x support) rows ``values``, as
+        (points x states), the edges and (points x cross terms); ``weights`` is
+        (values conj(values)).real.  Each row is bit for bit the per-state route:
+        zeros add nothing, |z| = |conj(z)|."""
+        n = len(values)
+        d = np.bincount(stacked(self.bins, self.size, n), weights.reshape(-1), self.size * n)
+        e = np.abs(values.take(self.first, axis=1) * values.take(self.second, axis=1).conj())
+        return d.reshape(n, self.size), self.edge, e
 
 
 def schmidt_weights(k: CoordKet, party_a: Iterable[str]) -> np.ndarray:

@@ -217,7 +217,7 @@ def traced_plan(sc: Scenario, party_a: str, party_b: str) -> ChainPlan:
     js, jw = divmod(slot[edge], m[1])
     first = (js + 1 - p[0]) * vac[1] + jw + 1 - p[1]
     second = math.prod(vac) + js * one[1] + jw
-    return ChainPlan(np.concatenate(bins, axis=None), first, second, edge, 0 * js, [0, da * db])
+    return ChainPlan(np.concatenate(bins, axis=None), first, second, edge, da * db)
 
 
 def scenario_amplitudes(rung: Rung, part: slice = slice(None)) -> tuple:

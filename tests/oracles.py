@@ -189,6 +189,65 @@ def scalar_one_sp_negativity(r, terms=4000, threshold=1e-12):
     return float(-lower[lower < -threshold].sum())
 
 
+# The Euler-Gompertz constant G = e E_1(1) = int_0^inf e^-y / (1 + y) dy (OEIS A073003)
+EULER_GOMPERTZ = 0.596347362323194074341078499369
+
+
+def scalar_one_sp_large_r(r):
+    """The first two terms of N(s,p) of the untruncated scalar-one state as r grows:
+    G u / 2 + (1 - 3G/2) u^2, with u = 1 / cosh^2 r and G the Euler-Gompertz constant.
+
+    Derivation.  With x = tanh^2 r = 1 - u, block n of
+    :func:`scalar_one_sp_negativity` has a = n x^(n-1) u^2 / 2, b = x^(n+1) u / 2,
+    c^2 = (n+1) x^(2n) u^3 / 4 and det = -x^(2n) u^3 / 4, so its negative
+    eigenvalue det / l+ has magnitude u^2 x^n / (2 L_n), where L_n = (A + B)/2 +
+    sqrt(((A - B)/2)^2 + (n + 1) u) with A = n u / x and B = x.  Write y = n u.
+    Then x^n = e^-y (1 - y u / 2 + O(u^2)) and L_n = (1 + y) + u y^2 / (1 + y)
+    + O(u^2), so N = u sum_n u F(n u) with
+
+        F(y) = e^-y / (2 (1 + y)) * (1 - u (y/2 + y^2 / (1 + y)^2)) + O(u^2).
+
+    Euler-Maclaurin gives sum_n u F(n u) = int_0^inf F dy + u F(0) / 2 + O(u^2),
+    and F(0) = 1/2 + O(u).  Let J_k = int_0^inf e^-y (1 + y)^-k dy: J_0 = 1,
+    J_1 = G, and by parts J_k = (1 - J_(k-1)) / (k - 1), so J_2 = 1 - G and
+    J_3 = G/2.  As y / (1 + y) = 1 - 1/(1 + y) and y^2 / (1 + y)^3 = 1/(1 + y) -
+    2/(1 + y)^2 + 1/(1 + y)^3, int F dy = J_1 / 2 - u ((J_0 - J_1) / 4 + (J_1 -
+    2 J_2 + J_3) / 2) + O(u^2) = G/2 - u (3G/2 - 3/4) + O(u^2).  Adding u F(0) / 2
+    = u / 4 gives N / u = G/2 + u (1 - 3G/2) + O(u^2).  The leading term sums the
+    blocks' negative eigenvalues, ~ -e^-y / (2 cosh^4 r (1 + y)) at n = y cosh^2 r.
+    """
+    u, g = 1.0 / math.cosh(r) ** 2, EULER_GOMPERTZ
+    return g * u / 2.0 + (1.0 - 1.5 * g) * u * u
+
+
+def scalar_both_aa_sector(r, L):
+    """(alpha_L, diagonal, off-diagonal) of sector L = n_s + n_w of the a,a partial
+    transpose of the untruncated scalar-both state: alpha_L M_L on the states
+    (s_a, w_a) = (a, L - a), a = 0..L, in ascending a.  One row per squeeze of
+    ``r``, a number or a 1-D array.
+
+    With t = tanh r, C = cosh r and u = 1 / C^2, alpha_L = t^(2L) / (2 C^4) and
+    M_L = I + u^2 diag((a + 1)(L + 1 - a)) + u offdiag(sqrt(n (L + 1 - n))),
+    n = 1..L coupling states n - 1 and n: the vacuum branch puts c_a^2 c_(L-a)^2 / 2
+    and the one-particle branch d_a^2 d_(L-a)^2 / 2 on each state, and the cross
+    term c_(j+1) c_(k+1) d_j d_k / 2 of the traced pair (j + 1, k + 1) = (j, k) + 1
+    moves, transposed over s_a, to (j, k + 1)-(j + 1, k).
+
+    Certificate that a,a is PPT for every r.  By AM-GM, u sqrt(X) <= (1 + u^2 X) / 2
+    for every coupling, so row a's couplings add up to at most 1 + u^2 (a (L + 1 - a)
+    + (a + 1)(L - a)) / 2 = 1 + u^2 (a L - a^2 + L/2), and its diagonal 1 + u^2
+    (a L - a^2 + L + 1) exceeds that by at least u^2 (L + 2) / 2 > 0.  So M_L is
+    strictly diagonally dominant with a positive diagonal: by Gershgorin it is
+    positive definite, every eigenvalue of alpha_L M_L is >= 0 (> 0 where alpha_L
+    does not underflow), and N(a,a) = 0 at every acceleration.
+    """
+    r = np.atleast_1d(np.asarray(r, float))[:, None]
+    t, c2 = np.tanh(r), np.cosh(r) ** 2
+    a, u = np.arange(L + 1.0), 1.0 / c2
+    alpha = t[:, 0] ** (2 * L) / (2.0 * c2[:, 0] ** 2)
+    return alpha, 1.0 + u * u * (a + 1.0) * (L + 1.0 - a), u * np.sqrt(a[1:] * (L + 1.0 - a[1:]))
+
+
 def scalar_both_pp_negativity(r, threshold=1e-12, tail=1e-18):
     """N(p,p) of the untruncated scalar-both state, summed over sectors L = n_s + n_w.
 

@@ -146,6 +146,21 @@ def test_main_parser_adds_no_defaults(monkeypatch, tmp_path):
     assert cfg == SweepConfig(scenario="scalar-one", csv_path=Path(csv_path))
 
 
+def test_main_parses_with_the_one_parser_built_at_import(monkeypatch, tmp_path, capsys):
+    def rebuild():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    csv_path = tmp_path / "x.csv"
+    argv = ["sweep", "--scenario", "scalar-one", "--csv", str(csv_path)]
+    assert main(["sweep", "--scenario", "nope", "--csv", str(csv_path)]) == 1
+    assert capsys.readouterr().err.startswith("usage: accelpair sweep")
+    # each call parses afresh: neither a rejected call nor a flag carries over
+    steps = _parsed_config(monkeypatch, [*argv, "--steps", "3"])
+    assert steps == SweepConfig(scenario="scalar-one", steps=3, csv_path=csv_path)
+    assert _parsed_config(monkeypatch, argv) == SweepConfig(scenario="scalar-one", csv_path=csv_path)
+
+
 def test_main_puts_every_flag_in_its_field(monkeypatch, tmp_path):
     fields = dict(
         scenario="fermion-both",

@@ -26,13 +26,17 @@ from accelpair.fock import (
     SubsystemLayout,
     hermitian_eigenvalues,
 )
-from accelpair.states import Rung, build_final_state
+from accelpair.entanglement import sweep_plan
+from accelpair.states import Rung, build_final_state, scenario_amplitudes
 
 from oracles import (
+    EULER_GOMPERTZ,
     partial_trace,
     random_pure_amplitudes,
+    scalar_both_aa_sector,
     scalar_both_pp_negativity,
     scalar_full_ln,
+    scalar_one_sp_large_r,
     scalar_one_sp_negativity,
     trace_norm_negativity,
 )
@@ -340,6 +344,68 @@ def test_scalar_both_matches_untruncated_sector_series(r):
     pp = evaluate_scenario(Scenario("scalar", "both", r, cutoff=120)).systems["p,p"]
     assert abs(pp.negativity - series) < 1e-15
     assert abs(scalar_both_pp_negativity(r, threshold=0.0) - series) > 1e-13  # it has teeth
+
+
+def test_euler_gompertz_constant_is_e_times_e1_of_1():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert abs(EULER_GOMPERTZ - float(mpmath.e * mpmath.e1(1))) < 1e-16
+
+
+# The law's c2 = 1 - 3G/2 is derived (scalar_one_sp_large_r).  The remainder bound was
+# pinned from the next term, ~0.013 / cosh^6 r at r = 2-6, before r = 3.5, 4.5 and 5.5
+# were looked at; without the threshold, every block counts whatever its size.
+@pytest.mark.parametrize("r", [3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0])
+def test_scalar_one_negativity_follows_the_euler_gompertz_law(r):
+    c2 = math.cosh(r) ** 2
+    series = scalar_one_sp_negativity(r, terms=int(60 * c2), threshold=0.0)
+    assert abs(series - scalar_one_sp_large_r(r)) * c2**3 < 0.02
+    assert abs(series * c2 - EULER_GOMPERTZ / 2) * c2 > 0.1  # c2's term is there
+
+
+def test_threshold_breaks_the_euler_gompertz_law_at_large_r():
+    # with the package's 1e-12 threshold whole blocks fall below it: at r = 5
+    # N cosh^2 r lies below G/2, where the law puts it above by c2 / cosh^2 r
+    r, c2 = 5.0, math.cosh(5.0) ** 2
+    counted = scalar_one_sp_negativity(r, terms=int(60 * c2), threshold=NEGATIVE_EIGENVALUE_TOL)
+    assert counted * c2 - EULER_GOMPERTZ / 2 < 0.0 < scalar_one_sp_large_r(r) * c2 - EULER_GOMPERTZ / 2
+
+
+def test_scalar_both_aa_sectors_are_strictly_diagonally_dominant():
+    # the certificate of scalar_both_aa_sector, checked: each row of M_L beats its
+    # couplings by at least u^2 (L + 2) / 2, so a,a is PPT at every acceleration
+    r = np.linspace(0.0, 3.0, 31)
+    u = 1.0 / np.cosh(r) ** 2
+    for L in range(401):
+        alpha, diag, off = scalar_both_aa_sector(r, L)
+        couplings = np.zeros_like(diag)
+        couplings[:, 1:] += off
+        couplings[:, :-1] += off
+        assert ((diag - couplings).min(axis=1) >= u * u * (L + 2) / 2).all(), L
+        assert (alpha >= 0.0).all() and (diag > 0.0).all()
+
+
+def test_scalar_both_aa_sectors_match_the_plan_chains():
+    # every sector the cutoff leaves whole, L <= 60, against the cutoff-60 plan's
+    # a,a chains (ascending L), eigenvalue by eigenvalue; tolerance pinned beforehand
+    from scipy.linalg import eigh_tridiagonal
+
+    r, cutoff = 0.9, 60
+    plan = sweep_plan(Rung("scalar", "both", [r], cutoff))
+    values = scenario_amplitudes(Rung("scalar", "both", [r], cutoff))[0]
+    chain = plan.plans[plan.names.index("a,a")]
+    (d,), lo, (e,) = chain.entries((values * values.conj()).real, values)
+    ends = np.append(np.setdiff1d(np.arange(chain.size - 1), lo) + 1, chain.size)
+    starts = np.append(0, ends[:-1])
+    for L in range(cutoff + 1):
+        lo_at, hi = starts[L], ends[L]
+        assert hi - lo_at == L + 1, L
+        inside = (lo >= lo_at) & (lo < hi - 1)
+        ours = eigh_tridiagonal(d[lo_at:hi], e[inside], eigvals_only=True)
+        alpha, diag, off = scalar_both_aa_sector(r, L)
+        want = alpha[0] * eigh_tridiagonal(diag[0], off[0], eigvals_only=True)
+        assert np.abs(ours - want).max() <= 1e-15, L
+        assert want.min() > 0.0 or alpha[0] == 0.0
 
 
 @pytest.mark.parametrize("accelerated", ["one", "both"])

@@ -24,7 +24,10 @@ import argparse
 import csv
 import hashlib
 import io
+import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -33,7 +36,8 @@ import pytest
 
 from accelpair.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
 # case name: (sweep arguments, exit code)
 CASES = {
@@ -97,6 +101,83 @@ def test_golden_csv_needs_no_quoting(path):
     rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     csv.writer(out, lineterminator="\n").writerows(rows)
     assert out.getvalue().encode("utf-8") == data
+
+
+def _fermion(name: str) -> bool:
+    args = CASES[name][0]
+    return args[args.index("--scenario") + 1].startswith("fermion")
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if _fermion(name)])
+def test_fermion_ln_columns_print_their_closed_forms(name, tmp_path, capsys):
+    # every fermion LN field holds the 12 significant digits of its closed form
+    _, csv_path, _ = _sweep(name, tmp_path)
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    systems = [key[3:] for key in rows[0] if key.startswith("cf_")]
+    assert systems and all(f"ln_{system}" in rows[0] for system in systems)
+    for row in rows:
+        assert [row[f"ln_{x}"] for x in systems] == [row[f"cf_{x}"] for x in systems], row["r"]
+
+
+def _dispatched_features() -> list[str]:
+    """The CPU features numpy dispatches to that this host has, by numpy's names."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+NARROWED = """
+import contextlib, io, json, sys
+from pathlib import Path
+from test_golden import CASES, _dispatched_features, _sweep
+codes = {}
+for name in CASES:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes[name] = _sweep(name, Path(sys.argv[1]))[0]
+print(json.dumps({"codes": codes, "features": _dispatched_features()}))
+"""
+
+
+def _rows_but_deficit(data: bytes) -> list[list[str]]:
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    keep = [i for i, key in enumerate(rows[0]) if key != "deficit"]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def test_outputs_hold_under_narrowed_simd_dispatch(tmp_path):
+    # every case rerun in a child process with none of numpy's dispatched SIMD loops,
+    # only its baseline ones: every SVG and fermion CSV keeps its bytes, and a scalar
+    # CSV every column but the deficit, whose rounding the narrowed loops change
+    features = _dispatched_features()
+    if not features:
+        pytest.skip("numpy dispatches to no CPU feature on this host")
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features), PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", NARROWED, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["features"] == [] and _dispatched_features() == features
+    for name, (_, code) in CASES.items():
+        assert report["codes"][name] == code, name
+        csv_path, svg_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+        if name in DIGESTS:
+            assert (_sha256(csv_path), _sha256(svg_path)) == DIGESTS[name], name
+            continue
+        assert svg_path.read_bytes() == (GOLDEN / svg_path.name).read_bytes(), name
+        got, want = csv_path.read_bytes(), (GOLDEN / csv_path.name).read_bytes()
+        if _fermion(name):
+            assert got == want, name
+        else:
+            assert _rows_but_deficit(got) == _rows_but_deficit(want), name
 
 
 def _compare(write: bool) -> list[str]:

@@ -67,12 +67,16 @@ def system_results(negativity, min_pt, count):
     return [SystemResult(math.log2(2.0 * n + 1.0), n, m, c) for n, m, c in columns]
 
 
+ONE_PAIR = np.zeros(1, np.int32)  # the one coupling of a 2-state system
+
+
 def reference_result(sc):
     """(deficit, systems) of sc through the per-point coordinate route.
 
     The chain edges, and so pairs or chains, are read off the support at
-    r = 0.5, where no amplitude vanishes: a plan keeps zero amplitudes.  The
-    systems of pairs are joined into one batch, in order, as a plan joins them.
+    r = 0.5, where no amplitude vanishes: a plan keeps zero amplitudes.  A system
+    of pairs is one ``pair_spectra`` row, its negativity each pair's alone added
+    in pair order from +0.0.
     """
     ck, deficit = build_final_state_coords(sc)
     generic = dataclasses.replace(sc, squeeze=0.5)
@@ -81,18 +85,13 @@ def reference_result(sc):
     pairs = [name for name, at in lo.items() if (np.diff(at) > 1).all()]
     traced = traced_tridiagonals(ck, sc)
     systems = {}
-    if pairs:
-        starts = np.cumsum([0] + [traced[name][0].size for name in pairs])
-        spectra = pair_spectra(
-            np.concatenate([traced[name][0] for name in pairs]),
-            np.concatenate([lo[name] + s for name, s in zip(pairs, starts)]),
-            np.concatenate([traced[name][1][lo[name]] for name in pairs]),
-            np.repeat(np.arange(len(pairs)), [lo[name].size for name in pairs]),
-            starts,
-        )
-        systems.update(zip(pairs, system_results(*spectra)))
     for name, (d, e, _) in traced.items():
-        if name not in systems:
+        if name in pairs:
+            _, low, count = pair_spectra(d[None], lo[name], e[lo[name]][None])
+            alone = [pair_spectra(d[None, [i, i + 1]], ONE_PAIR, e[None, [i]]) for i in lo[name]]
+            negativity = np.array([sum((each[0][0] for each in alone), 0.0)])
+            systems[name] = system_results(negativity, low, count)[0]
+        else:
             spectrum = chain_spectrum(d, lo[name], e[lo[name]])
             systems[name] = system_results(*map(np.array, zip(spectrum)))[0]
     weights = schmidt_weights(ck, named_bipartitions(sc)["full"].party_a)
@@ -154,8 +153,8 @@ def test_shuffled_grid_through_one_plan_matches_fresh_plans(kind):
 def test_plan_arrays_are_read_only_int32(kind):
     plan = sweep_plan(Scenario(*kind, 0.3, cutoff=6))
     arrays = [plan.branch, *scenario_support(Scenario(*kind, 0.3, cutoff=6))[1:]]
-    for chain in (*plan.plans, ChainPlan.join(plan.plans, 2)):
-        arrays += [chain.bins, chain.first, chain.second, chain.edge, chain.system, chain.starts]
+    for chain in plan.plans:
+        arrays += [chain.bins, chain.first, chain.second, chain.edge]
     for a in arrays:
         assert a.dtype == np.int32
         assert not a.flags.writeable
@@ -190,7 +189,7 @@ def traced_plan_by_sorting(sc, party_a, party_b):
     edge = np.minimum(*(place[i] for i in swapped))
     by = np.argsort(edge)
     bins = place[a * dims[1] + b]
-    return ChainPlan(bins, first[by], second[by], edge[by], np.zeros_like(by), [0, charge.size])
+    return ChainPlan(bins, first[by], second[by], edge[by], charge.size)
 
 
 # fermions ignore the cutoff; 241 is an odd cutoff above 200
@@ -208,9 +207,10 @@ def test_closed_form_plan_equals_the_sorting_route(statistics, accelerated, cuto
     for bp in traced:
         ours = traced_plan(sc, *bp.party_a, *bp.party_b)
         oracle = traced_plan_by_sorting(sc, *bp.party_a, *bp.party_b)
-        for f in dataclasses.fields(ChainPlan):
-            got, want = getattr(ours, f.name), getattr(oracle, f.name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (bp, f.name)
+        assert type(ours.size) is int and ours.size == oracle.size, bp
+        for name in ("bins", "first", "second", "edge"):
+            got, want = getattr(ours, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (bp, name)
 
 
 @pytest.mark.parametrize("cutoff", [4, 5, 30])
@@ -235,7 +235,7 @@ def test_scalar_both_sectors_are_the_kept_grids_diagonals(cutoff):
         sizes[name] = [sectors.count(k) for k in sorted(set(sectors))]
         chain = plan.plans[plan.names.index(name)]
         a, b = (occ[:, layout.labels.index(label)] for label in ("s_p", party_b))
-        assert chain.starts.tolist() == [0, len(kept)]
+        assert chain.size == len(kept)
         assert chain.bins.tolist() == [place[ab] for ab in zip(a.tolist(), b.tolist())]
         for e, i, k in zip(chain.edge.tolist(), chain.first.tolist(), chain.second.tolist()):
             # the cross term |a_i b_i><a_k b_k| couples (a_k, b_i) and (a_i, b_k)
@@ -247,27 +247,16 @@ def test_scalar_both_sectors_are_the_kept_grids_diagonals(cutoff):
     assert len(sizes["p,a"]) == 2 * n + 2
 
 
-def joined_entries(plans, values):
-    """Each plan's (d, edge, |e| on it) at each of the (points x support) ``values``,
-    point by point, split out of the plans joined as a paired sweep joins them."""
-    joined, weights = ChainPlan.join(plans, len(values)), (values * values.conj()).real
-    d, edge, e = joined.entries(np.concatenate([weights] * len(plans), 1), values)
-    out = []
-    for i in range(joined.starts.size - 1):
-        lo, hi, mine = joined.starts[i], joined.starts[i + 1], joined.system == i
-        out.append((d[lo:hi], edge[mine] - lo, e[mine]))
-    return out
+def row_entries(chain, values):
+    """``chain``'s (d, edge, |e| on it) at the one point of the support ``values``."""
+    d, edge, e = chain.entries((values * values.conj()).real[None], values[None])
+    assert d.shape == (1, chain.size) and e.shape == (1, edge.size)
+    return d[0], edge, e[0]
 
 
 def system_entries(plan, values):
-    """Each traced system's (d, edge, |e| on it) from its plan in ``plan`` and, for
-    pairs, from the plans joined, which must give the same arrays."""
-    weights = (values * values.conj()).real
-    out = {name: chain.entries(weights, values) for name, chain in zip(plan.names, plan.plans)}
-    if plan.paired:
-        for name, entries in zip(plan.names, joined_entries(plan.plans, values[None])):
-            assert all(map(np.array_equal, entries, out[name])), name
-    return out
+    """Each traced system's (d, edge, |e| on it) from its plan in ``plan``."""
+    return {name: row_entries(chain, values) for name, chain in zip(plan.names, plan.plans)}
 
 
 @pytest.mark.parametrize("cutoff", [4, 30, 60, 120, CUTOFF_CAP, 480])
@@ -388,12 +377,12 @@ def test_chain_plan_matches_reference_on_a_valid_support():
     occ, branch = np.array([[0, 0, 0], [1, 1, 0], [2, 0, 1]]), np.array([0, 1, 0])
     # worked by hand: the kept states (0,0), (1,1), (2,0) take places 0, 4, 5 in
     # charge order; the cross term at t = 0 swaps to (1,0)-(0,1), places 2 and 1
-    plan = ChainPlan([0, 4, 5], [0], [1], [1], [0], [0, 9])
+    plan = ChainPlan([0, 4, 5], [0], [1], [1], 9)
     values = np.array([0.6, 0.48j, -0.64]).astype(complex)
     ck = CoordKet(TRIPLE, occ, values, branch)
     rho, kept_dims, _ = reduced_gram(ck, ("a", "b"))
     d, e, edges = tridiagonal(partial_transpose_sparse(rho, kept_dims, [0]), SUM_CHARGE)
-    ours = plan.entries((values * values.conj()).real, values)
+    ours = row_entries(plan, values)
     assert np.array_equal(ours[0], d)
     assert np.array_equal(ours[1], np.sort(edges)) and np.array_equal(ours[2], e[ours[1]])
 
@@ -528,26 +517,22 @@ def test_list_longer_than_one_pass_is_split_exactly(kind, monkeypatch):
     assert passes == [1] * 11
 
 
+@pytest.mark.parametrize("points", [1, 2, 3, 7])
 @pytest.mark.parametrize("kind", SCENARIOS)
-def test_joined_chain_plan_is_each_system_then_each_state_in_turn(kind):
-    plans = sweep_plan(Scenario(*kind, 0.3, cutoff=6)).plans
-    joined, support = ChainPlan.join(plans, 3), plans[0].bins.size
-    starts = np.cumsum([0] + [p.starts[-1] for p in plans])
-    n, width = int(starts[-1]), len(plans)
-    for name, step, offsets in [
-        ("bins", n, starts),
-        ("first", support, [0] * width),
-        ("second", support, [0] * width),
-        ("edge", n, starts),
-        ("system", width, range(width)),
-    ]:
-        each = [getattr(p, name) + at + k * step for k in range(3) for p, at in zip(plans, offsets)]
-        assert np.array_equal(getattr(joined, name), np.concatenate(each)), name
-    each = [starts[:-1] + k * n for k in range(3)]
-    assert np.array_equal(joined.starts, np.append(each, 3 * n))
-    # on amplitudes: point by point, each system's entries are its own plan's, with ==
-    values = scenario_amplitudes(Rung(*kind, [0.3, 0.6, 0.9], cutoff=6))[0]
+def test_rows_of_chain_plan_entries_equal_each_row_alone(kind, points):
+    # one system's plan serves every point of a pass: n rows at once is each row alone, ==
+    values = scenario_amplitudes(Rung(*kind, np.linspace(0.0, 1.5, points), cutoff=6))[0]
     weights = (values * values.conj()).real
-    want = [p.entries(weights[k], values[k]) for k in range(3) for p in plans]
-    for got, entries in zip(joined_entries(plans, values), want, strict=True):
-        assert all(map(np.array_equal, got, entries))
+    for chain in sweep_plan(Scenario(*kind, 0.3, cutoff=6)).plans:
+        d, edge, e = chain.entries(weights, values)
+        assert d.shape == (points, chain.size) and e.shape == (points, edge.size)
+        assert edge is chain.edge
+        for k in range(points):
+            alone = row_entries(chain, values[k])
+            assert all(map(np.array_equal, (d[k], edge, e[k]), alone)), k
+        offsets = sparse.stacked(chain.bins, chain.size, points)  # where each row's weights go
+        assert offsets.dtype == np.int32
+        rows = np.arange(points)[:, None] * chain.size
+        assert np.array_equal(offsets, (chain.bins + rows).ravel())
+        if points == 1:  # one row bins by the plan itself, with no copy
+            assert offsets is chain.bins

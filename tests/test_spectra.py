@@ -64,15 +64,16 @@ def tridiagonal(draw, kind, edges, n):
 
 @st.composite
 def batches(draw, pairs):
-    """1-4 systems, each of pairs and singletons or of chains of any length."""
+    """1-4 systems: rows on one layout of pairs and singletons, as the points of a
+    pass share one plan, or chains of any length each."""
+    if pairs:
+        runs = np.array(draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=24)))
+        ends = np.cumsum(runs)
+        n, lo = int(ends[-1]), ends[runs == 2] - 2
     systems = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["random", "ppt", "zero"]))
-        if pairs:
-            runs = np.array(draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=24)))
-            ends = np.cumsum(runs)
-            n, lo = int(ends[-1]), ends[runs == 2] - 2
-        else:
+        if not pairs:
             n = draw(st.integers(1, 40))
             mask = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
             lo = np.flatnonzero(np.array(mask, dtype=bool))
@@ -80,16 +81,11 @@ def batches(draw, pairs):
     return systems
 
 
-def solve(spectra, systems):
-    """``spectra`` of the systems joined into one batch, per system."""
-    starts = np.cumsum([0] + [d.size for d, _, _, _ in systems])
-    return list(zip(*spectra(
-        np.concatenate([d for d, _, _, _ in systems]),
-        np.concatenate([lo + s for (_, _, lo, _), s in zip(systems, starts)]),
-        np.concatenate([e[lo] for _, e, lo, _ in systems]),
-        np.repeat(np.arange(len(systems)), [lo.size for _, _, lo, _ in systems]),
-        starts,
-    )))  # fmt: skip
+def solve(systems):
+    """:func:`pair_spectra` of systems on one layout of pairs, the rows of one batch."""
+    lo = systems[0][2]
+    d, c = np.stack([d for d, _, _, _ in systems]), np.stack([e[lo] for _, e, _, _ in systems])
+    return list(zip(*pair_spectra(d, lo, c)))
 
 
 def reference(d, e):
@@ -103,13 +99,16 @@ def reference(d, e):
 @given(batches(pairs=True))
 @settings(max_examples=150, deadline=None)
 def test_pair_spectra_match_full_dsterf(systems):
-    for (d, e, _, kind), (neg, low, count) in zip(systems, solve(pair_spectra, systems)):
+    for (d, e, lo, kind), (neg, low, count) in zip(systems, solve(systems)):
         eigs, ref_neg, ref_count = reference(d, e)
         assert abs(neg - ref_neg) < TOL
         assert count == ref_count
         assert abs(low - eigs[0]) < TOL  # the exact minimum
         if kind != "random":
             assert neg == 0.0 and count == 0 and low >= 0.0
+        # a row adds its pairs in order from +0.0, as a sum over each pair alone does
+        each = [solve([(d[[i, i + 1]], e[[i]], np.array([0]), kind)])[0][0] for i in lo]
+        assert repr(float(neg)) == repr(float(sum(each, 0.0)))
 
 
 @given(batches(pairs=False))
